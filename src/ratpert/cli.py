@@ -13,6 +13,7 @@ explicit flags win.  RATPERT_WORKERS sets the default scan worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -196,7 +197,7 @@ def _parse_z_power(text: str, offset: int) -> int:
 @dataclass(frozen=True)
 class Option:
     flag: str
-    kind: str  # str | int | float | complex | map | field | path | region | resolution
+    kind: str  # str | int | positive-int | float | finite-float | complex | map | field | path | region | resolution
     default: Any
     help: str
     required: bool = False
@@ -213,7 +214,7 @@ def _opt(flag, kind, default, help, required=False):
 
 _MAP = _opt("--map", "map", None, "map spec, e.g. unicritical:2,-2+0i", required=True)
 _FIELD = _opt("--field", "field", "1", "perturbation field, e.g. '1' or '2*z^2-1'")
-_TOL = _opt("--tol", "float", 1e-12, "series tolerance")
+_TOL = _opt("--tol", "finite-float", 1e-12, "series tolerance")
 _NMAX = _opt("--n-max", "int", 4096, "orbit / series length budget")
 _ESCAPE = _opt("--escape-radius", "float", None, "escape radius (default: map-dependent bound)")
 _POINT = _opt("--point", "complex", None, "cycle point seed (default: first found cycle)")
@@ -235,7 +236,7 @@ COMMANDS: dict[str, dict] = {
     "summability": {
         "help": "tail-ratio evidence for the summability condition",
         "options": [_MAP, _opt("--point", "complex", None, "critical point (default: first)"),
-                    _NMAX, _ESCAPE, _opt("--window", "int", None, "trailing window (default: length/4)"),
+                    _NMAX, _ESCAPE, _opt("--window", "positive-int", None, "trailing window (default: length/4)"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "mu": {
@@ -262,7 +263,7 @@ COMMANDS: dict[str, dict] = {
     "cycles": {
         "help": "find periodic cycles of a given period",
         "options": [_MAP, _PERIOD, _opt("--seed-count", "int", 500, "number of Newton seeds"),
-                    _opt("--newton-tol", "float", 1e-9, "cycle residual tolerance"),
+                    _opt("--newton-tol", "finite-float", 1e-9, "cycle residual tolerance"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "alpha": {
@@ -348,8 +349,18 @@ def _convert(opt: Option, raw: Any) -> Any:
         return raw
     if kind == "int":
         return int(raw)
+    if kind == "positive-int":
+        value = int(raw)
+        if value < 1:
+            raise ValueError(f"must be >= 1, got {value}")
+        return value
     if kind == "float":
         return float(raw)
+    if kind == "finite-float":
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {raw!r}")
+        return value
     if kind == "complex":
         return parse_complex(raw)
     if kind == "map":
@@ -456,7 +467,15 @@ def _cmd_orbit(opts) -> str:
 
 def _cmd_summability(opts) -> str:
     _, orbit = _orbit_from(opts)
-    window = opts.get("window") or default_summability_window(len(orbit.points))
+    window = opts["window"]
+    if window is None:
+        window = default_summability_window(len(orbit.points))
+    elif len(orbit.points) < 2 * window:
+        raise ParseError(
+            f"--window {window} needs an orbit of at least {2 * window} entries; "
+            f"it has {len(orbit.points)}",
+            0,
+        )
     report = summability_report(orbit, window)
     return serialize.json_dumps(serialize.encode(report))
 
@@ -508,7 +527,7 @@ def _cmd_alpha(opts) -> str:
     cycle = _pick_cycle(map, opts)
     solution = solve_alpha_on_cycle(map, cycle, opts["field"])
     payload = {
-        "type": "alpha",
+        "type": "cycle_alpha",
         "cycle": serialize.encode(cycle),
         "solution": serialize.encode(solution),
     }

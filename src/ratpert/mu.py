@@ -69,41 +69,57 @@ def mu_functional(
         )
     v.check_poles_clear(orbit.points)
 
-    ratio = report.tail_ratio
     limit = len(orbit.points) if n_max is None else min(n_max, len(orbit.points))
     if limit < 1:
         raise ValueError("n_max must allow at least one term")
 
+    series = _SeriesSum(report.tail_ratio, tol)
     partial: list[complex] = []
-    acc = 0j
-    tail_bound = math.inf
-    converged = False
-    recent: list[float] = []
-    terms_used = 0
     for k in range(limit):
         term_x = XComplex.from_complex(complex(v(orbit.points[k]))) / orbit.cocycle[k]
-        term = _collapse(term_x)
-        acc += term
-        partial.append(acc)
-        terms_used = k + 1
-        recent.append(abs(term))
-        if len(recent) > 3:
-            recent.pop(0)
-        if ratio < 1.0:
-            # largest recent term over (1 - r); the max over a short window
-            # guards fields that happen to vanish at a single orbit point
-            tail_bound = max(recent) / (1.0 - ratio)
-            if terms_used >= MIN_TERMS and tail_bound < tol:
-                converged = True
-                break
+        done = series.add(_collapse(term_x))
+        partial.append(series.value)
+        if done:
+            break
 
     return MuResult(
-        value=acc,
+        value=series.value,
         partial=tuple(partial),
-        tail_bound=tail_bound if math.isfinite(tail_bound) else math.inf,
-        converged=converged,
-        terms_used=terms_used,
+        tail_bound=series.tail_bound if math.isfinite(series.tail_bound) else math.inf,
+        converged=series.converged,
+        terms_used=series.terms_used,
     )
+
+
+class _SeriesSum:
+    """Running sum of the orbit series of one field, with the stopping rule
+    of mu_functional: the largest of the last three terms over (1 - ratio)
+    bounds the tail, and the sum stops once that clears tol after at least
+    MIN_TERMS terms."""
+
+    def __init__(self, ratio: float, tol: float):
+        self.ratio = ratio
+        self.tol = tol
+        self.value = 0j
+        self.tail_bound = math.inf
+        self.converged = False
+        self.terms_used = 0
+        self._recent: list[float] = []
+
+    def add(self, term: complex) -> bool:
+        """Add the next term; True once the sum has converged."""
+        self.value += term
+        self.terms_used += 1
+        self._recent.append(abs(term))
+        if len(self._recent) > 3:
+            self._recent.pop(0)
+        if self.ratio < 1.0:
+            # largest recent term over (1 - r); the max over a short window
+            # guards fields that happen to vanish at a single orbit point
+            self.tail_bound = max(self._recent) / (1.0 - self.ratio)
+            if self.terms_used >= MIN_TERMS and self.tail_bound < self.tol:
+                self.converged = True
+        return self.converged
 
 
 def _collapse(x: XComplex) -> complex:
@@ -138,7 +154,12 @@ def moment_vector(
     max_degree: int,
     tol: float = 1e-12,
 ) -> tuple[complex, ...]:
-    """Functional values on the monomial fields z**j, j = 0..max_degree."""
+    """Functional values on the monomial fields z**j, j = 0..max_degree.
+
+    One pass over the orbit serves every degree; each degree keeps the
+    terms and the stopping rule of mu_functional(orbit, z**j, tol), so the
+    values are the same bit for bit.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     report = summability_report(orbit, default_summability_window(len(orbit.points)))
@@ -146,10 +167,21 @@ def moment_vector(
         raise NotSummableError(
             f"moment vector needs summable evidence, got {report.classification}"
         )
-    return tuple(
-        mu_functional(orbit, VectorFieldSpec.monomial(j), tol=tol).value
-        for j in range(max_degree + 1)
-    )
+    fields = [VectorFieldSpec.monomial(j) for j in range(max_degree + 1)]
+    sums = [_SeriesSum(report.tail_ratio, tol) for _ in fields]
+    active = list(range(max_degree + 1))
+    for point, cocycle in zip(orbit.points, orbit.cocycle):
+        if not active:
+            break
+        # x / cocycle is x * cocycle.reciprocal(); the reciprocal is shared
+        inverse = cocycle.reciprocal()
+        active = [
+            j for j in active
+            if not sums[j].add(
+                _collapse(XComplex.from_complex(complex(fields[j](point))) * inverse)
+            )
+        ]
+    return tuple(series.value for series in sums)
 
 
 class WitnessResult(NamedTuple):

@@ -82,10 +82,20 @@ def obstruction_sequence(
 
 def _fit_growth(b: list[XComplex]) -> tuple[float, str]:
     n = len(b) - 1
-    start = max(1, n - max(n // 2, min(MIN_FIT_SAMPLES, n - 1)))
     samples = [
-        (k, b[k].log_abs()) for k in range(start, n + 1) if not b[k].is_zero
+        (k, b[k].log_abs()) for k in range(_fit_start(n), n + 1) if not b[k].is_zero
     ]
+    return _fit_samples(samples)
+
+
+def _fit_start(n: int) -> int:
+    """First index of the trailing fit window of b[0..n]."""
+    return max(1, n - max(n // 2, min(MIN_FIT_SAMPLES, n - 1)))
+
+
+def _fit_samples(samples: list[tuple[int, float]]) -> tuple[float, str]:
+    """Least-squares slope of (k, log|b[k]|) over the nonzero entries of
+    the fit window, with its bounded/unbounded verdict."""
     if not samples:
         return -math.inf, "bounded"
     if len(samples) < 2:

@@ -35,6 +35,10 @@ NEAR_RELATION_TOL = 1e-6
 #: Tail ratios within this margin of 1 are inconclusive evidence.
 SUMMABILITY_MARGIN = 0.05
 
+#: Default tail-estimate bound, relative to the partial sum, for summable
+#: evidence.
+STABILIZATION_TOL = 1e-9
+
 #: Cycle coincidence tolerance for parameter classification.
 CYCLE_DETECT_TOL = 1e-9
 
@@ -175,7 +179,7 @@ class SummabilityReport:
 def summability_report(
     orbit: OrbitRecord,
     window: int,
-    stabilization_tol: float = 1e-9,
+    stabilization_tol: float = STABILIZATION_TOL,
 ) -> SummabilityReport:
     """Classify the partial sums of 1/|cocycle| as summable/divergent evidence.
 
@@ -191,14 +195,29 @@ def summability_report(
         raise ValueError(f"orbit has {n} entries; needs >= 2*window = {2 * window}")
 
     last = orbit.truncated_at
-    sum_n = orbit.partial_sums_abs[last]
     log2_drop = orbit.cocycle[last - window].log2_abs() - orbit.cocycle[last].log2_abs()
-    tail_ratio = 2.0 ** (log2_drop / window)
-
     increments = [
         orbit.partial_sums_abs[k] - orbit.partial_sums_abs[k - 1]
         for k in range(1, last + 1)
     ]
+    return _tail_report(
+        orbit.partial_sums_abs[last], log2_drop, increments, window, last + 1,
+        stabilization_tol,
+    )
+
+
+def _tail_report(
+    sum_n: float,
+    log2_drop: float,
+    increments: list[float],
+    window: int,
+    n_terms: int,
+    stabilization_tol: float,
+) -> SummabilityReport:
+    """The verdict of summability_report from what it reads off the orbit:
+    the last partial sum, the cocycle's log2 drop over the trailing window
+    and (at least) the last 2*window increments of the partial sums."""
+    tail_ratio = 2.0 ** (log2_drop / window)
     last_increment = increments[-1]
     if tail_ratio < 1.0:
         tail_estimate = last_increment * tail_ratio / (1.0 - tail_ratio)
@@ -224,7 +243,7 @@ def summability_report(
         last_increment=last_increment,
         tail_estimate=tail_estimate,
         window=window,
-        n_terms=last + 1,
+        n_terms=n_terms,
     )
 
 

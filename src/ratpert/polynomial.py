@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RootFindingError
+from .xcomplex import cmul_lanes
 
 #: Two roots closer than this (relative to scale) are considered one
 #: multiple root when clustering.
@@ -95,7 +96,10 @@ class Polynomial:
         return value
 
     def eval_with_derivative(self, z):
-        """Horner pass returning (p(z), p'(z)); z may be scalar or ndarray."""
+        """Horner pass returning (p(z), p'(z)); z may be scalar or ndarray.
+
+        horner_lanes repeats the scalar pass on float64 lanes; keep the two
+        in step."""
         if isinstance(z, np.ndarray):
             p = np.full_like(z, self.coefficients[-1], dtype=complex)
             dp = np.zeros_like(z, dtype=complex)
@@ -149,6 +153,21 @@ class Polynomial:
 
 
 ONE = Polynomial((1 + 0j,))
+
+
+def horner_lanes(coefficients, zr, zi, derivative: bool):
+    """Polynomial.eval_with_derivative (or __call__) of the scalar path on
+    float64 lanes, as (p re, p im, p' re, p' im); coefficients are (re, im)
+    pairs, constant term first, each a float or an array."""
+    pr, pi = coefficients[-1]
+    dr, di = 0.0, 0.0
+    for ar, ai in reversed(coefficients[:-1]):
+        if derivative:
+            tr, ti = cmul_lanes(dr, di, zr, zi)
+            dr, di = tr + pr, ti + pi
+        tr, ti = cmul_lanes(pr, pi, zr, zi)
+        pr, pi = tr + ar, ti + ai
+    return pr, pi, dr, di
 
 
 def poly_roots(

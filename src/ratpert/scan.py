@@ -3,9 +3,12 @@
 Each grid or path point is classified (escaping / attracting / candidate);
 candidates get the full orbit diagnostics: summability evidence, the
 obstruction growth exponent for the configured field, and the constant-field
-orbit sum.  Rows are independent work items; results are always aggregated
-in index order, so the output is byte-reproducible regardless of the worker
-count.
+orbit sum.  The candidates of a chunk of points run together as numpy lanes
+(see lanes.py), bit-identical to the per-point chain, which still serves
+every lane that leaves the batch and every chunk with fewer than MIN_LANES
+candidates.  Rows are independent of each other and are always aggregated
+in index order, so the output is byte-reproducible regardless of the
+worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from .errors import CriticalRelationError, RatpertError, ShapeError
 from .fields import CONSTANT_ONE, VectorFieldSpec
+from .lanes import MIN_LANES, candidate_lanes
 from .maps import MapSpec, default_escape_radius
 from .mu import mu_functional
 from .obstruction import obstruction_sequence
@@ -104,13 +108,11 @@ class ScanRow:
     flags: tuple[str, ...]
 
 
-def _scan_point(task: tuple) -> ScanRow:
-    c, d, orbit_length, field, escape_radius = task
-    radius = default_escape_radius(d, c) if escape_radius is None else escape_radius
-    cls = classify_parameter(c, d, n_max=orbit_length, escape_radius=radius)
-    if cls.kind in ("escaping", "attracting"):
-        return ScanRow(c, cls.kind, cls.period, None, None, None, ())
-
+def _candidate_row(
+    c: complex, d: int, orbit_length: int, field: VectorFieldSpec, radius: float
+) -> ScanRow:
+    """The per-point candidate chain: orbit, summability, obstruction, and
+    the constant-field functional on summable evidence."""
     flags: list[str] = []
     try:
         map = MapSpec.unicritical(d, c)
@@ -152,20 +154,62 @@ def _scan_point(task: tuple) -> ScanRow:
     return ScanRow(c, "candidate", None, summability, growth, mu_value, tuple(flags))
 
 
+def _scan_chunk(task: tuple) -> list[ScanRow]:
+    """Rows of consecutive scan points: classify each point, run the
+    candidates as lanes, and the per-point chain for lanes that leave (all
+    of them when there are fewer than MIN_LANES, below which the lanes are
+    slower)."""
+    points, d, orbit_length, field, escape_radius = task
+    rows: list[ScanRow | None] = []
+    candidates: list[tuple[int, complex, float]] = []
+    for c in points:
+        radius = default_escape_radius(d, c) if escape_radius is None else escape_radius
+        cls = classify_parameter(c, d, n_max=orbit_length, escape_radius=radius)
+        if cls.kind in ("escaping", "attracting"):
+            rows.append(ScanRow(c, cls.kind, cls.period, None, None, None, ()))
+        else:
+            candidates.append((len(rows), c, radius))
+            rows.append(None)
+
+    results = (
+        candidate_lanes(
+            [c for _, c, _ in candidates],
+            [radius for _, _, radius in candidates],
+            d,
+            orbit_length,
+            field,
+        )
+        if len(candidates) >= MIN_LANES
+        else [None] * len(candidates)
+    )
+    for (index, c, radius), result in zip(candidates, results):
+        if result is None:
+            rows[index] = _candidate_row(c, d, orbit_length, field, radius)
+        else:
+            summability, growth, evidence = result
+            rows[index] = ScanRow(
+                c, "candidate", None, summability, growth, None,
+                (f"obstruction={evidence}",),
+            )
+    return rows
+
+
 def scan_parameters(config: ScanConfig) -> tuple[ScanRow, ...]:
     """Run the sweep; rows come back in grid/path order regardless of
-    worker_count, so repeated runs are byte-identical."""
+    worker_count, so repeated runs are byte-identical.
+
+    With worker_count > 1 the points are split into worker_count contiguous
+    chunks of equal size (within one point), one per worker process.
+    """
     points = config.points()
-    tasks = [
-        (c, config.d, config.orbit_length, config.field, config.escape_radius)
-        for c in points
-    ]
-    if config.worker_count == 1 or len(tasks) < 2:
-        return tuple(_scan_point(t) for t in tasks)
-    chunk = max(1, len(tasks) // (4 * config.worker_count))
-    with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-        rows = list(pool.map(_scan_point, tasks, chunksize=chunk))
-    return tuple(rows)
+    task = (config.d, config.orbit_length, config.field, config.escape_radius)
+    workers = min(config.worker_count, len(points))
+    if workers == 1:
+        return tuple(_scan_chunk((points, *task)))
+    bounds = [len(points) * i // workers for i in range(workers + 1)]
+    chunks = [(points[a:b], *task) for a, b in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return tuple(row for rows in pool.map(_scan_chunk, chunks) for row in rows)
 
 
 @dataclass(frozen=True)

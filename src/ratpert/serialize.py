@@ -263,7 +263,7 @@ def decode(payload: dict) -> Any:
         return tuple(_uc(pair) for pair in payload["moments"])
     if kind == "cycles":
         return tuple(decode(c) for c in payload["cycles"])
-    if kind == "alpha":
+    if kind == "cycle_alpha":
         return {
             "cycle": decode(payload["cycle"]),
             "solution": decode(payload["solution"]),

@@ -9,12 +9,21 @@ never saturates, while the mantissa stays in hardware range.
 Mantissas are ordinary double-precision complex values, so mantissa
 arithmetic carries the usual ~53-bit precision; exponent arithmetic is
 exact.
+
+The same format also runs on numpy lanes (``normalize_lanes`` and the
+operations after it at the end of this module): mantissa real and imaginary
+parts as float64 arrays and the exponent as an int64 array.  Each lane
+operation repeats its scalar counterpart step for step, so lane values are
+bit-identical to XComplex values; tests/test_lanes.py checks them against
+each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Normalization base.  Everything below assumes 2 (frexp/ldexp based).
 BASE = 2
@@ -149,7 +158,9 @@ class XComplex:
 
 
 def _normalize(re: float, im: float, exponent: int) -> XComplex:
-    """Build a normalized XComplex from raw components and an exponent."""
+    """Build a normalized XComplex from raw components and an exponent.
+
+    normalize_lanes repeats these steps on arrays; keep the two in step."""
     if re == 0.0 and im == 0.0:
         return _ZERO
     if math.isnan(re) or math.isnan(im) or math.isinf(re) or math.isinf(im):
@@ -211,3 +222,73 @@ def mantissa_ulp_gap(a: XComplex, b: XComplex) -> float:
     ma = _scaled(a.mantissa, max(d, 0))
     mb = _scaled(b.mantissa, max(-d, 0))
     return abs(ma - mb) / 2.0 ** -52
+
+
+# Lane versions.  A lane value is a tuple (re, im, exponent) of arrays; a
+# zero lane value keeps zero mantissa components, by which every operation
+# recognizes it, and its exponent is never read.
+
+#: Lane moduli this close to 1 are compared with math.hypot, which _normalize
+#: uses, not np.hypot, which can differ from it in the last bit.
+HYPOT_TIE = 1e-15
+
+
+def normalize_lanes(re, im, e):
+    """_normalize on lanes: frexp on the larger component, then at most one
+    doubling.  Finite components only; zero stays zero."""
+    _, e0 = np.frexp(np.maximum(np.abs(re), np.abs(im)))
+    re = np.ldexp(re, -e0)
+    im = np.ldexp(im, -e0)
+    a = np.hypot(re, im)
+    double = a < 1.0
+    for i in np.flatnonzero(np.abs(a - 1.0) <= HYPOT_TIE):
+        double[i] = math.hypot(re[i], im[i]) < 1.0
+    scale = np.where(double, 2.0, 1.0)
+    return re * scale, im * scale, e + e0 - double
+
+
+def cmul_lanes(ar, ai, br, bi):
+    """Complex product as Python forms it, componentwise (numpy's complex128
+    multiply may fuse, Python's does not)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def select_lanes(mask, x, y):
+    """Lane values taken from x where mask holds, else from y."""
+    return tuple(np.where(mask, u, v) for u, v in zip(x, y))
+
+
+def mul_lanes(a, b):
+    """XComplex.__mul__ on lanes; a zero factor gives zero components."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    return normalize_lanes(*cmul_lanes(ar, ai, br, bi), ae + be)
+
+
+def add_lanes(a, b):
+    """XComplex.__add__ on lanes."""
+    a_zero = (a[0] == 0.0) & (a[1] == 0.0)
+    b_zero = (b[0] == 0.0) & (b[1] == 0.0)
+    a_hi = a[2] >= b[2]
+    hi, lo = select_lanes(a_hi, a, b), select_lanes(a_hi, b, a)
+    shift = hi[2] - lo[2]
+    total = normalize_lanes(
+        hi[0] + np.ldexp(lo[0], -shift), hi[1] + np.ldexp(lo[1], -shift), hi[2]
+    )
+    total = select_lanes(shift > MANTISSA_BITS, hi, total)
+    # the zero tests come first in __add__, so they win
+    return select_lanes(a_zero, b, select_lanes(b_zero, a, total))
+
+
+def reciprocal_lanes(x):
+    """XComplex.reciprocal on nonzero lanes: 1.0 / mantissa by CPython's
+    complex division, then normalize."""
+    br, bi, e = x
+    real_major = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+        ratio = bi / br
+        denom = br + bi * ratio
+        r1, i1 = 1.0 / denom, (0.0 - ratio) / denom
+        ratio = br / bi
+        denom = br * ratio + bi
+        r2, i2 = (ratio + 0.0) / denom, -1.0 / denom
+    return normalize_lanes(*select_lanes(real_major, (r1, i1), (r2, i2)), -e)

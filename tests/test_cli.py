@@ -149,6 +149,47 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["solution"]["alpha"][0][0] == pytest.approx(-1.0, abs=1e-14)
 
+    def test_alpha_output_round_trips_through_decoder(self, tmp_path):
+        from ratpert.serialize import decode, encode, json_dumps
+
+        out = tmp_path / "alpha.json"
+        code = main(
+            ["alpha", "--map", "rational:0,0,1/1", "--period", "1",
+             "--point", "1+0i", "--field", "1", "--output", str(out)]
+        )
+        assert code == 0
+        text = out.read_text()
+        parsed = decode(json.loads(text))
+        payload = {
+            "type": "cycle_alpha",
+            "cycle": encode(parsed["cycle"]),
+            "solution": encode(parsed["solution"]),
+        }
+        assert json_dumps(payload) == text
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["summability", "--map", "unicritical:2,-2+0i", "--window", "0"],
+            ["summability", "--map", "unicritical:2,-2+0i", "--window", "-1"],
+            ["summability", "--map", "unicritical:2,-2+0i", "--n-max", "64",
+             "--window", "40"],
+            ["mu", "--map", "unicritical:2,-2+0i", "--tol", "nan"],
+            ["moments", "--map", "unicritical:2,-2+0i", "--tol", "inf"],
+            ["cycles", "--map", "unicritical:2,-1+0i", "--period", "2",
+             "--newton-tol", "nan"],
+        ],
+    )
+    def test_bad_window_and_tolerance_rejected(self, args, capsys):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_explicit_window_used(self, capsys):
+        assert main(["summability", "--map", "unicritical:2,-2+0i", "--n-max", "64",
+                     "--window", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["window"] == 1
+
     def test_witness_from_moments(self, tmp_path):
         out = tmp_path / "w.json"
         code = main(

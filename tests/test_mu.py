@@ -133,6 +133,23 @@ class TestMoments:
             assert result.terms_used == 1
             assert result.value == (0j if j >= 1 else 1 + 0j)
 
+    @pytest.mark.parametrize(
+        "map, n_terms",
+        [
+            (MapSpec.unicritical(2, -2), 2000),
+            (MapSpec.rational(Polynomial((-2, 0, 1)), Polynomial((1, 0, 0.001))), 4000),
+        ],
+    )
+    def test_single_pass_matches_mu_per_degree(self, map, n_terms):
+        orbit = iterate_orbit(map, 0j, n_terms, escape_radius=1e6)
+        moments = moment_vector(orbit, 5)
+        expected = [
+            mu_functional(orbit, VectorFieldSpec.monomial(j)).value for j in range(6)
+        ]
+        assert [(m.real.hex(), m.imag.hex()) for m in moments] == [
+            (m.real.hex(), m.imag.hex()) for m in expected
+        ]
+
     def test_divergent_orbit_rejected(self):
         orbit = iterate_orbit(MapSpec.unicritical(2, 0.1), 0j, 300)
         with pytest.raises(NotSummableError):

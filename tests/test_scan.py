@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import ratpert.scan as scan_module
 from ratpert import (
+    Polynomial,
     Rectangle,
     ScanConfig,
     ShapeError,
@@ -12,9 +16,64 @@ from ratpert import (
     render_escape,
     scan_parameters,
 )
+import ratpert.lanes as lanes_module
+from ratpert.lanes import MIN_LANES, candidate_lanes
+from ratpert.maps import MapSpec
+from ratpert.orbits import NEAR_RELATION_TOL, NearCriticalRelationWarning, iterate_orbit
+from ratpert.scan import _candidate_row
 from ratpert.serialize import scan_rows_to_csv
 
 ACCEPTANCE_PATH = (-2 + 0j, -1 + 0j, 0j, 1 + 0j)
+
+# Near the centre of a period-10 component: at orbit length 16 the
+# classifier cannot see the cycle, and the 10th iterate lies about 1e-7
+# (NEAR_RELATION_C) or 1e-13 (RELATION_C) from the critical point.
+NEAR_RELATION_C = -1.3731547774244246 + 0.08494748053200075j
+RELATION_C = -1.3731547801760977 + 0.08494748359511935j
+
+LANE_CASES = {
+    # 1216 escaping, 254 attracting and 130 candidate points
+    "grid-40x40": ScanConfig(
+        d=2, region=Rectangle(-2.0, 0.5, -1.25, 1.25), resolution=(40, 40),
+        orbit_length=256,
+    ),
+    "boundary": ScanConfig(
+        d=2, region=Rectangle(-1.05, -0.95, 0.18, 0.28), resolution=(16, 16),
+        orbit_length=256, field=VectorFieldSpec.from_coefficients([1, 0.3]),
+    ),
+    "cubic-grid": ScanConfig(
+        d=3, region=Rectangle(-0.2, 0.8, 0.2, 1.2), resolution=(16, 16),
+        orbit_length=128, field=VectorFieldSpec.from_coefficients([0.5j, -0.25, 1e-3]),
+    ),
+    "summable-path": ScanConfig(
+        d=2, path=(1j, -2 + 0j, -1j, -0.75 + 0j), orbit_length=256,
+    ),
+    "superattracting-path": ScanConfig(
+        d=2, path=(-1 + 0j, 0.25 + 0j, -1 + 1e-3j, 0.3 + 0.5j), orbit_length=64,
+        field=VectorFieldSpec.from_coefficients([0, 1]),
+    ),
+    "relation-path": ScanConfig(
+        d=2, path=(NEAR_RELATION_C, 1j, RELATION_C), orbit_length=16,
+    ),
+}
+
+
+def _csv(config):
+    return scan_rows_to_csv(scan_parameters(config))
+
+
+def _lane_csv(config, monkeypatch):
+    """The scan with every chunk's candidates run as lanes, however few."""
+    with monkeypatch.context() as patch:
+        patch.setattr(scan_module, "MIN_LANES", 1)
+        return _csv(config)
+
+
+def _per_point_csv(config, monkeypatch):
+    """The scan with every candidate sent through the per-point chain."""
+    with monkeypatch.context() as patch:
+        patch.setattr(scan_module, "candidate_lanes", lambda cs, *args: [None] * len(cs))
+        return _csv(config)
 
 
 class TestConfig:
@@ -104,6 +163,123 @@ class TestScanRows:
         rows = scan_parameters(ScanConfig(d=3, path=(0j, 2 + 2j), orbit_length=64))
         assert rows[0].kind == "attracting"
         assert rows[1].kind == "escaping"
+
+
+class TestLanePath:
+    @pytest.mark.filterwarnings("ignore::ratpert.orbits.NearCriticalRelationWarning")
+    @pytest.mark.parametrize("name", sorted(LANE_CASES))
+    def test_csv_identical_to_per_point_chain(self, name, monkeypatch):
+        config = LANE_CASES[name]
+        expected = _per_point_csv(config, monkeypatch)
+        assert _lane_csv(config, monkeypatch) == expected
+        assert _csv(config) == expected
+
+    def test_csv_identical_across_worker_counts(self):
+        config = LANE_CASES["boundary"]
+        expected = _csv(config)
+        for workers in (2, 3):
+            assert _csv(dataclasses.replace(config, worker_count=workers)) == expected
+
+    def test_boundary_candidates_stay_in_the_batch(self, monkeypatch):
+        calls = []
+
+        def spy(cs, *args):
+            results = candidate_lanes(cs, *args)
+            calls.append(results)
+            return results
+
+        monkeypatch.setattr(scan_module, "candidate_lanes", spy)
+        rows = scan_parameters(LANE_CASES["boundary"])
+        (results,) = calls
+        assert len(results) == sum(r.kind == "candidate" for r in rows) > 150
+        assert all(r is not None for r in results)
+
+    def test_few_candidates_skip_the_lanes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            scan_module, "candidate_lanes", lambda cs, *args: calls.append(cs) or [None] * len(cs)
+        )
+        scan_parameters(LANE_CASES["summable-path"])  # 4 candidates
+        assert calls == []
+        scan_parameters(LANE_CASES["boundary"])
+        assert len(calls) == 1 and len(calls[0]) >= MIN_LANES
+
+    def test_equal_blocks_give_the_same_lanes(self, monkeypatch):
+        config = LANE_CASES["boundary"]
+        cs = [r.c for r in scan_parameters(config) if r.kind == "candidate"][:40]
+        args = ([3.0] * len(cs), 2, 256, config.field)
+        whole = candidate_lanes(cs, *args)
+        sizes = []
+        run_block = lanes_module._run_block
+        monkeypatch.setattr(lanes_module, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(
+            lanes_module, "_run_block", lambda cs, *a: sizes.append(len(cs)) or run_block(cs, *a)
+        )
+        assert repr(candidate_lanes(cs, *args)) == repr(whole)
+        assert sizes == [13, 13, 14]  # 40 // MIN_LANES equal blocks
+
+    def test_radius_tie_is_exact(self):
+        # a candidate whose farthest orbit point lies exactly on the radius
+        # does not escape, in either path; one ulp inside it escapes
+        c, field = -0.95 + 0.25j, VectorFieldSpec.constant(1.0)
+        points = iterate_orbit(MapSpec.unicritical(2, c), 0j, 64, escape_radius=10.0).points
+        radius = max(abs(z) for z in points)
+        (lane,) = candidate_lanes([c], [radius], 2, 64, field)
+        row = _candidate_row(c, 2, 64, field, radius)
+        assert lane is not None
+        assert (row.summability, row.growth_exponent, row.flags) == (
+            lane[0], lane[1], (f"obstruction={lane[2]}",)
+        )
+        inside = math.nextafter(radius, 0.0)
+        assert iterate_orbit(MapSpec.unicritical(2, c), 0j, 64, inside).escaped_at is not None
+        assert candidate_lanes([c], [inside], 2, 64, field) == [None]
+
+    def test_relation_tie_is_exact(self):
+        # z_1 = c lies exactly NEAR_RELATION_TOL from the critical point 0:
+        # no warning and the lane stays; one ulp closer warns and leaves
+        field = VectorFieldSpec.constant(1.0)
+        c = complex(NEAR_RELATION_TOL, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = _candidate_row(c, 2, 32, field, 3.0)
+        (lane,) = candidate_lanes([c], [3.0], 2, 32, field)
+        assert lane is not None
+        assert repr((row.summability, row.growth_exponent, row.flags)) == repr(
+            (lane[0], lane[1], (f"obstruction={lane[2]}",))
+        )
+        closer = complex(math.nextafter(NEAR_RELATION_TOL, 0.0), 0.0)
+        with pytest.warns(NearCriticalRelationWarning):
+            _candidate_row(closer, 2, 32, field, 3.0)
+        assert candidate_lanes([closer], [3.0], 2, 32, field) == [None]
+
+    def test_leaving_lanes(self):
+        # c = -2 shows summable evidence (mu is needed); the relation lanes
+        # carry a warning or a flag; 1j stays
+        radii = [3.0] * 4
+        results = candidate_lanes(
+            [-2 + 0j, NEAR_RELATION_C, RELATION_C, 1j], radii, 2, 16,
+            VectorFieldSpec.constant(1.0),
+        )
+        assert results[:3] == [None, None, None]
+        assert results[3] is not None
+        rational = VectorFieldSpec.rational(Polynomial((1,)), Polynomial((5, 1)))
+        assert candidate_lanes([1j], [3.0], 2, 16, rational) == [None]
+
+    def test_summable_row_gets_mu(self):
+        rows = scan_parameters(LANE_CASES["summable-path"])
+        assert rows[1].summability == "summable-evidence"
+        assert abs(rows[1].mu_constant - 2 / 3) < 1e-10
+
+    def test_relation_rows_warn_and_flag(self, monkeypatch):
+        config = LANE_CASES["relation-path"]
+        for run in (
+            lambda c: _lane_csv(c, monkeypatch), lambda c: _per_point_csv(c, monkeypatch)
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                text = run(config)
+            assert [w.category for w in caught] == [NearCriticalRelationWarning]
+            assert "critical-relation@10" in text.splitlines()[3]
 
 
 class TestHeatmap:
