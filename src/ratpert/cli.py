@@ -262,7 +262,7 @@ COMMANDS: dict[str, dict] = {
     },
     "cycles": {
         "help": "find periodic cycles of a given period",
-        "options": [_MAP, _PERIOD, _opt("--seed-count", "int", 500, "number of Newton seeds"),
+        "options": [_MAP, _PERIOD, _opt("--seed-count", "positive-int", 500, "number of Newton seeds"),
                     _opt("--newton-tol", "finite-float", 1e-9, "cycle residual tolerance"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
@@ -392,7 +392,10 @@ def _resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     file_values: dict[str, str] = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        file_values = _read_config_file(config_path)
+        try:
+            file_values = _read_config_file(config_path)
+        except OSError as err:
+            raise ParseError(f"cannot read --config file: {err}") from None
     resolved: dict[str, Any] = {}
     for opt in spec["options"]:
         raw = getattr(args, opt.key, None)
@@ -640,7 +643,11 @@ def main(argv: list[str] | None = None) -> int:
     except RatpertError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    _write_output(content, opts["output"])
+    try:
+        _write_output(content, opts["output"])
+    except OSError as err:
+        print(f"usage error: cannot write --output: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -29,7 +29,13 @@ KEY_DECIMALS = 8
 
 @dataclass(frozen=True)
 class Cycle:
-    """A period-n orbit with its multiplier (product of DR over the cycle)."""
+    """A period-n orbit with its multiplier (product of DR over the cycle).
+
+    residual is |f^n(z) - z| at the point z Newton converged to.  find_cycles
+    rotates the cycle to its canonical base afterwards, so z need not be
+    `base`, and |f^n(base) - base| can be much larger for a strongly
+    repelling cycle.
+    """
 
     points: tuple[complex, ...]
     period: int
@@ -109,7 +115,9 @@ def _newton_polish(
         except PoleError:
             return None
         f = w - z
-        if abs(f) <= 1e-14 * max(1.0, abs(z)):
+        # rounding in f^n(z) grows with |(f^n)'(z)|, so an unscaled test
+        # sits below the floor of strongly repelling cycles
+        if abs(f) <= 1e-14 * max(1.0, abs(z)) * max(1.0, abs(deriv)):
             return z
         fprime = deriv - 1.0
         if fprime == 0 or not math.isfinite(abs(fprime)):
@@ -212,7 +220,11 @@ def _newton_many(
 def default_cycle_seeds(
     map: MapSpec, count: int = 500, seed: int = 7
 ) -> tuple[complex, ...]:
-    """Julia-set samples plus a rectangular grid covering them with margin."""
+    """Julia-set samples plus a rectangular grid covering them with margin.
+
+    Raises ValueError when count is below 1."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     n_julia = max(1, (count * 3) // 5)
     samples = julia_sample(map, n_julia, transient=50, seed=seed)
     re = [z.real for z in samples]

@@ -175,6 +175,11 @@ def poly_roots(
 ) -> tuple[complex, ...]:
     """All complex roots of p, with multiplicity, via Aberth-Ehrlich.
 
+    A binomial a_0 + a_n z^n (every coefficient strictly between the
+    constant and the leading one zero, as in the preimage equation of
+    z^d + c) gets its n-th roots of -a_0/a_n in closed form instead, unless
+    one of them misses the residual bound below; then it goes to Aberth.
+
     Every returned root r satisfies |p(r)| < tol * (sum_k |c_k| |r|^k).
     Roots are sorted by (real, imaginary) for determinism.  Raises
     RootFindingError if the simultaneous iteration does not settle.
@@ -197,8 +202,19 @@ def poly_roots(
     elif n == 1:
         roots.append(-coeffs[0] / coeffs[1])
     else:
-        roots.extend(_aberth(np.asarray(coeffs, dtype=complex), tol, max_iter))
+        closed = None if any(coeffs[1:-1]) else _binomial_roots(coeffs[0], coeffs[-1], n)
+        if closed is None or not all(abs(p(r)) < tol * p.eval_scale(r) for r in closed):
+            closed = _aberth(np.asarray(coeffs, dtype=complex), tol, max_iter)
+        roots.extend(closed)
     return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
+
+
+def _binomial_roots(a0: complex, an: complex, n: int) -> list[complex]:
+    """The n roots of a0 + an z^n: the n-th roots of a = -a0/an."""
+    a = -a0 / an
+    modulus = abs(a) ** (1.0 / n)
+    phase = cmath.phase(a)
+    return [cmath.rect(modulus, (phase + 2.0 * math.pi * k) / n) for k in range(n)]
 
 
 def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> list[complex]:

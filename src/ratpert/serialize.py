@@ -278,9 +278,10 @@ def decode(payload: dict) -> Any:
 def json_dumps(payload: Any) -> str:
     """Deterministic JSON text (insertion-ordered keys, trailing newline).
 
-    Non-finite floats use Python's extended literals (Infinity, NaN); the
-    only producer is the identically-zero obstruction sequence, whose
-    growth exponent is -Infinity.
+    Non-finite floats use Python's extended literals (Infinity, NaN), for
+    instance the -Infinity growth exponent of an identically-zero
+    obstruction sequence and the Infinity tail bound of a mu series whose
+    tail ratio is not below 1.
     """
     return json.dumps(payload, indent=2) + "\n"
 

@@ -185,6 +185,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_bad_seed_count_rejected(self, count, capsys):
+        args = ["cycles", "--map", "unicritical:2,-1+0i", "--period", "2",
+                "--seed-count", count]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--seed-count" in err
+        assert err.count("\n") == 1
+
+    def test_unwritable_output_rejected(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "out.json"
+        assert main(["mu", "--map", "unicritical:2,-2+0i", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--output" in err
+        assert err.count("\n") == 1
+
     def test_explicit_window_used(self, capsys):
         assert main(["summability", "--map", "unicritical:2,-2+0i", "--n-max", "64",
                      "--window", "1"]) == 0
@@ -262,6 +278,13 @@ class TestConfigFile:
         cfg = tmp_path / "bad.conf"
         cfg.write_text("tol 1e-6\n")
         assert main(["mu", "--map", "unicritical:2,-2+0i", "--config", str(cfg)]) == 2
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.conf"
+        assert main(["mu", "--map", "unicritical:2,-2+0i", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--config" in err
+        assert err.count("\n") == 1
 
     def test_workers_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RATPERT_WORKERS", "2")

@@ -89,6 +89,20 @@ class TestFixedPointContinuation:
             continue_cycle(squaring_map, ONE_FIELD, attracting, 0.1)
 
 
+class TestStronglyRepellingCycle:
+    def test_period_four_with_large_multiplier_reaches_target(self):
+        # |multiplier| ~ 119: |f^4(z) - z| cannot get below 1e-14 |z| in
+        # floating point here, so an unscaled Newton stop test failed every
+        # corrector step and the path ended in newton_failure
+        m = MapSpec.unicritical(2, 0.8157479156123594 - 1.586827544914544j)
+        cyc = cycle_from_point(m, -1.2736359013599081 - 1.077017890159988j, 4)
+        assert cyc.period == 4 and abs(cyc.multiplier) > 100
+        result = continue_cycle(m, ONE_FIELD, cyc, 1e-3, steps=64)
+        assert result.stopped_reason == "reached_target"
+        assert result.lambda_path[-1] == 1e-3
+        assert result.final_cycle.residual <= 1e-12 * max(1.0, abs(result.final_cycle.base))
+
+
 class TestMotionVelocity:
     def test_fixed_point_alpha_equals_derivative(self, squaring_map):
         cyc = cycle_from_point(squaring_map, 1.0, 1)

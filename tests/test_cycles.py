@@ -33,8 +33,9 @@ class TestFindCycles:
         assert len(cycles) == 1
         cyc = cycles[0]
         assert cyc.multiplier == pytest.approx(4.0, abs=1e-10)
-        got = sorted((z.real, z.imag) for z in cyc.points)
-        want = sorted((z.real, z.imag) for z in (OMEGA, OMEGA**2))
+        # both real parts are -1/2 up to rounding: pair on the imaginary part
+        got = sorted(((z.real, z.imag) for z in cyc.points), key=lambda t: t[1])
+        want = sorted(((z.real, z.imag) for z in (OMEGA, OMEGA**2)), key=lambda t: t[1])
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-12)
 
@@ -74,6 +75,12 @@ class TestFindCycles:
         for period in (1, 2, 3, 4, 5, 6):
             for cyc in find_cycles(chebyshev_map, period):
                 assert cyc.residual <= 1e-9 * max(1.0, abs(cyc.base))
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_seed_count_below_one_rejected(squaring_map, count):
+    with pytest.raises(ValueError, match="count"):
+        default_cycle_seeds(squaring_map, count=count)
 
 
 class TestCycleFromPoint:

@@ -181,3 +181,18 @@ class TestJuliaSample:
         b = julia_sample(squaring_map, 25, seed=9)
         assert a == b
         assert a != julia_sample(squaring_map, 25, seed=10)
+
+    @pytest.mark.parametrize(
+        "d,c", [(2, -1), (2, 0.3j), (2, -0.5969 - 1.6758j), (3, 0.3j), (3, 1.2796 + 1.2706j)]
+    )
+    def test_each_point_is_a_preimage_of_the_last(self, d, c):
+        # the preimage equation of z^d + c is binomial, so each point is a
+        # closed-form d-th root whose modulus and angle are within a few ulp:
+        # w_k^d + c lands within about 2d ulp of w_{k-1} relative to the
+        # residual scale |c - w_{k-1}| + |w_k|^d, Horner included; 8d gives 4x room
+        m = MapSpec.unicritical(d, c)
+        pts = julia_sample(m, 300, seed=5)
+        budget = 8 * d * 2.0**-52
+        for prev, cur in zip(pts, pts[1:]):
+            value, _ = eval_map(m, cur)
+            assert abs(value - prev) <= budget * (abs(c - prev) + abs(cur) ** d)

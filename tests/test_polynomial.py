@@ -1,11 +1,16 @@
 import cmath
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratpert import Polynomial, poly_roots
-from ratpert.polynomial import cluster_points
+from ratpert import polynomial
+from ratpert.polynomial import _aberth, cluster_points
+
+EPS = 2.0**-52
 
 
 class TestStructure:
@@ -102,3 +107,74 @@ class TestRoots:
         p = Polynomial((2, -3, 1j, 0.5, 1))
         for r in poly_roots(p, tol=1e-12):
             assert abs(p(r)) <= 1e-12 * p.eval_scale(r)
+
+
+def _matched_distances(got, want):
+    """Distance from each root in got to its partner in want, pairing each
+    with the nearest unused one (exact when roots are far apart)."""
+    left = list(want)
+    out = []
+    for r in got:
+        i = min(range(len(left)), key=lambda j: abs(r - left[j]))
+        out.append(abs(r - left.pop(i)))
+    return out
+
+
+_modulus = st.floats(min_value=1e-6, max_value=1e6)
+_angle = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def _binomials(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    an = cmath.rect(draw(_modulus), draw(_angle))
+    kind = draw(st.sampled_from(["complex", "real-negative", "real-positive"]))
+    if kind == "complex":
+        a0 = cmath.rect(draw(_modulus), draw(_angle))
+    else:
+        a0 = complex(draw(_modulus) * (-1 if kind == "real-negative" else 1), 0)
+    return n, a0, an
+
+
+class TestBinomialRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(_binomials())
+    def test_closed_form_roots(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        n, a0, an = case
+        coeffs = [a0] + [0j] * (n - 1) + [an]
+        tol = 1e-12
+        p = Polynomial(coeffs)
+        roots = poly_roots(p, tol=tol)
+        assert len(roots) == n
+        assert list(roots) == sorted(roots, key=lambda z: (z.real, z.imag))
+        for r in roots:
+            assert abs(p(r)) < tol * p.eval_scale(r)
+        modulus = abs(a0 / an) ** (1.0 / n)
+        # modulus and angle each within a few ulp: n * eps per root, 4x room
+        with mpmath.workdps(30):
+            exact = mpmath.polyroots(
+                [mpmath.mpc(a) for a in reversed(coeffs)], maxsteps=200, extraprec=60
+            )
+            for dist in _matched_distances(roots, [complex(z) for z in exact]):
+                assert dist <= 4 * n * EPS * modulus
+        # Aberth stops once |p(z)| <= tol (|a0| + |an| |z|^n), about
+        # 2 tol |a0|; dividing by |p'| = n |a0| / |z| bounds its root error
+        # at 2 tol |z| / n to first order, doubled here
+        reference = _aberth(np.asarray(coeffs, dtype=complex), tol, 400)
+        for dist in _matched_distances(roots, reference):
+            assert dist <= (4 * tol / n + 4 * n * EPS) * modulus
+
+    def test_falls_back_to_aberth_when_residual_fails(self, monkeypatch):
+        closed_form = polynomial._binomial_roots
+        monkeypatch.setattr(
+            polynomial,
+            "_binomial_roots",
+            lambda a0, an, n: [r * (1 + 1e-6) for r in closed_form(a0, an, n)],
+        )
+        coeffs = [2 - 1j, 0, 0, 0, 0.5j]
+        reference = sorted(
+            _aberth(np.asarray(coeffs, dtype=complex), 1e-12, 400),
+            key=lambda z: (z.real, z.imag),
+        )
+        assert list(poly_roots(Polynomial(coeffs))) == reference
