@@ -40,7 +40,6 @@ from .errors import (
 from .fields import VectorFieldSpec
 from .maps import (
     MapSpec,
-    critical_points,
     default_escape_radius,
     eval_map,
     perturbed,
@@ -73,7 +72,7 @@ from .scan import (
     render_escape,
     scan_parameters,
 )
-from .xcomplex import XComplex, mantissa_ulp_gap, xc_add, xc_mul
+from .xcomplex import XComplex, mantissa_ulp_gap
 
 __version__ = "0.1.0"
 
@@ -103,7 +102,6 @@ __all__ = [
     "ShapeError",
     "VectorFieldSpec",
     "MapSpec",
-    "critical_points",
     "default_escape_radius",
     "eval_map",
     "perturbed",
@@ -134,7 +132,5 @@ __all__ = [
     "scan_parameters",
     "XComplex",
     "mantissa_ulp_gap",
-    "xc_add",
-    "xc_mul",
     "__version__",
 ]

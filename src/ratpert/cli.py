@@ -13,6 +13,7 @@ explicit flags win.  RATPERT_WORKERS sets the default scan worker count.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import re
@@ -25,7 +26,7 @@ from .continuation import continue_cycle, motion_velocity_check
 from .cycles import cycle_from_point, default_cycle_seeds, find_cycles, solve_alpha_on_cycle
 from .errors import ParseError, RatpertError
 from .fields import VectorFieldSpec
-from .maps import MapSpec, default_escape_radius
+from .maps import MapSpec, default_escape_radius, is_critical_point
 from .mu import find_witness_field, moment_vector, mu_functional
 from .obstruction import obstruction_sequence
 from .orbits import default_summability_window, iterate_orbit, summability_report
@@ -439,6 +440,8 @@ def _escape_radius_for(map: MapSpec, explicit: float | None) -> float:
 
 def _critical_point(map: MapSpec, requested: complex | None) -> complex:
     if requested is not None:
+        if not is_critical_point(map, requested):
+            raise ParseError(f"--point {requested} is not a critical point of the map")
         return requested
     points = map.critical_points
     if not points:
@@ -499,6 +502,8 @@ def _cmd_moments(opts) -> str:
 def _cmd_witness(opts) -> str:
     if opts.get("moments"):
         moments = _parse_complex_list(opts["moments"], 0)
+        if not all(cmath.isfinite(m) for m in moments):
+            raise ParseError("--moments must be finite")
     else:
         if opts.get("map") is None:
             raise ParseError("witness needs --moments or --map", 0)
@@ -620,6 +625,22 @@ _HANDLERS: dict[str, Callable[[dict], str | bytes]] = {
 }
 
 
+def _check_output(target: str) -> None:
+    """Fail before the work when the output path cannot be opened for
+    writing.  Opening for append leaves an existing file as it is; a file
+    the check creates is removed again."""
+    if target == "-":
+        return
+    existed = os.path.lexists(target)
+    try:
+        with open(target, "ab"):
+            pass
+    except OSError as err:
+        raise ParseError(f"cannot write --output: {err}") from None
+    if not existed:
+        os.remove(target)
+
+
 def _write_output(content: str | bytes, target: str) -> None:
     data = content.encode("utf-8") if isinstance(content, str) else content
     if target == "-":
@@ -635,6 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve_options(args.command, args)
+        _check_output(opts["output"])
         content = _HANDLERS[args.command](opts)
     except ParseError as err:
         position = f" (at position {err.position})" if err.position >= 0 else ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -20,6 +21,14 @@ class VectorFieldSpec:
 
     numerator: Polynomial
     denominator: Polynomial = ONE
+
+    def __post_init__(self):
+        for name in ("numerator", "denominator"):
+            for k, a in enumerate(getattr(self, name).coefficients):
+                if not cmath.isfinite(a):
+                    raise ValueError(
+                        f"VectorFieldSpec {name}: coefficient of z^{k} is not finite ({a})"
+                    )
 
     @staticmethod
     def constant(a: complex) -> "VectorFieldSpec":

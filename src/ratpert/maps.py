@@ -197,11 +197,6 @@ def eval_map_many(
     return value, derivative, ok
 
 
-def critical_points(map: MapSpec) -> tuple[complex, ...]:
-    """Finite-plane critical points of the map (deduplicated)."""
-    return map.critical_points
-
-
 def is_critical_point(map: MapSpec, z: complex) -> bool:
     """Residual check: does z satisfy |R'(z)| < tolerance at local scale?"""
     dnum = map.derivative_numerator

@@ -24,7 +24,7 @@ from .errors import InvalidOrbitError
 from .fields import VectorFieldSpec
 from .maps import eval_map
 from .orbits import OrbitRecord
-from .xcomplex import XComplex
+from .xcomplex import XComplex, _add, _from_parts, _mul, _normalize
 
 #: |growth exponent| below this is neither growth nor decay evidence.
 GROWTH_MARGIN = 0.05
@@ -57,7 +57,11 @@ def obstruction_sequence(
     v: VectorFieldSpec,
     n: int,
 ) -> ObstructionSeries:
-    """Generate b[0..n] by the forward recurrence in XComplex arithmetic."""
+    """Generate b[0..n] by the forward recurrence in XComplex arithmetic.
+
+    DR along the orbit comes from orbit.derivatives; a record without them
+    (built by hand, or decoded from JSON) has them evaluated again here.
+    """
     if orbit.has_critical_relation:
         raise InvalidOrbitError("orbit carries a critical relation")
     if n < 1:
@@ -67,15 +71,16 @@ def obstruction_sequence(
             f"orbit has {orbit.truncated_at + 1} points; n = {n} needs {n} points"
         )
 
-    b: list[XComplex] = [XComplex.zero()]
-    for k in range(n):
-        point = orbit.points[k]
-        _, dz = eval_map(orbit.map, point)
-        term = XComplex.from_complex(dz) * b[k] + XComplex.from_complex(
-            complex(v(point))
-        )
-        b.append(term)
+    derivatives = orbit.derivatives or [eval_map(orbit.map, z)[1] for z in orbit.points[:n]]
+    parts: list = [None]  # b[0] = 0
+    term = None
+    for point, dz in zip(orbit.points[:n], derivatives):
+        product = _mul(_normalize(dz.real, dz.imag, 0), term)
+        w = complex(v(point))
+        term = _add(product, _normalize(w.real, w.imag, 0))
+        parts.append(term)
 
+    b = [_from_parts(x) for x in parts]
     exponent, evidence = _fit_growth(b)
     return ObstructionSeries(tuple(b), exponent, evidence)
 

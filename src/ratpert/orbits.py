@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .maps import MapSpec, default_escape_radius, eval_map, is_critical_point
 from .polynomial import Polynomial, poly_roots
-from .xcomplex import XComplex
+from .xcomplex import XComplex, _from_parts, _magnitude, _mul, _normalize, _reciprocal
 
 #: Orbit points closer than this (relative) to a critical point are a
 #: critical relation: the cocycle formulas divide by quantities that vanish.
@@ -55,6 +55,10 @@ class OrbitRecord:
     derivative of the k-th iterate at the critical value R(c), so
     cocycle[0] = 1 and cocycle[k+1] = cocycle[k] * DR(points[k+1]).
     partial_sums_abs[k] accumulates 1/|cocycle[j]| for j <= k.
+    derivatives[k] is DR(points[k]), kept by iterate_orbit for the
+    obstruction recurrence; it is None on records built otherwise (by hand,
+    or decoded from JSON, which does not carry it), and it takes no part in
+    comparisons.
     """
 
     map: MapSpec
@@ -64,6 +68,7 @@ class OrbitRecord:
     escaped_at: int | None
     truncated_at: int
     critical_relation_at: int | None = None
+    derivatives: tuple[complex, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def start(self) -> complex:
@@ -92,6 +97,9 @@ def iterate_orbit(
     recorded) and raises CriticalRelationError if the orbit returns to a
     critical point within tolerance; the exception carries the marked
     prefix orbit.  PoleError propagates for rational maps.
+
+    The cocycle runs on XComplex parts (see xcomplex.py) and becomes
+    XComplex values once, in the record.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -99,32 +107,28 @@ def iterate_orbit(
     if not is_critical_point(map, c):
         raise ValueError(f"{c} is not a critical point of the map (residual check)")
 
-    crit = map.critical_points
+    crit = [(cp, max(1.0, abs(cp))) for cp in map.critical_points]
     points: list[complex] = [c]
-    cocycle: list[XComplex] = [XComplex.one()]
-    partials: list[float] = [1.0]
+    value, dz = eval_map(map, c)
+    derivatives: list[complex] = [dz]
+    entry = (1 + 0j, 0)  # the parts of XComplex.one()
+    cocycle: list = [entry]
+    total = 1.0
+    partials: list[float] = [total]
     escaped_at: int | None = None
 
-    value, _ = eval_map(map, c)
-    for k in range(n_max):
+    for index in range(1, n_max + 1):
         z = value
         points.append(z)
-        index = k + 1
-
-        nearest = min(abs(z - cp) / max(1.0, abs(cp)) for cp in crit)
+        nearest = min(abs(z - cp) / scale for cp, scale in crit)
         # Evaluate the next step and DR(z) in one pass.
         value, dz = eval_map(map, z)
+        derivatives.append(dz)
 
         if nearest < RELATION_TOL or dz == 0:
-            record = OrbitRecord(
-                map=map,
-                points=tuple(points),
-                cocycle=tuple(cocycle) + (cocycle[-1] * XComplex.from_complex(dz),),
-                partial_sums_abs=tuple(partials) + (math.inf,),
-                escaped_at=None,
-                truncated_at=index,
-                critical_relation_at=index,
-            )
+            cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
+            partials.append(math.inf)
+            record = _orbit_record(map, points, cocycle, partials, derivatives, None, index)
             raise CriticalRelationError(
                 f"orbit landed on a critical point at index {index}",
                 index=index,
@@ -137,25 +141,29 @@ def iterate_orbit(
                 stacklevel=2,
             )
 
-        entry = cocycle[-1] * XComplex.from_complex(dz)
+        entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
         cocycle.append(entry)
-        try:
-            increment = entry.reciprocal().magnitude()
-        except OverflowError:
-            increment = math.inf
-        partials.append(partials[-1] + increment)
+        total += _magnitude(_reciprocal(entry))
+        partials.append(total)
 
         if abs(z) > escape_radius:
             escaped_at = index
             break
 
+    return _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, None)
+
+
+def _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, relation_at):
+    """The OrbitRecord of iterate_orbit's lists, its cocycle as XComplex."""
     return OrbitRecord(
         map=map,
         points=tuple(points),
-        cocycle=tuple(cocycle),
+        cocycle=tuple([_from_parts(x) for x in cocycle]),
         partial_sums_abs=tuple(partials),
         escaped_at=escaped_at,
         truncated_at=len(points) - 1,
+        critical_relation_at=relation_at,
+        derivatives=tuple(derivatives),
     )
 
 

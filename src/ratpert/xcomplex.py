@@ -10,6 +10,11 @@ Mantissas are ordinary double-precision complex values, so mantissa
 arithmetic carries the usual ~53-bit precision; exponent arithmetic is
 exact.
 
+The arithmetic exists once, on raw parts (``_normalize``, ``_mul``,
+``_add``, ``_reciprocal``): a (mantissa, exponent) tuple, or None for zero.
+XComplex methods wrap these functions, and the orbit and obstruction loops
+call them directly, building XComplex values only for their results.
+
 The same format also runs on numpy lanes (``normalize_lanes`` and the
 operations after it at the end of this module): mantissa real and imaginary
 parts as float64 arrays and the exponent as an int64 array.  Each lane
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import frexp, hypot, isfinite, ldexp
 
 import numpy as np
 
@@ -35,10 +41,76 @@ MANTISSA_BITS = 53
 
 def _scaled(z: complex, shift: int) -> complex:
     """z * 2**shift, componentwise and exact (up to under/overflow)."""
-    return complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+    return complex(ldexp(z.real, shift), ldexp(z.imag, shift))
 
 
-@dataclass(frozen=True)
+def _normalize(re: float, im: float, exponent: int) -> tuple[complex, int] | None:
+    """Parts of (re + i im) * 2**exponent; None for zero.
+
+    normalize_lanes repeats these steps on arrays; keep the two in step."""
+    if re == 0.0 and im == 0.0:
+        return None
+    if not (isfinite(re) and isfinite(im)):
+        raise ValueError(f"non-finite mantissa components ({re}, {im})")
+    # Coarse rescale by the larger component first so that the modulus
+    # cannot overflow even for components near the double limits.
+    ar, ai = abs(re), abs(im)
+    _, e0 = frexp(ar if ar >= ai else ai)  # the larger one, without a max() call
+    if e0 != 0:
+        re = ldexp(re, -e0)
+        im = ldexp(im, -e0)
+        exponent += e0
+    # Now the larger component is in [0.5, 1), so the modulus is in
+    # [0.5, sqrt(2)); at most one doubling remains.
+    if hypot(re, im) < 1.0:
+        re *= 2.0
+        im *= 2.0
+        exponent -= 1
+    return complex(re, im), exponent
+
+
+def _mul(a, b):
+    """Normalized product of parts; exponent arithmetic is exact."""
+    if a is None or b is None:
+        return None
+    m = a[0] * b[0]
+    return _normalize(m.real, m.imag, a[1] + b[1])
+
+
+def _add(a, b):
+    """Exponent-aligned sum of parts; an addend more than MANTISSA_BITS
+    binary places below the other leaves it unchanged."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    hi, lo = (a, b) if a[1] >= b[1] else (b, a)
+    shift = hi[1] - lo[1]
+    if shift > MANTISSA_BITS:
+        return hi
+    m = hi[0] + _scaled(lo[0], -shift)
+    return _normalize(m.real, m.imag, hi[1])
+
+
+def _reciprocal(a):
+    """Parts of 1/a; raises ZeroDivisionError for zero."""
+    if a is None:
+        raise ZeroDivisionError("reciprocal of XComplex zero")
+    m = 1.0 / a[0]
+    return _normalize(m.real, m.imag, -a[1])
+
+
+def _magnitude(a) -> float:
+    """|a| as a float; 0.0 on underflow, inf on overflow."""
+    if a is None:
+        return 0.0
+    try:
+        return ldexp(abs(a[0]), a[1])
+    except OverflowError:
+        return math.inf
+
+
+@dataclass(frozen=True, slots=True)
 class XComplex:
     """A complex number ``mantissa * 2**exponent`` with |mantissa| in [1, 2).
 
@@ -57,7 +129,7 @@ class XComplex:
     @staticmethod
     def from_complex(z: complex) -> "XComplex":
         z = complex(z)
-        return _normalize(z.real, z.imag, 0)
+        return _from_parts(_normalize(z.real, z.imag, 0))
 
     @staticmethod
     def zero() -> "XComplex":
@@ -94,12 +166,7 @@ class XComplex:
 
     def magnitude(self) -> float:
         """|value| as a float; 0.0 on underflow, inf on overflow."""
-        if self.is_zero:
-            return 0.0
-        try:
-            return math.ldexp(abs(self.mantissa), self.exponent)
-        except OverflowError:
-            return math.inf
+        return _magnitude(_parts(self))
 
     def log2_abs(self) -> float:
         """log2 |value|; -inf for zero.  Never over/underflows."""
@@ -116,22 +183,10 @@ class XComplex:
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other: "XComplex") -> "XComplex":
-        if self.is_zero or other.is_zero:
-            return _ZERO
-        m = self.mantissa * other.mantissa
-        return _normalize(m.real, m.imag, self.exponent + other.exponent)
+        return _from_parts(_mul(_parts(self), _parts(other)))
 
     def __add__(self, other: "XComplex") -> "XComplex":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        hi, lo = (self, other) if self.exponent >= other.exponent else (other, self)
-        shift = hi.exponent - lo.exponent
-        if shift > MANTISSA_BITS:
-            return hi
-        m = hi.mantissa + _scaled(lo.mantissa, -shift)
-        return _normalize(m.real, m.imag, hi.exponent)
+        return _from_parts(_add(_parts(self), _parts(other)))
 
     def __neg__(self) -> "XComplex":
         return XComplex(-self.mantissa, self.exponent)
@@ -140,10 +195,7 @@ class XComplex:
         return self + (-other)
 
     def reciprocal(self) -> "XComplex":
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of XComplex zero")
-        m = 1.0 / self.mantissa
-        return _normalize(m.real, m.imag, -self.exponent)
+        return _from_parts(_reciprocal(_parts(self)))
 
     def __truediv__(self, other: "XComplex") -> "XComplex":
         return self * other.reciprocal()
@@ -157,52 +209,29 @@ class XComplex:
         return f"XComplex({self.mantissa!r} * 2**{self.exponent})"
 
 
-def _normalize(re: float, im: float, exponent: int) -> XComplex:
-    """Build a normalized XComplex from raw components and an exponent.
+_new = object.__new__
+_set_mantissa = XComplex.mantissa.__set__
+_set_exponent = XComplex.exponent.__set__
 
-    normalize_lanes repeats these steps on arrays; keep the two in step."""
-    if re == 0.0 and im == 0.0:
+
+def _parts(x: XComplex) -> tuple[complex, int] | None:
+    """The parts of an XComplex; None for zero."""
+    return None if x.mantissa == 0 else (x.mantissa, x.exponent)
+
+
+def _from_parts(a) -> XComplex:
+    """The XComplex of parts, filled in through the slots: the frozen
+    __init__ would go through object.__setattr__ per field."""
+    if a is None:
         return _ZERO
-    if math.isnan(re) or math.isnan(im) or math.isinf(re) or math.isinf(im):
-        raise ValueError(f"non-finite mantissa components ({re}, {im})")
-    # Coarse rescale by the larger component first so that abs() cannot
-    # overflow even for components near the double limits.
-    _, e0 = math.frexp(max(abs(re), abs(im)))
-    if e0 != 0:
-        re = math.ldexp(re, -e0)
-        im = math.ldexp(im, -e0)
-        exponent += e0
-    # Now the larger component is in [0.5, 1), so the modulus is in
-    # [0.5, sqrt(2)); at most one doubling/halving remains.
-    a = math.hypot(re, im)
-    while a < 1.0:
-        re *= 2.0
-        im *= 2.0
-        exponent -= 1
-        a *= 2.0
-    while a >= 2.0:
-        re *= 0.5
-        im *= 0.5
-        exponent += 1
-        a *= 0.5
-    return XComplex(complex(re, im), exponent)
+    x = _new(XComplex)
+    _set_mantissa(x, a[0])
+    _set_exponent(x, a[1])
+    return x
 
 
 _ZERO = XComplex(0j, 0)
 _ONE = XComplex(1 + 0j, 0)
-
-
-# Functional aliases matching the operation-level vocabulary.
-
-def xc_mul(a: XComplex, b: XComplex) -> XComplex:
-    """Normalized product; exponent arithmetic is exact."""
-    return a * b
-
-
-def xc_add(a: XComplex, b: XComplex) -> XComplex:
-    """Exponent-aligned sum; a swamped addend leaves the larger operand
-    unchanged (exponent gap > MANTISSA_BITS)."""
-    return a + b
 
 
 def mantissa_ulp_gap(a: XComplex, b: XComplex) -> float:
@@ -259,13 +288,13 @@ def select_lanes(mask, x, y):
 
 
 def mul_lanes(a, b):
-    """XComplex.__mul__ on lanes; a zero factor gives zero components."""
+    """_mul on lanes; a zero factor gives zero components."""
     (ar, ai, ae), (br, bi, be) = a, b
     return normalize_lanes(*cmul_lanes(ar, ai, br, bi), ae + be)
 
 
 def add_lanes(a, b):
-    """XComplex.__add__ on lanes."""
+    """_add on lanes."""
     a_zero = (a[0] == 0.0) & (a[1] == 0.0)
     b_zero = (b[0] == 0.0) & (b[1] == 0.0)
     a_hi = a[2] >= b[2]
@@ -275,12 +304,12 @@ def add_lanes(a, b):
         hi[0] + np.ldexp(lo[0], -shift), hi[1] + np.ldexp(lo[1], -shift), hi[2]
     )
     total = select_lanes(shift > MANTISSA_BITS, hi, total)
-    # the zero tests come first in __add__, so they win
+    # the zero tests come first in _add, so they win
     return select_lanes(a_zero, b, select_lanes(b_zero, a, total))
 
 
 def reciprocal_lanes(x):
-    """XComplex.reciprocal on nonzero lanes: 1.0 / mantissa by CPython's
+    """_reciprocal on nonzero lanes: 1.0 / mantissa by CPython's
     complex division, then normalize."""
     br, bi, e = x
     real_major = np.abs(br) >= np.abs(bi)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratpert import DegenerateMapError, ParseError
+from ratpert import cli
 from ratpert.cli import main, parse_complex, parse_field, parse_map
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the command ran although its options were rejected")
 
 
 class TestParseComplex:
@@ -200,6 +205,70 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--output" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["orbit", "summability"])
+    def test_non_critical_point_rejected_before_work(self, command, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "iterate_orbit", _never_called)
+        args = [command, "--map", "unicritical:2,-1+0i", "--point", "0.5+0i"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--point" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["mu", "obstruction"])
+    def test_mu_and_obstruction_take_no_point(self, command):
+        # these commands always follow the map's first critical point
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--map", "unicritical:2,-1+0i", "--point", "0.5+0i"])
+        assert excinfo.value.code == 2
+
+    def test_critical_point_accepted(self, capsys):
+        args = ["orbit", "--map", "rational:0,-3,0,4/1", "--point=-0.5+0i", "--n-max", "8"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["points"][0] == [-0.5, 0.0]
+
+    @pytest.mark.parametrize(
+        "args,compute",
+        [
+            (["mu", "--map", "unicritical:2,-2+0i"], "iterate_orbit"),
+            (["scan", "--region=-2:0.5:-1:1", "--resolution", "4,4"], "scan_parameters"),
+        ],
+    )
+    def test_unwritable_output_rejected_before_work(self, args, compute, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setattr(cli, compute, _never_called)
+        target = tmp_path / "missing-dir" / "out.json"
+        assert main(args + ["--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--output" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["mu", "--map", "unicritical:2,0.1+0i"], 1),
+            (["orbit", "--map", "unicritical:2,-1+0i", "--point", "0.5+0i"], 2),
+        ],
+    )
+    def test_failed_command_leaves_output_path_alone(self, args, code, tmp_path):
+        existing = tmp_path / "existing.json"
+        existing.write_text("keep me")
+        assert main(args + ["--output", str(existing)]) == code
+        assert existing.read_text() == "keep me"
+        fresh = tmp_path / "fresh.json"
+        assert main(args + ["--output", str(fresh)]) == code
+        assert not fresh.exists()
+
+    def test_output_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "w.json"
+        out.write_text("x" * 10_000)
+        assert main(["witness", "--moments", "0.5+0i,0+0.5i", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["type"] == "witness"
+
+    def test_non_finite_moments_rejected(self, capsys):
+        assert main(["witness", "--moments", "1e400,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--moments" in err
 
     def test_explicit_window_used(self, capsys):
         assert main(["summability", "--map", "unicritical:2,-2+0i", "--n-max", "64",

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from ratpert import (
     PoleError,
     Polynomial,
     VectorFieldSpec,
-    critical_points,
     default_escape_radius,
     eval_map,
     perturbed,
@@ -17,24 +17,24 @@ from ratpert import (
 
 class TestCriticalPoints:
     def test_unicritical(self):
-        assert critical_points(MapSpec.unicritical(2, 1j)) == (0j,)
+        assert MapSpec.unicritical(2, 1j).critical_points == (0j,)
 
     def test_cubic_two_critical_points(self):
         # z^3 - 3z, derivative 3z^2 - 3
         m = MapSpec.polynomial(Polynomial((0, -3, 0, 1)))
-        pts = critical_points(m)
+        pts = m.critical_points
         assert sorted(z.real for z in pts) == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_rational_map(self):
         # (z^2 + 1)/z has derivative (z^2 - 1)/z^2, critical points +-1
         m = MapSpec.rational(Polynomial((1, 0, 1)), Polynomial((0, 1)))
-        pts = critical_points(m)
+        pts = m.critical_points
         assert sorted(z.real for z in pts) == pytest.approx([-1.0, 1.0], abs=1e-12)
         assert max(abs(z.imag) for z in pts) < 1e-12
 
     def test_higher_degree_unicritical_is_one_point(self):
         m = MapSpec.unicritical(5, 0.3)
-        assert critical_points(m) == (0j,)
+        assert m.critical_points == (0j,)
 
 
 class TestEval:
@@ -102,6 +102,26 @@ class TestPerturbed:
         base, _ = eval_map(m, z)
         moved, _ = eval_map(out, z)
         assert moved == pytest.approx(base + 0.5 * z, rel=1e-12)
+
+
+class TestFieldValidation:
+    @pytest.mark.parametrize(
+        "build,part",
+        [
+            (lambda: VectorFieldSpec.from_coefficients([math.nan, 1]), "numerator"),
+            (lambda: VectorFieldSpec.from_coefficients([1, complex(0, math.inf)]), "numerator"),
+            (lambda: VectorFieldSpec.constant(-math.inf), "numerator"),
+            (lambda: VectorFieldSpec(Polynomial((1, math.nan))), "numerator"),
+            (lambda: VectorFieldSpec(Polynomial((1,)), Polynomial((2, math.inf))), "denominator"),
+        ],
+    )
+    def test_non_finite_coefficient_rejected(self, build, part):
+        with pytest.raises(ValueError, match=f"VectorFieldSpec {part}:.*not finite"):
+            build()
+
+    def test_finite_field_accepted(self):
+        v = VectorFieldSpec(Polynomial((1, 2j)), Polynomial((3, 1)))
+        assert v(0) == pytest.approx(1 / 3)
 
 
 def test_default_escape_radius():

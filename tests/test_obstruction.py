@@ -1,20 +1,32 @@
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratpert import (
+    CriticalRelationError,
     InvalidOrbitError,
     MapSpec,
+    ObstructionSeries,
     OrbitRecord,
+    Polynomial,
     VectorFieldSpec,
     XComplex,
+    default_escape_radius,
     eval_map,
     iterate_orbit,
     mantissa_ulp_gap,
     obstruction_direct,
     obstruction_sequence,
 )
+from ratpert import obstruction
+from ratpert.cli import main
+from ratpert.obstruction import _fit_growth
+from ratpert.orbits import NearCriticalRelationWarning
+from ratpert.serialize import decode, encode, json_dumps, json_loads
 
 
 def chebyshev_sequence_exact(n):
@@ -131,3 +143,101 @@ class TestLongRange:
         # |b[n]| ~ (2/3) * 4^(n-1): exponent near 2n, far beyond double range
         assert top.exponent > 19_000
         assert math.isfinite(abs(top.mantissa))
+
+
+# The XComplex loop obstruction_sequence ran before the recurrence moved to
+# raw parts and stored derivatives, kept as the reference it must match.
+def reference_obstruction_sequence(orbit, v, n):
+    b = [XComplex.zero()]
+    for k in range(n):
+        point = orbit.points[k]
+        _, dz = eval_map(orbit.map, point)
+        term = XComplex.from_complex(dz) * b[k] + XComplex.from_complex(
+            complex(v(point))
+        )
+        b.append(term)
+    exponent, evidence = _fit_growth(b)
+    return ObstructionSeries(tuple(b), exponent, evidence)
+
+
+FIELDS = [
+    VectorFieldSpec.constant(1),
+    VectorFieldSpec.from_coefficients([0.3, -1, 0.25j]),
+    VectorFieldSpec.rational(Polynomial((1, 1)), Polynomial((-50, 1))),
+]
+
+
+def assert_same_series(orbit, v, n):
+    series = obstruction_sequence(orbit, v, n)
+    ref = reference_obstruction_sequence(orbit, v, n)
+    assert series.b == ref.b
+    assert series == ref
+    return series
+
+
+class TestPartsCoreMatchesXComplexLoop:
+    @pytest.mark.filterwarnings("ignore::ratpert.orbits.NearCriticalRelationWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(-2.0, 0.5, allow_nan=False),
+        st.floats(-1.2, 1.2, allow_nan=False),
+        st.sampled_from(FIELDS),
+    )
+    def test_quadratic_family(self, re_c, im_c, v):
+        c = complex(re_c, im_c)
+        try:
+            orbit = iterate_orbit(MapSpec.unicritical(2, c), 0j, 300,
+                                  escape_radius=default_escape_radius(2, c))
+        except CriticalRelationError:
+            assume(False)
+        assert_same_series(orbit, v, orbit.truncated_at + 1)
+
+    @pytest.mark.parametrize("v", FIELDS)
+    def test_rational_map(self, v):
+        m = MapSpec.rational(Polynomial((-2, 0, 1)), Polynomial((1, 0, 0.001)))
+        assert_same_series(iterate_orbit(m, 0j, 3000), v, 3001)
+
+    @pytest.mark.parametrize("v", FIELDS[:2])
+    def test_chebyshev_cubic(self, v):
+        m = MapSpec.polynomial(Polynomial((0, -3, 0, 4)))
+        series = assert_same_series(iterate_orbit(m, 0.5, 2000), v, 2000)
+        assert series.bounded_evidence == "unbounded"
+
+    def test_escaping_orbit(self):
+        orbit = iterate_orbit(MapSpec.unicritical(2, 1), 0j, 50, escape_radius=3.0)
+        assert orbit.escaped_at == 3
+        assert_same_series(orbit, FIELDS[1], 4)
+
+    def test_near_relation_orbit(self):
+        with pytest.warns(NearCriticalRelationWarning):
+            orbit = iterate_orbit(MapSpec.unicritical(2, -1 + 1e-8), 0j, 64)
+        assert_same_series(orbit, FIELDS[1], 65)
+
+    def test_stored_derivatives_replace_map_evaluation(self, monkeypatch):
+        orbit = iterate_orbit(MapSpec.unicritical(2, 1j), 0j, 200)
+        ref = reference_obstruction_sequence(orbit, FIELDS[1], 201)
+
+        def no_eval(*args):
+            raise AssertionError("eval_map called although the orbit has derivatives")
+
+        monkeypatch.setattr(obstruction, "eval_map", no_eval)
+        assert obstruction_sequence(orbit, FIELDS[1], 201) == ref
+
+    def test_records_without_derivatives(self):
+        m = MapSpec.rational(Polynomial((-2, 0, 1)), Polynomial((1, 0, 0.001)))
+        orbit = iterate_orbit(m, 0j, 500)
+        series = obstruction_sequence(orbit, FIELDS[1], 501)
+        decoded = decode(json_loads(json_dumps(encode(orbit))))
+        hand_built = dataclasses.replace(orbit, derivatives=None)
+        assert decoded.derivatives is None and decoded == orbit
+        assert obstruction_sequence(decoded, FIELDS[1], 501).b == series.b
+        assert obstruction_sequence(hand_built, FIELDS[1], 501).b == series.b
+
+
+def test_obstruction_cli_output_pinned(capsysbinary):
+    # sha256 of the output before the recurrence moved to raw parts
+    # (CPython 3.11, x86-64 Linux); 4z^3 - 3z, 2000 terms
+    args = ["obstruction", "--map", "rational:0,-3,0,4/1", "--field", "1", "--terms", "2000"]
+    assert main(args) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == "3777f1a96920bfb62926a7528053cfb898443036dfdd779e15f6dd18c72d54f7"

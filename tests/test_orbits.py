@@ -1,6 +1,9 @@
+import hashlib
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratpert import (
     CriticalRelationError,
@@ -10,12 +13,15 @@ from ratpert import (
     Polynomial,
     XComplex,
     classify_parameter,
+    default_escape_radius,
     eval_map,
     iterate_orbit,
     julia_sample,
     mantissa_ulp_gap,
     summability_report,
 )
+from ratpert.cli import main
+from ratpert.orbits import NEAR_RELATION_TOL, RELATION_TOL, NearCriticalRelationWarning
 
 
 class TestIterateOrbit:
@@ -196,3 +202,135 @@ class TestJuliaSample:
         for prev, cur in zip(pts, pts[1:]):
             value, _ = eval_map(m, cur)
             assert abs(value - prev) <= budget * (abs(c - prev) + abs(cur) ** d)
+
+
+# The XComplex loop iterate_orbit ran before its cocycle moved to raw parts,
+# kept as the reference the parts loop must match bit for bit.
+def reference_iterate_orbit(map, c, n_max, escape_radius=1e6):
+    c = complex(c)
+    crit = map.critical_points
+    points = [c]
+    cocycle = [XComplex.one()]
+    partials = [1.0]
+    escaped_at = None
+
+    value, _ = eval_map(map, c)
+    for k in range(n_max):
+        z = value
+        points.append(z)
+        index = k + 1
+
+        nearest = min(abs(z - cp) / max(1.0, abs(cp)) for cp in crit)
+        value, dz = eval_map(map, z)
+
+        if nearest < RELATION_TOL or dz == 0:
+            record = OrbitRecord(
+                map=map,
+                points=tuple(points),
+                cocycle=tuple(cocycle) + (cocycle[-1] * XComplex.from_complex(dz),),
+                partial_sums_abs=tuple(partials) + (math.inf,),
+                escaped_at=None,
+                truncated_at=index,
+                critical_relation_at=index,
+            )
+            raise CriticalRelationError(
+                f"orbit landed on a critical point at index {index}",
+                index=index,
+                orbit=record,
+            )
+        if nearest < NEAR_RELATION_TOL:
+            warnings.warn(
+                f"orbit within {nearest:.2e} of a critical point at index {index}",
+                NearCriticalRelationWarning,
+                stacklevel=2,
+            )
+
+        entry = cocycle[-1] * XComplex.from_complex(dz)
+        cocycle.append(entry)
+        try:
+            increment = entry.reciprocal().magnitude()
+        except OverflowError:
+            increment = math.inf
+        partials.append(partials[-1] + increment)
+
+        if abs(z) > escape_radius:
+            escaped_at = index
+            break
+
+    return OrbitRecord(
+        map=map,
+        points=tuple(points),
+        cocycle=tuple(cocycle),
+        partial_sums_abs=tuple(partials),
+        escaped_at=escaped_at,
+        truncated_at=len(points) - 1,
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """(record, relation index, warning texts) of an orbit computation."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            record, index = fn(*args, **kwargs), None
+        except CriticalRelationError as err:
+            record, index = err.orbit, err.index
+    return record, index, [str(w.message) for w in caught]
+
+
+def assert_same_orbit(m, c, n_max, **kwargs):
+    got = outcome(iterate_orbit, m, c, n_max, **kwargs)
+    want = outcome(reference_iterate_orbit, m, c, n_max, **kwargs)
+    (record, index, texts), (ref, ref_index, ref_texts) = got, want
+    assert (index, texts) == (ref_index, ref_texts)
+    assert record.points == ref.points
+    assert record.cocycle == ref.cocycle
+    assert record.partial_sums_abs == ref.partial_sums_abs
+    assert record == ref
+    assert record.derivatives == tuple(eval_map(m, z)[1] for z in record.points)
+    return record, index, texts
+
+
+class TestPartsCoreMatchesXComplexLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(-2.0, 0.5, allow_nan=False),
+        st.floats(-1.2, 1.2, allow_nan=False),
+    )
+    def test_quadratic_family(self, re_c, im_c):
+        c = complex(re_c, im_c)
+        m = MapSpec.unicritical(2, c)
+        assert_same_orbit(m, 0j, 300, escape_radius=default_escape_radius(2, c))
+
+    def test_rational_map(self):
+        m = MapSpec.rational(Polynomial((-2, 0, 1)), Polynomial((1, 0, 0.001)))
+        record, _, _ = assert_same_orbit(m, 0j, 3000)
+        assert record.escaped_at is None and record.truncated_at == 3000
+
+    @pytest.mark.parametrize("c", [0.5, -0.5])
+    def test_chebyshev_cubic(self, c):
+        # 4z^3 - 3z: both critical points land on a repelling fixed point
+        m = MapSpec.polynomial(Polynomial((0, -3, 0, 4)))
+        record, _, _ = assert_same_orbit(m, c, 2000)
+        assert record.cocycle[-1].exponent > 6000
+
+    def test_escaping_orbit(self):
+        record, _, _ = assert_same_orbit(MapSpec.unicritical(2, 1), 0j, 50, escape_radius=3.0)
+        assert record.escaped_at == 3
+
+    def test_near_relation_warning(self):
+        _, index, texts = assert_same_orbit(MapSpec.unicritical(2, -1 + 1e-8), 0j, 64)
+        assert index is None and texts
+
+    def test_relation_record(self):
+        record, index, _ = assert_same_orbit(MapSpec.unicritical(2, -1), 0j, 64)
+        assert index == 2 and record.critical_relation_at == 2
+        assert record.cocycle[-1].is_zero and record.partial_sums_abs[-1] == math.inf
+
+
+def test_orbit_cli_output_pinned(capsysbinary):
+    # sha256 of the output before the cocycle moved to raw parts
+    # (CPython 3.11, x86-64 Linux)
+    assert main(["orbit", "--map", "unicritical:2,-2+0i"]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == "4cb6692cd44de11059a25e18a0cd44edf38fb4864fd56046cad91fb0966d35be"

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ratpert import XComplex, mantissa_ulp_gap, xc_add, xc_mul
+from ratpert import XComplex, mantissa_ulp_gap
 
 
 def xc(value):
@@ -48,10 +51,10 @@ class TestNormalization:
 class TestMul:
     def test_identity(self):
         one = XComplex.one()
-        assert xc_mul(one, one) == one
+        assert one * one == one
 
     def test_exact_powers_of_base(self):
-        p = xc_mul(xc(4), xc(4))
+        p = xc(4) * xc(4)
         assert p.mantissa == 1 and p.exponent == 4
 
     def test_long_product_closed_form_exponent(self):
@@ -59,25 +62,25 @@ class TestMul:
         acc = XComplex.one()
         factor = xc(-4)
         for _ in range(10**5):
-            acc = xc_mul(acc, factor)
+            acc = acc * factor
         assert acc.exponent == 2 * 10**5
         assert acc.mantissa == 1.0
 
     def test_zero_absorbs(self):
-        assert xc_mul(xc(0), xc(123)).is_zero
+        assert (xc(0) * xc(123)).is_zero
 
     @given(nonzero_complex, nonzero_complex)
     def test_log_magnitude_additive(self, a, b):
         xa, xb = xc(a), xc(b)
-        got = xc_mul(xa, xb).log2_abs()
+        got = (xa * xb).log2_abs()
         assert got == pytest.approx(xa.log2_abs() + xb.log2_abs(), abs=1e-9)
 
     @given(xcomplexes, xcomplexes, xcomplexes)
     def test_associative_to_a_few_ulp(self, a, b, c):
         # complex multiplication rounds each component, so exact 1-ulp
         # associativity is unattainable; 4 ulp holds with margin
-        left = xc_mul(xc_mul(a, b), c)
-        right = xc_mul(a, xc_mul(b, c))
+        left = (a * b) * c
+        right = a * (b * c)
         assert mantissa_ulp_gap(left, right) <= 4.0
         assert abs(left.exponent - right.exponent) <= 1
 
@@ -85,33 +88,33 @@ class TestMul:
 class TestAdd:
     def test_additive_identity(self):
         x = xc(3 - 2j)
-        assert xc_add(x, xc(0)) == x
-        assert xc_add(xc(0), x) == x
+        assert x + xc(0) == x
+        assert xc(0) + x == x
 
     def test_small_integers(self):
-        assert xc_add(xc(3), xc(5)).to_complex() == 8
+        assert (xc(3) + xc(5)).to_complex() == 8
 
     def test_swamped_addend_returns_larger_exactly(self):
         one = xc(1)
         tiny = XComplex(1 + 0j, -2000)
-        assert xc_add(one, tiny) == one
-        assert xc_add(tiny, one) == one
+        assert one + tiny == one
+        assert tiny + one == one
 
     def test_cancellation_renormalizes(self):
         a = xc(1 + 0j)
         b = XComplex(-(1 + 2**-40) + 0j, 0)
-        s = xc_add(a, b)
+        s = a + b
         assert not s.is_zero
         assert 1.0 <= abs(s.mantissa) < 2.0
         assert s.to_complex() == pytest.approx(-(2.0**-40), rel=1e-12)
 
     def test_exact_cancellation_gives_zero(self):
         x = xc(5 - 3j)
-        assert xc_add(x, -x).is_zero
+        assert (x + -x).is_zero
 
     @given(nonzero_complex, nonzero_complex)
     def test_matches_plain_complex(self, a, b):
-        got = xc_add(xc(a), xc(b))
+        got = xc(a) + xc(b)
         want = a + b
         if want == 0:
             assert got.is_zero or abs(got.to_complex()) < 1e-9
@@ -147,3 +150,17 @@ class TestConversions:
 
     def test_log_abs_never_overflows(self):
         assert XComplex(1 + 0j, 10**7).log_abs() == pytest.approx(10**7 * math.log(2))
+
+
+class TestSlots:
+    @pytest.mark.parametrize("value", [xc(0), xc(-4), XComplex(1.5 - 0.25j, -10**6)])
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and type(copied) is XComplex
+            assert (copied.mantissa, copied.exponent) == (value.mantissa, value.exponent)
+
+    def test_slotted_and_frozen(self):
+        x = xc(3)
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.exponent = 7
