@@ -13,7 +13,6 @@ explicit flags win.  RATPERT_WORKERS sets the default scan worker count.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import os
 import re
@@ -23,7 +22,13 @@ from typing import Any, Callable
 
 from . import serialize
 from .continuation import continue_cycle, motion_velocity_check
-from .cycles import cycle_from_point, default_cycle_seeds, find_cycles, solve_alpha_on_cycle
+from .cycles import (
+    check_census_size,
+    cycle_from_point,
+    default_cycle_seeds,
+    find_cycles,
+    solve_alpha_on_cycle,
+)
 from .errors import ParseError, RatpertError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, default_escape_radius, is_critical_point
@@ -56,9 +61,9 @@ def parse_complex(text: str, offset: int = 0) -> complex:
             position=offset,
         )
     re_part = float(m.group(1))
-    if m.group(2) is None:
-        return complex(re_part, 0.0)
-    im = float(m.group(3))
+    im = 0.0 if m.group(2) is None else float(m.group(3))
+    if not (math.isfinite(re_part) and math.isfinite(im)):
+        raise ParseError(f"complex number {text!r} is out of range", position=offset)
     return complex(re_part, -im if m.group(2) == "-" else im)
 
 
@@ -219,7 +224,7 @@ _TOL = _opt("--tol", "finite-float", 1e-12, "series tolerance")
 _NMAX = _opt("--n-max", "int", 4096, "orbit / series length budget")
 _ESCAPE = _opt("--escape-radius", "float", None, "escape radius (default: map-dependent bound)")
 _POINT = _opt("--point", "complex", None, "cycle point seed (default: first found cycle)")
-_PERIOD = _opt("--period", "int", None, "cycle period", required=True)
+_PERIOD = _opt("--period", "positive-int", None, "cycle period", required=True)
 _OUTPUT = _opt("--output", "str", "-", "output path, '-' for stdout")
 _CONFIG = _opt("--config", "str", None, "flat key=value config file; flags override it")
 
@@ -263,7 +268,8 @@ COMMANDS: dict[str, dict] = {
     },
     "cycles": {
         "help": "find periodic cycles of a given period",
-        "options": [_MAP, _PERIOD, _opt("--seed-count", "positive-int", 500, "number of Newton seeds"),
+        "options": [_MAP, _PERIOD,
+                    _opt("--seed-count", "positive-int", 500, "Newton seeds (non-polynomial maps only)"),
                     _opt("--newton-tol", "finite-float", 1e-9, "cycle residual tolerance"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
@@ -456,13 +462,26 @@ def _orbit_from(opts, n_max_key: str = "n_max"):
     return map, iterate_orbit(map, point, n_max=opts[n_max_key], escape_radius=radius)
 
 
+def _census(map: MapSpec, period: int, seed_count: int = 500, tol: float = 1e-9):
+    """find_cycles, with a period outside the census cap of a polynomial map
+    as a usage error; seeds are made only for non-polynomial maps, the only
+    ones that use them."""
+    if map.is_polynomial:
+        try:
+            check_census_size(map.degree, period)
+        except ValueError as err:
+            raise ParseError(f"--period: {err}") from None
+        return find_cycles(map, period, tol=tol)
+    return find_cycles(map, period, default_cycle_seeds(map, count=seed_count), tol=tol)
+
+
 def _pick_cycle(map: MapSpec, opts):
     period = opts["period"]
     if opts.get("point") is not None:
         return cycle_from_point(map, opts["point"], period)
-    cycles = find_cycles(map, period, default_cycle_seeds(map))
+    cycles = _census(map, period)
     if not cycles:
-        raise RatpertError(f"no period-{period} cycles found from default seeds")
+        raise RatpertError(f"no period-{period} cycles found")
     return cycles[0]
 
 
@@ -501,9 +520,10 @@ def _cmd_moments(opts) -> str:
 
 def _cmd_witness(opts) -> str:
     if opts.get("moments"):
-        moments = _parse_complex_list(opts["moments"], 0)
-        if not all(cmath.isfinite(m) for m in moments):
-            raise ParseError("--moments must be finite")
+        try:
+            moments = _parse_complex_list(opts["moments"], 0)
+        except ParseError as err:
+            raise ParseError(f"--moments: {err}", err.position) from None
     else:
         if opts.get("map") is None:
             raise ParseError("witness needs --moments or --map", 0)
@@ -524,8 +544,7 @@ def _cmd_obstruction(opts) -> str:
 
 def _cmd_cycles(opts) -> str:
     map = opts["map"]
-    seeds = default_cycle_seeds(map, count=opts["seed_count"])
-    cycles = find_cycles(map, opts["period"], seeds, tol=opts["newton_tol"])
+    cycles = _census(map, opts["period"], opts["seed_count"], opts["newton_tol"])
     payload = {"type": "cycles", "cycles": [serialize.encode(c) for c in cycles]}
     return serialize.json_dumps(payload)
 

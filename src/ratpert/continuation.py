@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cycles import Cycle, _newton_polish, solve_alpha_on_cycle
+from .cycles import Cycle, _build_cycle, _newton_polish, solve_alpha_on_cycle
 from .errors import InvalidCycleError, ParabolicCycleError
 from .fields import VectorFieldSpec
-from .maps import MapSpec, eval_map, perturbed
+from .maps import MapSpec, perturbed
 
 #: Continuation stops when |multiplier| falls to 1 + this margin: the
 #: cycle is about to stop being repelling and the tracked branch degenerates.
@@ -125,19 +125,10 @@ def continue_cycle(
 
 def _rebuild(map: MapSpec, base: complex, period: int, tol: float) -> Cycle | None:
     """Cycle through `base` for `map`, keeping `base` as the tracked point."""
-    points = [base]
-    multiplier = 1 + 0j
-    w = base
-    for _ in range(period):
-        value, dw = eval_map(map, w)
-        multiplier *= dw
-        w = value
-        if len(points) < period:
-            points.append(w)
-    residual = abs(w - base)
-    if residual > max(tol, 1e-12) * max(1.0, abs(base)):
+    cycle = _build_cycle(map, base, period)
+    if cycle.residual > max(tol, 1e-12) * max(1.0, abs(base)):
         return None
-    return Cycle(tuple(points), period, multiplier, residual)
+    return cycle
 
 
 class MotionCheck(NamedTuple):

@@ -1,5 +1,11 @@
-"""Periodic orbits: Newton search from many seeds, and the exact solve of
-the linearized conjugacy equation v = alpha(R(z)) - DR(z) alpha(z) on a cycle.
+"""Periodic orbits: the cycle census, and the exact solve of the linearized
+conjugacy equation v = alpha(R(z)) - DR(z) alpha(z) on a cycle.
+
+For a polynomial map the census finds every root of f^n(z) - z at once
+(Aberth-Ehrlich sweeps seeded by the backward tree of a repelling fixed
+point), then builds one cycle per group of roots; other maps run Newton
+from seeds.  Both share one polish, one minimal-period test and one cycle
+builder with cycle_from_point and the continuation.
 
 On a period-n cycle the functional equation closes up into an n-by-n cyclic
 linear system with an explicit solution: propagate forward and divide the
@@ -10,7 +16,7 @@ singular and rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,12 +25,59 @@ from .errors import ParabolicCycleError, PoleError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, eval_map, eval_map_many
 from .orbits import julia_sample
+from .polynomial import Polynomial, poly_roots
 
 #: |1 - multiplier| at or below this is treated as parabolic.
 PARABOLIC_TOL = 1e-6
 
 #: Cycle points are keyed after rounding to this many decimals.
 KEY_DECIMALS = 8
+
+#: _newton_polish stops at |f^n(z) - z| <= this * max(1, |z|) * max(1, |(f^n)'(z)|):
+#: rounding in f^n grows with the derivative, so no smaller residual is
+#: reachable on a strongly repelling cycle.
+NEWTON_TOL = 1e-14
+
+#: Largest root count d**period of a polynomial census.  d = 2 reaches
+#: period 12, where the 4,096 roots take well under a second; d = 3 reaches
+#: period 7.
+CENSUS_MAX_ROOTS = 4096
+
+#: The candidate nearest a point of a found cycle is that point's root when
+#: it is within this distance, relative to max(1, |point|).
+CLAIM_TOL = 1e-6
+
+#: Two cycle points this close, relative to max(1, |point|), are one point:
+#: an orbit back within it has closed, and a polished point within it of a
+#: point of a cycle already kept lies on that cycle.
+SAME_POINT_TOL = 1e-7
+
+#: Reach of a double root of f^n(z) - z (a parabolic cycle of period n with
+#: multiplier 1): its two roots spread over about sqrt(eps) in double
+#: precision, and a cycle split off by perturbing it has multiplier within
+#: PARABOLIC_TOL of 1 only within about sqrt(PARABOLIC_TOL).
+PARABOLIC_RADIUS = math.sqrt(PARABOLIC_TOL)
+
+#: A parabolic period-n cycle whose points m steps apart (m | n, m < n) stay
+#: within this fraction of their distance to its other points (of
+#: max(1, |z|) when m = 1) is a satellite collapsed onto a period-m cycle: a
+#: cluster of q + 1 roots, q = n / m, around each parent point, spread over
+#: about eps**(1/(q+1)), which stays under this fraction up to about q = 10.
+SATELLITE_RATIO = 0.1
+
+#: Aberth sweeps stop moving a root whose Newton correction is below this,
+#: relative to max(1, |z|).
+ABERTH_TOL = 1e-12
+
+#: Sweep cap; simple roots settle in 3-30 sweeps, clusters never do.
+ABERTH_MAX_SWEEPS = 100
+
+#: Entries of the pairwise sum held at once (256 KiB of complex128).
+ABERTH_BLOCK = 1 << 14
+
+#: Seeds are offset by this, relative to the largest, a golden angle apart.
+SEED_OFFSET = 1e-6
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -71,10 +124,9 @@ def _point_key(z: complex) -> tuple[float, float]:
     return (re + 0.0, im + 0.0)
 
 
-def _build_cycle(
-    map: MapSpec, p: complex, period: int, canonical: bool
-) -> Cycle | None:
-    """Forward points, multiplier, and residual for a refined period point."""
+def _build_cycle(map: MapSpec, p: complex, period: int) -> Cycle:
+    """Forward points, multiplier, and residual of the cycle through p, with
+    p as its base point."""
     points = [p]
     multiplier = 1 + 0j
     w = p
@@ -85,18 +137,23 @@ def _build_cycle(
         if len(points) < period:
             points.append(w)
     residual = abs(w - p)
-    if canonical:
-        # the multiplier is a cyclic product, identical for every rotation
-        i0 = min(range(period), key=lambda i: _point_key(points[i]))
-        points = points[i0:] + points[:i0]
     return Cycle(tuple(points), period, multiplier, residual)
 
 
-def _minimal_period(map: MapSpec, p: complex, period: int) -> int:
-    w = p
+def _canonical(cycle: Cycle) -> Cycle:
+    """The cycle rotated to its smallest point under _point_key; the
+    multiplier is a cyclic product, identical for every rotation."""
+    points = cycle.points
+    i0 = min(range(cycle.period), key=lambda i: _point_key(points[i]))
+    return replace(cycle, points=points[i0:] + points[:i0])
+
+
+def _minimal_period(points: Sequence[complex]) -> int:
+    """The least q dividing len(points) with points[q] back at points[0]
+    within SAME_POINT_TOL * max(1, |points[0]|)."""
+    p, period = points[0], len(points)
     for q in range(1, period):
-        w, _ = eval_map(map, w)
-        if period % q == 0 and abs(w - p) < 1e-7 * max(1.0, abs(p)):
+        if period % q == 0 and abs(points[q] - p) < SAME_POINT_TOL * max(1.0, abs(p)):
             return q
     return period
 
@@ -117,7 +174,7 @@ def _newton_polish(
         f = w - z
         # rounding in f^n(z) grows with |(f^n)'(z)|, so an unscaled test
         # sits below the floor of strongly repelling cycles
-        if abs(f) <= 1e-14 * max(1.0, abs(z)) * max(1.0, abs(deriv)):
+        if abs(f) <= NEWTON_TOL * max(1.0, abs(z)) * max(1.0, abs(deriv)):
             return z
         fprime = deriv - 1.0
         if fprime == 0 or not math.isfinite(abs(fprime)):
@@ -131,58 +188,67 @@ def _newton_polish(
     return None
 
 
+def check_census_size(degree: int, period: int) -> None:
+    """Raise ValueError unless the census of a polynomial map of `degree`
+    may run at `period`: degree**period <= CENSUS_MAX_ROOTS.
+
+    The power is built up one factor at a time and abandoned once it
+    passes the cap, so an absurd period costs nothing."""
+    roots = 1
+    for _ in range(min(period, CENSUS_MAX_ROOTS.bit_length())):
+        roots *= degree
+        if roots > CENSUS_MAX_ROOTS:
+            raise ValueError(
+                f"period {period} needs more than {CENSUS_MAX_ROOTS} roots at "
+                f"degree {degree} (the census cap)"
+            )
+
+
 def find_cycles(
     map: MapSpec,
     period: int,
     seeds: Sequence[complex] | None = None,
     tol: float = 1e-9,
 ) -> tuple[Cycle, ...]:
-    """All cycles of exactly `period` reachable by Newton from the seeds.
+    """The cycles of exactly `period`.
+
+    For a polynomial map (`MapSpec.is_polynomial`) this is the complete
+    census: every root of f^n(z) - z is found at once by Aberth sweeps
+    started on the backward tree of the most repelling fixed point, so a
+    hyperbolic map gets all (1/n) sum_{k|n} mu(n/k) d^k cycles, and `seeds`
+    is ignored.  Seeds apply to non-polynomial maps only, which have no
+    other path: Newton runs from each seed (`default_cycle_seeds` when None)
+    and keeps what it reaches, so a cycle no seed reaches is missing
+    without notice.
 
     Cycles whose minimal period properly divides `period` are filtered
-    out.  Each cycle is rotated so its base point is the lexicographically
-    smallest under (Re, Im) after rounding to 1e-8, deduplicated on that
-    key, and the results are sorted by it; the output is deterministic for
-    a fixed seed list.  No convergent seeds means an empty tuple.
+    out.  A cycle whose multiplier is within PARABOLIC_TOL of 1 is a
+    multiple root of the period equation: it is reported once, and dropped
+    when it is a satellite collapsed onto a cycle of lower period (see
+    SATELLITE_RATIO), so the count never exceeds the one above.  No two
+    cycles share a point.  Each cycle is rotated so its base point is the
+    lexicographically smallest under (Re, Im) after rounding to 1e-8, and
+    the results are sorted by that key; the output is deterministic.
+    Raises ValueError when period < 1, or for a polynomial map when
+    degree**period exceeds CENSUS_MAX_ROOTS, before anything is allocated.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
+    if map.is_polynomial:
+        check_census_size(map.degree, period)
+        return _collect_cycles(map, _period_roots(map, period), period, tol)
     if seeds is None:
         seeds = default_cycle_seeds(map)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must be nonempty")
-
     converged = _newton_many(map, np.asarray(seeds, dtype=complex), period, tol)
-    # hundreds of seeds land on a handful of points; polish one per cluster
+    # hundreds of seeds land on a handful of points; keep one per cluster
     distinct: dict[tuple[float, float], complex] = {}
     for p in converged:
         distinct.setdefault((round(p.real, 6), round(p.imag, 6)), p)
-
-    found: dict[tuple[float, float], Cycle] = {}
-    for _, p in sorted(distinct.items()):
-        polished = _newton_polish(map, p, period)
-        if polished is None:
-            continue
-        p = polished
-        if _minimal_period(map, p, period) != period:
-            continue
-        cycle = _build_cycle(map, p, period, canonical=True)
-        if cycle is None or cycle.residual > tol * max(1.0, abs(p)):
-            continue
-        key = _point_key(cycle.base)
-        kept = found.get(key)
-        if kept is None or cycle.residual < kept.residual:
-            found[key] = cycle
-
-    cycles = [found[k] for k in sorted(found)]
-    # collapse keys that round apart but represent the same cycle
-    out: list[Cycle] = []
-    for cyc in cycles:
-        if out and abs(cyc.base - out[-1].base) < 1e-7 * max(1.0, abs(cyc.base)):
-            continue
-        out.append(cyc)
-    return tuple(out)
+    candidates = np.array([distinct[k] for k in sorted(distinct)], dtype=complex)
+    return _collect_cycles(map, candidates, period, tol)
 
 
 def _newton_many(
@@ -215,6 +281,179 @@ def _newton_many(
             alive &= safe
             z = z - step
     return [complex(v) for v in z[done]]
+
+
+def _collect_cycles(
+    map: MapSpec, candidates: np.ndarray, period: int, tol: float
+) -> tuple[Cycle, ...]:
+    """One Newton polish, minimal-period test and cycle build per cycle.
+
+    Each cycle built claims the candidates it passes through: the nearest
+    to each of its points, within CLAIM_TOL, and for a multiple root every
+    candidate within PARABOLIC_RADIUS (twice the spread of a satellite).
+    Claimed candidates are skipped.  A cycle that would claim one already
+    claimed is a duplicate, and so is one whose polished point lies within
+    SAME_POINT_TOL of a point of a cycle kept (a seed that stopped farther
+    than CLAIM_TOL from its root claims nothing)."""
+    candidates = candidates[np.lexsort((candidates.imag, candidates.real))]
+    claimed = np.zeros(len(candidates), dtype=bool)
+    found: list[Cycle] = []
+    kept_points = np.empty(0, dtype=complex)
+    for i, z in enumerate(candidates.tolist()):
+        if claimed[i]:
+            continue
+        claimed[i] = True
+        p = _newton_polish(map, z, period)
+        if p is None or (
+            kept_points.size
+            and np.abs(kept_points - p).min() < SAME_POINT_TOL * max(1.0, abs(p))
+        ):
+            continue
+        cycle = _build_cycle(map, p, period)
+        reach, satellite = 0.0, None
+        if abs(1.0 - cycle.multiplier) <= PARABOLIC_TOL:
+            satellite = _satellite_spread(cycle.points)
+            if satellite is None:
+                reach = PARABOLIC_RADIUS * max(1.0, max(abs(z) for z in cycle.points))
+            else:
+                reach = 2.0 * satellite
+        mask = _claim(candidates, cycle.points, reach)
+        mask[i] = False
+        duplicate = bool((mask & claimed).any())
+        claimed |= mask
+        if (
+            duplicate
+            or satellite is not None
+            or _minimal_period(cycle.points) != period
+            or not _within_tolerance(cycle, tol)
+        ):
+            continue
+        found.append(_canonical(cycle))
+        kept_points = np.append(kept_points, cycle.points)
+    return tuple(sorted(found, key=lambda cycle: _point_key(cycle.base)))
+
+
+def _within_tolerance(cycle: Cycle, tol: float) -> bool:
+    """|f^n(p) - p| at the base point p is at most tol * max(1, |p|), or at
+    most the rounding floor _newton_polish stops at, when that is larger."""
+    bound = max(tol, NEWTON_TOL * abs(cycle.multiplier)) * max(1.0, abs(cycle.base))
+    return cycle.residual <= bound
+
+
+def _claim(candidates: np.ndarray, points: Sequence[complex], reach: float) -> np.ndarray:
+    """The candidate nearest each point, when within CLAIM_TOL, and every
+    candidate within `reach` of a point."""
+    pts = np.asarray(points, dtype=complex)[:, None]
+    dist = np.abs(candidates[None, :] - pts)
+    mask = (dist <= reach).any(axis=0)
+    nearest = np.argmin(dist, axis=1)
+    close = dist[np.arange(len(pts)), nearest] <= CLAIM_TOL * np.maximum(1.0, np.abs(pts[:, 0]))
+    mask[nearest[close]] = True
+    return mask
+
+
+def _satellite_spread(points: Sequence[complex]) -> float | None:
+    """For a cycle that is a satellite collapsed onto a cycle of lower
+    period m (see SATELLITE_RATIO), the largest distance from its base to
+    the points m, 2m, ... steps on; None for any other cycle."""
+    p, n = points[0], len(points)
+    for m in range(1, n):
+        if n % m:
+            continue
+        spread = max(abs(points[k] - p) for k in range(m, n, m))
+        rest = min((abs(points[k] - p) for k in range(n) if k % m), default=max(1.0, abs(p)))
+        if spread <= SATELLITE_RATIO * rest:
+            return spread
+    return None
+
+
+def _period_roots(map: MapSpec, period: int) -> np.ndarray:
+    """All d**period roots of f^n(z) - z for a polynomial map, by
+    Aberth-Ehrlich sweeps from the backward tree.
+
+    f^n and its derivative come from iterating eval_map_many.  A root stops
+    moving once its Newton correction |F/F'| is below ABERTH_TOL relative
+    (the Aberth step itself also shrinks when two roots collide, so it is no
+    stop test); the sweeps end when every root has stopped or after
+    ABERTH_MAX_SWEEPS, which only clusters around a multiple root reach."""
+    z = _backward_tree(map, period)
+    n_roots = len(z)
+    # the tree is symmetric (z^d + c: rotations by d-th roots of unity) and
+    # repeats whole subtrees below a critical point; an offset of a golden
+    # angle per seed breaks both, where a common rotation would not
+    scale = max(1.0, float(np.abs(z).max()))
+    z = z + SEED_OFFSET * scale * np.exp(1j * GOLDEN_ANGLE * np.arange(n_roots))
+    last = z.copy()
+    active = np.arange(n_roots)
+    buffer = np.empty((min(n_roots, max(1, ABERTH_BLOCK // n_roots)), n_roots), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(ABERTH_MAX_SWEEPS):
+            za = z[active]
+            w, slope = za, np.ones_like(za)
+            for _ in range(period):
+                w, dw, _ = eval_map_many(map, w)
+                slope = slope * dw
+            newton = (w - za) / (slope - 1.0)
+            moving = ~(np.abs(newton) <= ABERTH_TOL * np.maximum(1.0, np.abs(za)))
+            active, za, newton = active[moving], za[moving], newton[moving]
+            if not active.size:
+                break
+            # a step that left the filled Julia set far enough for f^n to
+            # overflow is taken back halfway
+            lost = ~np.isfinite(newton)
+            z[active[lost]] = 0.5 * (za[lost] + last[active[lost]])
+            step = newton / (1.0 - newton * _repulsion(z, active, buffer))
+            go = ~lost & np.isfinite(step)
+            last[active[go]] = za[go]
+            z[active[go]] = za[go] - step[go]
+    return z
+
+
+def _repulsion(z: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1 / (z_i - z_j) for each i in rows, a block of rows at a
+    time so that no more than buffer.size entries are held."""
+    out = np.empty(len(rows), dtype=complex)
+    block = buffer.shape[0]
+    for start in range(0, len(rows), block):
+        idx = rows[start : start + block]
+        diag = (np.arange(len(idx)), idx)
+        part = buffer[: len(idx)]
+        np.subtract(z[idx, None], z[None, :], out=part)
+        part[diag] = 1.0
+        np.divide(1.0, part, out=part)
+        part[diag] = 0.0
+        part.sum(axis=1, out=out[start : start + len(idx)])
+    return out
+
+
+def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
+    """The d**period period-th preimages of the fixed point with the largest
+    |R'|, a root of R(z) - z, for a polynomial map R of degree d.
+
+    A level of a binomial R (a_0 + a_d z^d, as z^d + c) is one vectorized
+    closed-form solve for d-th roots; any other R takes one poly_roots call
+    per node."""
+    coeffs = np.asarray(map.numerator.coefficients) / map.denominator.coefficients[0]
+    d = len(coeffs) - 1
+    fixed_equation = coeffs.copy()
+    fixed_equation[1] -= 1.0
+    fixed = np.array(poly_roots(Polynomial(tuple(fixed_equation))))
+    _, slope, _ = eval_map_many(map, fixed)
+    level = fixed[np.argmax(np.abs(slope))].reshape(1)
+    turns = 2.0 * np.pi * np.arange(d) / d
+    binomial = not coeffs[1:-1].any()
+    for _ in range(period):
+        if binomial:
+            a = (level - coeffs[0]) / coeffs[-1]
+            level = (np.abs(a) ** (1.0 / d))[:, None] * np.exp(
+                1j * (np.angle(a)[:, None] / d + turns[None, :])
+            )
+        else:
+            level = np.array(
+                [poly_roots(Polynomial((coeffs[0] - w, *coeffs[1:]))) for w in level.tolist()]
+            )
+        level = level.ravel()
+    return level
 
 
 def default_cycle_seeds(
@@ -325,8 +564,10 @@ def cycle_from_point(
     polished = _newton_polish(map, complex(z0), period)
     if polished is None:
         raise ValueError(f"Newton did not converge from {z0} at period {period}")
-    actual = _minimal_period(map, polished, period)
-    cycle = _build_cycle(map, polished, actual, canonical=False)
-    if cycle is None or cycle.residual > tol * max(1.0, abs(polished)):
+    cycle = _build_cycle(map, polished, period)
+    actual = _minimal_period(cycle.points)
+    if actual != period:
+        cycle = _build_cycle(map, polished, actual)
+    if not _within_tolerance(cycle, tol):
         raise ValueError(f"no period-{period} cycle through {z0} at tolerance {tol}")
     return cycle

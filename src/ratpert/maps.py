@@ -12,6 +12,7 @@ first; the toolkit does not choose one automatically).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,14 @@ class MapSpec:
     denominator: Polynomial = ONE
 
     def __post_init__(self):
+        # one sum is finite unless a coefficient is not (or finite ones
+        # overflow, which the loop lets through): perturbed() builds a map
+        # per continuation step
+        if not cmath.isfinite(sum(self.numerator.coefficients) + sum(self.denominator.coefficients)):
+            for name in ("numerator", "denominator"):
+                for k, a in enumerate(getattr(self, name).coefficients):
+                    if not cmath.isfinite(a):
+                        raise ValueError(f"MapSpec {name}: coefficient of z^{k} is not finite ({a})")
         if self.numerator.is_zero:
             raise DegenerateMapError("numerator is identically zero")
         if self.denominator.is_zero:
@@ -98,7 +107,7 @@ class MapSpec:
     def degree(self) -> int:
         return max(self.numerator.degree, self.denominator.degree)
 
-    @property
+    @cached_property
     def is_polynomial(self) -> bool:
         return self.denominator.is_constant
 

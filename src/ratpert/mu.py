@@ -203,7 +203,10 @@ def find_witness_field(
     """
     if not moments:
         raise ValueError("moments must be nonempty")
-    norm = math.sqrt(sum(abs(m) ** 2 for m in moments))
+    # scaled by a power of two (exact) so that squares of large or tiny
+    # moments neither overflow nor underflow
+    _, exponent = math.frexp(max(abs(m) for m in moments))
+    norm = math.ldexp(math.sqrt(sum(math.ldexp(abs(m), -exponent) ** 2 for m in moments)), exponent)
     if norm < threshold:
         raise NoWitnessError(
             f"moment norm {norm:.3e} below threshold {threshold:.3e}"

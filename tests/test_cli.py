@@ -270,6 +270,70 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--moments" in err
 
+    def test_large_moments_give_a_witness(self, capsys):
+        assert main(["witness", "--moments", "1e200,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["mu_value"] == [1e200, 0.0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["orbit", "--map", "unicritical:2,1e400+0i"],
+         ["mu", "--map", "rational:0,0,1/1,1e999"],
+         ["alpha", "--map", "unicritical:2,-1+0i", "--period", "2", "--point", "1e400"]],
+    )
+    def test_out_of_range_number_rejected_before_work(self, args, capsys, monkeypatch):
+        for name in ("iterate_orbit", "cycle_from_point", "find_cycles"):
+            monkeypatch.setattr(cli, name, _never_called)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "out of range" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["cycles", "alpha", "continue", "check-motion"])
+    @pytest.mark.parametrize("period", ["13", "40", "1000000000000"])
+    def test_census_period_outside_cap_rejected(self, command, period, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_cycles", _never_called)
+        monkeypatch.setattr(cli, "default_cycle_seeds", _never_called)
+        args = [command, "--map", "unicritical:2,-1+0i", "--period", period]
+        if command == "continue":
+            args += ["--lambda-target", "0.001"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --period:") and err.count("\n") == 1
+
+    def test_rational_census_is_not_capped(self, capsys):
+        assert main(["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "13",
+                     "--seed-count", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["type"] == "cycles"
+
+    @pytest.mark.parametrize("point", [[], ["--point", "0"]])
+    @pytest.mark.parametrize("period", ["0", "-2"])
+    def test_period_below_one_rejected(self, point, period, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_cycles", _never_called)
+        monkeypatch.setattr(cli, "cycle_from_point", _never_called)
+        assert main(["alpha", "--map", "unicritical:2,-1+0i", f"--period={period}", *point]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad value for --period") and err.count("\n") == 1
+
+    def test_polynomial_census_makes_no_seeds(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "default_cycle_seeds", _never_called)
+        assert main(["cycles", "--map", "unicritical:2,-1+0i", "--period", "2",
+                     "--seed-count", "3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cycles"]) == 1
+        assert main(["alpha", "--map", "unicritical:2,-1+0i", "--period", "2"]) == 0
+
+    def test_rational_census_uses_the_seed_count(self, capsys, monkeypatch):
+        counts = []
+        seeds = cli.default_cycle_seeds
+
+        def recording(map, count=500, **kwargs):
+            counts.append(count)
+            return seeds(map, count=count, **kwargs)
+
+        monkeypatch.setattr(cli, "default_cycle_seeds", recording)
+        assert main(["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1",
+                     "--seed-count", "40"]) == 0
+        assert counts == [40]
+
     def test_explicit_window_used(self, capsys):
         assert main(["summability", "--map", "unicritical:2,-2+0i", "--n-max", "64",
                      "--window", "1"]) == 0

@@ -124,6 +124,26 @@ class TestFieldValidation:
         assert v(0) == pytest.approx(1 / 3)
 
 
+class TestMapValidation:
+    @pytest.mark.parametrize(
+        "build,part",
+        [
+            (lambda: MapSpec.unicritical(2, complex(math.inf, 0)), "numerator"),
+            (lambda: MapSpec.unicritical(3, complex(0, math.nan)), "numerator"),
+            (lambda: MapSpec(Polynomial((0, 0, 1)), Polynomial((1, math.inf))), "denominator"),
+            (lambda: MapSpec.polynomial(Polynomial((1, -math.inf, 1))), "numerator"),
+        ],
+    )
+    def test_non_finite_coefficient_rejected(self, build, part):
+        with pytest.raises(ValueError, match=f"MapSpec {part}:.*not finite"):
+            build()
+
+    def test_large_finite_coefficients_accepted(self):
+        # their sum overflows, but every coefficient is finite
+        m = MapSpec.polynomial(Polynomial((1e308, 1e308j, 1e308, 1)))
+        assert m.degree == 3
+
+
 def test_default_escape_radius():
     assert default_escape_radius(2, 0) == 3.0
     assert default_escape_radius(2, -2) == 3.0

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratpert import (
     MapSpec,
@@ -173,6 +174,29 @@ class TestWitness:
     def test_all_zero_moments(self):
         with pytest.raises(NoWitnessError):
             find_witness_field([0, 0])
+
+    @pytest.mark.parametrize("big", [1e200, 1e300, -1e250j])
+    def test_large_moments_do_not_overflow(self, big):
+        field, value = find_witness_field([big, 1])
+        assert value == abs(big)
+        assert abs(field.numerator.coefficients[0]) == pytest.approx(1.0)
+
+    def test_tiny_moments_do_not_underflow(self):
+        # abs(m) ** 2 would flush both squares to zero
+        _, value = find_witness_field([3e-170, 4e-170], threshold=1e-300)
+        assert value == pytest.approx(5e-170, rel=1e-15)
+
+    @given(st.lists(st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100,
+                                       allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=6))
+    def test_scaled_norm_is_the_plain_norm_in_range(self, moments):
+        # scaling by a power of two is exact, so where abs(m) ** 2 neither
+        # overflows nor underflows the bits are those of the plain formula
+        try:
+            _, value = find_witness_field(moments, threshold=0.0)
+        except NoWitnessError:
+            return
+        assert value == math.sqrt(sum(abs(m) ** 2 for m in moments))
 
     def test_maximizer_is_attained(self, chebyshev_orbit):
         # mu(witness) computed directly equals the reported norm
