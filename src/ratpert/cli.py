@@ -478,7 +478,10 @@ def _census(map: MapSpec, period: int, seed_count: int = 500, tol: float = 1e-9)
 def _pick_cycle(map: MapSpec, opts):
     period = opts["period"]
     if opts.get("point") is not None:
-        return cycle_from_point(map, opts["point"], period)
+        try:
+            return cycle_from_point(map, opts["point"], period)
+        except ValueError as err:
+            raise RatpertError(str(err)) from None
     cycles = _census(map, period)
     if not cycles:
         raise RatpertError(f"no period-{period} cycles found")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cycles import Cycle, _build_cycle, _newton_polish, solve_alpha_on_cycle
+from .cycles import Cycle, _build_cycle, _newton_polish, _within_tolerance, solve_alpha_on_cycle
 from .errors import InvalidCycleError, ParabolicCycleError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, perturbed
@@ -54,8 +54,12 @@ def continue_cycle(
 ) -> ContinuationResult:
     """Track the cycle from lambda = 0 to lambda_target.
 
-    The step is halved whenever the corrector fails or the base point
-    jumps implausibly far; if the step underflows, the path so far is
+    At lambda = 0 and after every corrector step the cycle comes from the
+    census's period solver (`_newton_polish`, `_build_cycle` with the
+    tracked point as base) and must pass its residual gate,
+    `_within_tolerance`, at max(tol, 1e-12); the gate scales with the
+    multiplier.  The step is halved whenever the corrector fails or the base
+    point jumps implausibly far; if the step underflows, the path so far is
     returned with stopped_reason "newton_failure".  Crossing down through
     |multiplier| = 1 + degeneracy_margin stops with "multiplier_degenerate".
     """
@@ -65,11 +69,12 @@ def continue_cycle(
         raise InvalidCycleError(
             f"cycle multiplier {cycle.multiplier} is not repelling"
         )
+    tol = max(tol, 1e-12)
     base = _newton_polish(map, cycle.base, cycle.period)
     if base is None:
         raise InvalidCycleError("Newton fails on the cycle at lambda = 0")
-    current = _rebuild(map, base, cycle.period, tol)
-    if current is None:
+    current = _build_cycle(map, base, cycle.period)
+    if not _within_tolerance(current, tol):
         raise InvalidCycleError("cycle does not satisfy its equation at lambda = 0")
 
     lambda_target = complex(lambda_target)
@@ -101,7 +106,9 @@ def continue_cycle(
                 1.0, abs(cycles[-1].base)
             )
             if jump <= allowed:
-                accepted = _rebuild(next_map, corrected, cycles[-1].period, tol)
+                accepted = _build_cycle(next_map, corrected, cycles[-1].period)
+                if not _within_tolerance(accepted, tol):
+                    accepted = None
         if accepted is None:
             step = step / 2.0
             if abs(step) < min_step:
@@ -121,14 +128,6 @@ def continue_cycle(
     else:
         velocity = 0j
     return ContinuationResult(tuple(path), tuple(cycles), velocity, reason)
-
-
-def _rebuild(map: MapSpec, base: complex, period: int, tol: float) -> Cycle | None:
-    """Cycle through `base` for `map`, keeping `base` as the tracked point."""
-    cycle = _build_cycle(map, base, period)
-    if cycle.residual > max(tol, 1e-12) * max(1.0, abs(base)):
-        return None
-    return cycle
 
 
 class MotionCheck(NamedTuple):

@@ -4,8 +4,9 @@ conjugacy equation v = alpha(R(z)) - DR(z) alpha(z) on a cycle.
 For a polynomial map the census finds every root of f^n(z) - z at once
 (Aberth-Ehrlich sweeps seeded by the backward tree of a repelling fixed
 point), then builds one cycle per group of roots; other maps run Newton
-from seeds.  Both share one polish, one minimal-period test and one cycle
-builder with cycle_from_point and the continuation.
+from seeds.  Both share one period solver (one polish, one cycle builder,
+one minimal-period test and one residual gate) with cycle_from_point, the
+continuation and the classification of z**d + c.
 
 On a period-n cycle the functional equation closes up into an n-by-n cyclic
 linear system with an explicit solution: propagate forward and divide the
@@ -37,6 +38,10 @@ KEY_DECIMALS = 8
 #: rounding in f^n grows with the derivative, so no smaller residual is
 #: reachable on a strongly repelling cycle.
 NEWTON_TOL = 1e-14
+
+#: Newton gives up on a point once it leaves |z| < this: it is walking to a
+#: cycle at infinity (or overflowing), not to a finite one.
+NEWTON_MAX_MODULUS = 1e8
 
 #: Largest root count d**period of a polynomial census.  d = 2 reaches
 #: period 12, where the 4,096 roots take well under a second; d = 3 reaches
@@ -161,7 +166,13 @@ def _minimal_period(points: Sequence[complex]) -> int:
 def _newton_polish(
     map: MapSpec, z: complex, period: int, max_iter: int = 40
 ) -> complex | None:
+    """Newton on f^n(z) - z from z: the point it stops at, or None on a
+    pole, a non-finite value, |z| >= NEWTON_MAX_MODULUS, or no stop within
+    max_iter steps.  Every scalar solve of f^n(z) = z runs it."""
     for _ in range(max_iter):
+        size = abs(z)
+        if not size < NEWTON_MAX_MODULUS:
+            return None
         w = z
         deriv = 1 + 0j
         try:
@@ -173,8 +184,13 @@ def _newton_polish(
             return None
         f = w - z
         # rounding in f^n(z) grows with |(f^n)'(z)|, so an unscaled test
-        # sits below the floor of strongly repelling cycles
-        if abs(f) <= NEWTON_TOL * max(1.0, abs(z)) * max(1.0, abs(deriv)):
+        # sits below the floor of strongly repelling cycles; an overflowed
+        # test would pass anything, and a non-finite f fails it and then
+        # the step checks below
+        stop = NEWTON_TOL * max(1.0, size) * max(1.0, abs(deriv))
+        if not math.isfinite(stop):
+            return None
+        if abs(f) <= stop:
             return z
         fprime = deriv - 1.0
         if fprime == 0 or not math.isfinite(abs(fprime)):
@@ -254,6 +270,10 @@ def find_cycles(
 def _newton_many(
     map: MapSpec, z: np.ndarray, period: int, tol: float, max_iter: int = 80
 ) -> list[complex]:
+    """The seed pass of a non-polynomial census: Newton on f^n(z) - z from
+    every seed at once, keeping the points whose residual reached tol, as
+    candidates for _collect_cycles.  Scalar _newton_polish over the raw
+    seeds is several times slower."""
     z = z.astype(complex).copy()
     alive = np.ones(z.shape, dtype=bool)
     done = np.zeros(z.shape, dtype=bool)
@@ -272,7 +292,7 @@ def _newton_many(
                 w = np.where(ok, value, w)
             f = w - z
             fprime = deriv - 1.0
-            ok &= np.isfinite(f) & (np.abs(z) < 1e8)
+            ok &= np.isfinite(f) & (np.abs(z) < NEWTON_MAX_MODULUS)
             newly_done = ok & (np.abs(f) <= tol * np.maximum(1.0, np.abs(z)))
             done |= newly_done
             alive &= ok & ~newly_done
@@ -334,10 +354,12 @@ def _collect_cycles(
 
 
 def _within_tolerance(cycle: Cycle, tol: float) -> bool:
-    """|f^n(p) - p| at the base point p is at most tol * max(1, |p|), or at
-    most the rounding floor _newton_polish stops at, when that is larger."""
+    """The one residual gate on a solved cycle: |f^n(p) - p| at the base
+    point p is at most tol * max(1, |p|), or at most the rounding floor
+    _newton_polish stops at, when that is larger.  A bound that overflowed
+    passes nothing."""
     bound = max(tol, NEWTON_TOL * abs(cycle.multiplier)) * max(1.0, abs(cycle.base))
-    return cycle.residual <= bound
+    return math.isfinite(bound) and cycle.residual <= bound
 
 
 def _claim(candidates: np.ndarray, points: Sequence[complex], reach: float) -> np.ndarray:
@@ -560,7 +582,8 @@ def cycle_from_point(
     """Newton from z0 on the period equation; base point stays the converged
     point (no canonical rotation), so the caller controls which cycle point
     the result tracks.  If the converged orbit has a smaller minimal period,
-    the cycle is returned at that period."""
+    the cycle is returned at that period.  Raises ValueError when Newton
+    fails (see _newton_polish) or the cycle fails _within_tolerance."""
     polished = _newton_polish(map, complex(z0), period)
     if polished is None:
         raise ValueError(f"Newton did not converge from {z0} at period {period}")

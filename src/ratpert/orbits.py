@@ -14,16 +14,20 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     CriticalRelationError,
     InvalidOrbitError,
+    PoleError,
     RootFindingError,
 )
 from .maps import MapSpec, default_escape_radius, eval_map, is_critical_point
 from .polynomial import Polynomial, poly_roots
 from .xcomplex import XComplex, _from_parts, _magnitude, _mul, _normalize, _reciprocal
+
+if TYPE_CHECKING:
+    from .cycles import Cycle
 
 #: Orbit points closer than this (relative) to a critical point are a
 #: critical relation: the cocycle formulas divide by quantities that vanish.
@@ -39,7 +43,8 @@ SUMMABILITY_MARGIN = 0.05
 #: evidence.
 STABILIZATION_TOL = 1e-9
 
-#: Cycle coincidence tolerance for parameter classification.
+#: Cycle coincidence tolerance for parameter classification, and the
+#: residual gate of the cycle solved from a coincidence.
 CYCLE_DETECT_TOL = 1e-9
 
 
@@ -299,13 +304,6 @@ def _unicritical_step(z: complex, c: complex, d: int) -> complex:
     return w + c
 
 
-def _unicritical_derivative(z: complex, d: int) -> complex:
-    w = complex(d)
-    for _ in range(d - 1):
-        w = w * z
-    return w
-
-
 def classify_parameter(
     c: complex,
     d: int,
@@ -315,8 +313,10 @@ def classify_parameter(
     """Classify c for the family z**d + c by iterating the critical orbit.
 
     Escape is decided by radius crossing; attraction by Brent-style cycle
-    detection followed by Newton refinement of the detected cycle and a
-    multiplier check.  Anything else is undecided within the budget.
+    detection, then the census's period solver on the coincidence
+    (`cycles.cycle_from_point`: its Newton, minimal period and residual
+    gate `_within_tolerance` at CYCLE_DETECT_TOL) and |multiplier| < 1.
+    Anything else is undecided within the budget.
     """
     if d < 2:
         raise ValueError("family degree must be >= 2")
@@ -339,10 +339,9 @@ def classify_parameter(
             and abs(z - anchor) < CYCLE_DETECT_TOL * max(1.0, abs(z))
         ):
             refinement_attempts += 1
-            found = _refine_attracting_cycle(c, d, z, k - anchor_index)
-            if found is not None:
-                period, multiplier = found
-                return ParameterClass("attracting", period, multiplier, k)
+            cycle = _refine_coincidence(c, d, z, k - anchor_index)
+            if cycle is not None and abs(cycle.multiplier) < 1.0:
+                return ParameterClass("attracting", cycle.period, cycle.multiplier, k)
         if k == next_power:
             anchor = z
             anchor_index = k
@@ -351,53 +350,17 @@ def classify_parameter(
     return ParameterClass("undecided", None, None, n_max)
 
 
-def _refine_attracting_cycle(
-    c: complex, d: int, z0: complex, m: int
-) -> tuple[int, complex] | None:
-    """Newton-refine a period-m coincidence; return (minimal period, multiplier)
-    if it certifies an attracting cycle, else None."""
-    z = z0
-    for _ in range(60):
-        w = z
-        deriv = 1 + 0j
-        for _ in range(m):
-            deriv *= _unicritical_derivative(w, d)
-            w = _unicritical_step(w, c, d)
-        f = w - z
-        fprime = deriv - 1.0
-        if abs(f) <= 1e-13 * max(1.0, abs(z)):
-            break
-        if fprime == 0 or not math.isfinite(abs(fprime)):
-            return None
-        step = f / fprime
-        if not math.isfinite(abs(step)) or abs(step) > 1.0 + abs(z):
-            return None
-        z = z - step
-    else:
-        return None
+def _refine_coincidence(c: complex, d: int, z: complex, m: int) -> Cycle | None:
+    """The cycle of z**d + c through the solved point near z, at its minimal
+    period dividing m, or None when the period solver rejects it."""
+    # cycles imports julia_sample from here, so it is imported on use
+    from .cycles import cycle_from_point
 
-    # minimal period among divisors of m
-    period = m
-    for q in range(1, m):
-        if m % q:
-            continue
-        w = z
-        for _ in range(q):
-            w = _unicritical_step(w, c, d)
-        if abs(w - z) < 1e-8 * max(1.0, abs(z)):
-            period = q
-            break
-
-    w = z
-    multiplier = 1 + 0j
-    for _ in range(period):
-        multiplier *= _unicritical_derivative(w, d)
-        w = _unicritical_step(w, c, d)
-    if abs(w - z) > 1e-9 * max(1.0, abs(z)):
+    map = MapSpec.unicritical(d, c)
+    try:
+        return cycle_from_point(map, z, m, tol=CYCLE_DETECT_TOL)
+    except ValueError:
         return None
-    if abs(multiplier) < 1.0:
-        return period, multiplier
-    return None
 
 
 def julia_sample(
@@ -458,6 +421,8 @@ def _compose_into_fraction(
 def _repelling_periodic_point(map: MapSpec, max_period: int = 3) -> complex:
     """A finite periodic point of the lowest period <= max_period whose
     orbit multiplier satisfies |rho| > 1 (the strongest one found)."""
+    from .cycles import _build_cycle
+
     num_n, den_n = Polynomial((0j, 1 + 0j)), Polynomial((1 + 0j,))
     d = map.degree
     for n in range(1, max_period + 1):
@@ -476,17 +441,12 @@ def _repelling_periodic_point(map: MapSpec, max_period: int = 3) -> complex:
         best_mult = 1.0 + 1e-9
         for z in candidates:
             try:
-                mult = 1 + 0j
-                w = z
-                for _ in range(n):
-                    value, dz = eval_map(map, w)
-                    mult *= dz
-                    w = value
-            except Exception:
+                cycle = _build_cycle(map, z, n)
+            except PoleError:
                 continue
-            if abs(w - z) < 1e-6 * max(1.0, abs(z)) and abs(mult) > best_mult:
+            if cycle.residual < 1e-6 * max(1.0, abs(z)) and abs(cycle.multiplier) > best_mult:
                 best = z
-                best_mult = abs(mult)
+                best_mult = abs(cycle.multiplier)
         if best is not None:
             return best
     raise RootFindingError(

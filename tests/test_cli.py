@@ -314,6 +314,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("usage error: bad value for --period") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["alpha", "continue", "check-motion"])
+    @pytest.mark.parametrize(
+        "map_text,point",
+        [("unicritical:2,-1+0i", "1e300"),
+         ("rational:0,0,1/0.3,1", "5"),
+         ("rational:0,0,1/0.3,1", "100")],
+    )
+    def test_point_without_a_cycle_is_one_error_line(self, command, map_text, point, capsys):
+        # Newton overflows from 1e300; on z^2 / (z + 0.3) it walks to the
+        # fixed point at infinity
+        args = [command, "--map", map_text, "--period", "1", "--point", point, "--field", "1"]
+        if command == "continue":
+            args += ["--lambda-target", "0.001"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_check_motion_on_a_strongly_repelling_cycle(self, capsys):
+        # the census's first period-9 cycle, |multiplier| about 2e4
+        args = ["check-motion", "--map", "unicritical:2,-0.5969-1.6758i", "--period", "9",
+                "--field", "1", "--h", "1e-6"]
+        assert main(args) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["discrepancy"] <= 1e-8 * abs(complex(*result["alpha"]))
+
     def test_polynomial_census_makes_no_seeds(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "default_cycle_seeds", _never_called)
         assert main(["cycles", "--map", "unicritical:2,-1+0i", "--period", "2",

@@ -102,6 +102,21 @@ class TestStronglyRepellingCycle:
         assert result.lambda_path[-1] == 1e-3
         assert result.final_cycle.residual <= 1e-12 * max(1.0, abs(result.final_cycle.base))
 
+    @pytest.mark.parametrize("period", [8, 9])
+    def test_most_repelling_census_cycles_continue(self, period):
+        # |multiplier| up to 7e4: f^n(z) - z cannot get below 1e-12 |z|
+        # here, so the continuation needs the census's multiplier-scaled
+        # gate to accept the cycles the census returns
+        m = MapSpec.unicritical(2, -0.5969 - 1.6758j)
+        cycles = sorted(find_cycles(m, period), key=lambda c: abs(c.multiplier))[-5:]
+        assert abs(cycles[-1].multiplier) > 1e4
+        for cyc in cycles:
+            result = continue_cycle(m, ONE_FIELD, cyc, 1e-6, steps=4)
+            assert result.stopped_reason == "reached_target"
+            assert len(result.lambda_path) == 5
+            chk = motion_velocity_check(m, ONE_FIELD, cyc, 1e-6)
+            assert chk.discrepancy <= 1e-8 * abs(chk.alpha)
+
 
 class TestMotionVelocity:
     def test_fixed_point_alpha_equals_derivative(self, squaring_map):

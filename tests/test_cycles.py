@@ -8,6 +8,7 @@ from ratpert import (
     Cycle,
     MapSpec,
     ParabolicCycleError,
+    Polynomial,
     VectorFieldSpec,
     cycle_from_point,
     default_cycle_seeds,
@@ -15,6 +16,7 @@ from ratpert import (
     find_cycles,
     solve_alpha_on_cycle,
 )
+from ratpert.cycles import _within_tolerance
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -96,6 +98,22 @@ class TestCycleFromPoint:
     def test_no_cycle_raises(self, squaring_map):
         with pytest.raises(ValueError):
             cycle_from_point(squaring_map, 0.5 + 0.5j, 1, tol=1e-15)
+
+    def test_overflowing_start_raises(self):
+        # at 1e200 the multiplier-scaled stop and gate overflow to inf,
+        # so an inf residual would pass both
+        with pytest.raises(ValueError):
+            cycle_from_point(MapSpec.unicritical(2, -1), 1e200, 1)
+
+    def test_walk_to_infinity_raises(self):
+        # z^2 / (z + 0.3) fixes infinity, and Newton from 5 walks there
+        m = MapSpec.rational(Polynomial((0, 0, 1)), Polynomial((0.3, 1)))
+        with pytest.raises(ValueError):
+            cycle_from_point(m, 5, 1)
+
+    def test_gate_rejects_an_overflowed_bound(self):
+        cycle = Cycle((1e200 + 0j,), 1, complex(math.inf, 0.0), math.inf)
+        assert not _within_tolerance(cycle, 1e-9)
 
 
 class TestSolveAlpha:

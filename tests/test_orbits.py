@@ -161,6 +161,36 @@ class TestClassifyParameter:
             assert classify_parameter(c, 2).kind == "escaping"
 
 
+class TestClassifyClosedForm:
+    """z^2 + c at c = lam/2 - lam^2/4 has the fixed point lam/2 with
+    multiplier lam; at c = -1 + mu/4 its 2-cycle, the roots p, q of
+    z^2 + z + c + 1, has multiplier 4pq = mu.
+
+    Error budget, from the residual gate the classification certifies
+    (|f^n(p) - p| <= CYCLE_DETECT_TOL * max(1, |p|)) and |1 - rho| >= 0.05
+    for |rho| <= 0.95: the solved point is within residual / |1 - rho| of
+    the cycle.  Period 1: |p| < 1, so p is within 2e-8 and rho = 2p within
+    4e-8.  Period 2: |p|, |q| <= (1 + sqrt(1.95)) / 2 < 1.2, so p is within
+    2.4e-8, and rho = 4 p (p^2 + c) moves by |4(q + 2p^2)| < 16.4 times
+    that, under 4e-7.  Rounding c itself adds about 1e-16 / 0.05."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
+    def test_fixed_point_multiplier(self, radius, angle):
+        lam = radius * complex(math.cos(angle), math.sin(angle))
+        got = classify_parameter(lam / 2 - lam * lam / 4, 2)
+        assert (got.kind, got.period) == ("attracting", 1)
+        assert abs(got.multiplier - lam) <= 4e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
+    def test_two_cycle_multiplier(self, radius, angle):
+        mu = radius * complex(math.cos(angle), math.sin(angle))
+        got = classify_parameter(-1 + mu / 4, 2)
+        assert (got.kind, got.period) == ("attracting", 2)
+        assert abs(got.multiplier - mu) <= 4e-7
+
+
 class TestParameterClassValidation:
     def test_attracting_requires_contracting_multiplier(self):
         from ratpert import ParameterClass
