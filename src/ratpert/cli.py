@@ -39,6 +39,7 @@ from .polynomial import Polynomial
 from .scan import Rectangle, ScanConfig, render_escape, scan_parameters
 
 WORKERS_ENV = "RATPERT_WORKERS"
+MAX_PERIOD = 4096  # a cycle holds `period` points: no --period may exhaust memory
 
 # ---------------------------------------------------------------------------
 # Textual parsers
@@ -203,7 +204,7 @@ def _parse_z_power(text: str, offset: int) -> int:
 @dataclass(frozen=True)
 class Option:
     flag: str
-    kind: str  # str | int | positive-int | float | finite-float | complex | map | field | path | region | resolution
+    kind: str  # str | int | positive-int | period | float | finite-float | complex | map | field | path | region | resolution
     default: Any
     help: str
     required: bool = False
@@ -224,7 +225,7 @@ _TOL = _opt("--tol", "finite-float", 1e-12, "series tolerance")
 _NMAX = _opt("--n-max", "int", 4096, "orbit / series length budget")
 _ESCAPE = _opt("--escape-radius", "float", None, "escape radius (default: map-dependent bound)")
 _POINT = _opt("--point", "complex", None, "cycle point seed (default: first found cycle)")
-_PERIOD = _opt("--period", "positive-int", None, "cycle period", required=True)
+_PERIOD = _opt("--period", "period", None, f"cycle period, at most {MAX_PERIOD}", required=True)
 _OUTPUT = _opt("--output", "str", "-", "output path, '-' for stdout")
 _CONFIG = _opt("--config", "str", None, "flat key=value config file; flags override it")
 
@@ -356,10 +357,12 @@ def _convert(opt: Option, raw: Any) -> Any:
         return raw
     if kind == "int":
         return int(raw)
-    if kind == "positive-int":
+    if kind in ("positive-int", "period"):
         value = int(raw)
         if value < 1:
             raise ValueError(f"must be >= 1, got {value}")
+        if kind == "period" and value > MAX_PERIOD:
+            raise ParseError(f"{opt.flag}: period {value} is above the cap of {MAX_PERIOD}")
         return value
     if kind == "float":
         return float(raw)
@@ -517,8 +520,7 @@ def _cmd_mu(opts) -> str:
 def _cmd_moments(opts) -> str:
     _, orbit = _orbit_from(opts)
     moments = moment_vector(orbit, opts["max_degree"], tol=opts["tol"])
-    payload = {"type": "moments", "moments": [[m.real, m.imag] for m in moments]}
-    return serialize.json_dumps(payload)
+    return serialize.json_dumps(serialize.encode(serialize.MomentsPayload(moments)))
 
 
 def _cmd_witness(opts) -> str:
@@ -548,20 +550,14 @@ def _cmd_obstruction(opts) -> str:
 def _cmd_cycles(opts) -> str:
     map = opts["map"]
     cycles = _census(map, opts["period"], opts["seed_count"], opts["newton_tol"])
-    payload = {"type": "cycles", "cycles": [serialize.encode(c) for c in cycles]}
-    return serialize.json_dumps(payload)
+    return serialize.json_dumps(serialize.encode(serialize.CyclesPayload(cycles)))
 
 
 def _cmd_alpha(opts) -> str:
     map = opts["map"]
     cycle = _pick_cycle(map, opts)
     solution = solve_alpha_on_cycle(map, cycle, opts["field"])
-    payload = {
-        "type": "cycle_alpha",
-        "cycle": serialize.encode(cycle),
-        "solution": serialize.encode(solution),
-    }
-    return serialize.json_dumps(payload)
+    return serialize.json_dumps(serialize.encode(serialize.CycleAlphaPayload(cycle, solution)))
 
 
 def _cmd_continue(opts) -> str:
@@ -606,9 +602,7 @@ def _cmd_scan(opts) -> str | bytes:
     if fmt == "csv":
         return serialize.scan_rows_to_csv(rows)
     if fmt == "json":
-        return serialize.json_dumps(
-            {"type": "scan", "rows": [serialize.encode(r) for r in rows]}
-        )
+        return serialize.json_dumps(serialize.encode(serialize.ScanPayload(rows)))
     return serialize.scan_heatmap_ppm(rows, config)
 
 
@@ -624,10 +618,8 @@ def _cmd_render(opts) -> str | bytes:
         raise ParseError(f"bad render configuration: {err}", 0) from None
     counts = render_escape(config, opts["max_iter"], julia_c=opts.get("julia"))
     if opts["format"] == "json":
-        return serialize.json_dumps(
-            {"type": "render", "max_iter": opts["max_iter"],
-             "counts": [[int(v) for v in row] for row in counts]}
-        )
+        payload = serialize.RenderPayload(opts["max_iter"], counts)
+        return serialize.json_dumps(serialize.encode(payload))
     return serialize.escape_image(counts, opts["max_iter"])
 
 

@@ -1,9 +1,14 @@
 """Bit-faithful serialization of result types.
 
-JSON: complex values are [re, im] pairs and extended-range values are
-{mantissa, exponent} objects; floats rely on Python's shortest round-trip
-repr, so parsing the output back reproduces the exact doubles.  Every
-payload carries a "type" tag and decode() rebuilds the original object.
+JSON: one table maps each "type" tag to a result type and the converters
+of the fields that take part in its equality, built at import from the
+annotations: complex values are [re, im] pairs, extended-range values
+{mantissa, exponent} objects, maps and fields {numerator, denominator}
+coefficient lists; `T | None` and `tuple[T, ...]` wrap the converter of T,
+and a registered type nests as its own tagged payload.  Floats use Python's
+shortest round-trip repr, so decode() rebuilds the exact object.  The text
+is strict JSON (RFC 8259): a non-finite float is the string "Infinity",
+"-Infinity" or "NaN", and decode() reads every float back with float().
 
 CSV: scan rows only, with the fixed column order
 c_re, c_im, class, period, summability, growth_exponent, mu_re, mu_im, flags.
@@ -13,9 +18,13 @@ PPM: binary P6 with the fixed color maps documented on the writers.
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import json
 import math
-from typing import Any
+import typing
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +36,7 @@ from .mu import MuResult, WitnessResult
 from .obstruction import ObstructionSeries
 from .orbits import OrbitRecord, ParameterClass, SummabilityReport
 from .polynomial import Polynomial
-from .scan import HeatmapGrid, ScanConfig, ScanRow
+from .scan import HeatmapGrid, ScanConfig, ScanRow, growth_heatmap
 from .xcomplex import XComplex
 
 # ---------------------------------------------------------------------------
@@ -35,255 +44,160 @@ from .xcomplex import XComplex
 # ---------------------------------------------------------------------------
 
 
-def _c(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _float(x: float) -> float | str:
+    if math.isfinite(x):
+        return x
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _uc(pair) -> complex:
-    return complex(pair[0], pair[1])
+def _complex(z: complex) -> list:
+    return [z.real, z.imag] if cmath.isfinite(z) else [_float(z.real), _float(z.imag)]
 
 
-def _xc(x: XComplex) -> dict:
-    return {"mantissa": _c(x.mantissa), "exponent": x.exponent}
+def _uncomplex(pair) -> complex:
+    try:
+        return complex(*pair)
+    except TypeError:  # a non-finite part, written as a string
+        return complex(float(pair[0]), float(pair[1]))
 
 
-def _uxc(obj) -> XComplex:
-    return XComplex(_uc(obj["mantissa"]), int(obj["exponent"]))
+def _xcomplex(x: XComplex) -> dict:
+    return {"mantissa": _complex(x.mantissa), "exponent": x.exponent}
 
 
-def _poly(p: Polynomial) -> list:
-    return [_c(a) for a in p.coefficients]
+def _unxcomplex(obj) -> XComplex:
+    return XComplex(_uncomplex(obj["mantissa"]), int(obj["exponent"]))
 
 
-def _upoly(obj) -> Polynomial:
-    return Polynomial(tuple(_uc(pair) for pair in obj))
+def _fraction(cls: type) -> tuple[Callable, Callable]:
+    """Converters of a map or field: numerator and denominator coefficient lists."""
+    parts = ("numerator", "denominator")
+    return (
+        lambda f: {k: list(map(_complex, getattr(f, k).coefficients)) for k in parts},
+        lambda obj: cls(*(Polynomial(tuple(map(_uncomplex, obj[k]))) for k in parts)),
+    )
 
 
-def _map(m: MapSpec) -> dict:
-    return {"numerator": _poly(m.numerator), "denominator": _poly(m.denominator)}
+def _same(x):
+    return x
 
 
-def _umap(obj) -> MapSpec:
-    return MapSpec(_upoly(obj["numerator"]), _upoly(obj["denominator"]))
+# (to_json, from_json) of the field types that are not built from parts
+_LEAVES: dict[Any, tuple[Callable, Callable]] = {
+    int: (_same, _same),
+    str: (_same, _same),
+    bool: (_same, _same),
+    float: (_float, float),
+    complex: (_complex, _uncomplex),
+    XComplex: (_xcomplex, _unxcomplex),
+    MapSpec: _fraction(MapSpec),
+    VectorFieldSpec: _fraction(VectorFieldSpec),
+    np.ndarray: (np.ndarray.tolist, partial(np.asarray, dtype=np.int32)),  # escape counts
+}
 
 
-def _field(v: VectorFieldSpec) -> dict:
-    return {"numerator": _poly(v.numerator), "denominator": _poly(v.denominator)}
+class _Entry(NamedTuple):
+    tag: str
+    # (attribute, key, to_json, from_json); a property has no from_json
+    fields: tuple[tuple[str, str, Callable, Callable | None], ...]
+    build: Callable[..., Any]
 
 
-def _ufield(obj) -> VectorFieldSpec:
-    return VectorFieldSpec(_upoly(obj["numerator"]), _upoly(obj["denominator"]))
+_BY_TYPE: dict[type, _Entry] = {}
+_BY_TAG: dict[str, _Entry] = {}
+
+
+def _converters(hint) -> tuple[Callable, Callable]:
+    if hint in _LEAVES:
+        return _LEAVES[hint]
+    if hint in _BY_TYPE:
+        return encode, decode
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and args[1:] == (Ellipsis,):
+        enc, dec = _converters(args[0])
+        return (lambda xs: list(map(enc, xs))), (lambda xs: tuple(map(dec, xs)))
+    if len(args) == 2 and type(None) in args:
+        enc, dec = _converters(args[args[0] is type(None)])
+        return (lambda x: None if x is None else enc(x)), (lambda x: None if x is None else dec(x))
+    raise TypeError(f"no JSON converter for {hint!r}")
+
+
+def _register(tag: str, cls: type, keys: dict[str, str] | None = None,
+              extras: tuple[str, ...] = (), build: Callable[..., Any] | None = None) -> None:
+    """Add payload `tag` for `cls`: its fields that take part in equality,
+    under their own names unless `keys` renames them, then the `extras`
+    properties.  decode() calls `build` (the class by default) with the
+    fields as keywords."""
+    if tag in _BY_TAG or cls in _BY_TYPE:
+        raise ValueError(f"payload tag {tag!r} or type {cls.__name__} registered twice")
+    if dataclasses.is_dataclass(cls):
+        names = [f.name for f in dataclasses.fields(cls) if f.compare]
+    else:  # a NamedTuple compares every field
+        names = cls._fields
+    hints = typing.get_type_hints(cls)
+    keys = keys or {}
+    fields = [(n, keys.get(n, n), *_converters(hints[n])) for n in names]
+    for n in extras:
+        hint = typing.get_type_hints(getattr(cls, n).fget)["return"]
+        fields.append((n, n, _converters(hint)[0], None))
+    _BY_TYPE[cls] = _BY_TAG[tag] = _Entry(tag, tuple(fields), build or cls)
 
 
 def encode(obj: Any) -> dict:
-    """Typed JSON-ready payload for any public result object."""
-    if isinstance(obj, OrbitRecord):
-        return {
-            "type": "orbit",
-            "map": _map(obj.map),
-            "points": [_c(z) for z in obj.points],
-            "cocycle": [_xc(x) for x in obj.cocycle],
-            "partial_sums_abs": list(obj.partial_sums_abs),
-            "escaped_at": obj.escaped_at,
-            "truncated_at": obj.truncated_at,
-            "critical_relation_at": obj.critical_relation_at,
-        }
-    if isinstance(obj, SummabilityReport):
-        return {
-            "type": "summability",
-            "partial_sum": obj.partial_sum,
-            "tail_ratio": obj.tail_ratio,
-            "classification": obj.classification,
-            "last_increment": obj.last_increment,
-            "tail_estimate": obj.tail_estimate,
-            "window": obj.window,
-            "n_terms": obj.n_terms,
-        }
-    if isinstance(obj, MuResult):
-        return {
-            "type": "mu",
-            "value": _c(obj.value),
-            "partial": [_c(z) for z in obj.partial],
-            "tail_bound": obj.tail_bound,
-            "converged": obj.converged,
-            "terms_used": obj.terms_used,
-        }
-    if isinstance(obj, ObstructionSeries):
-        return {
-            "type": "obstruction",
-            "b": [_xc(x) for x in obj.b],
-            "growth_exponent": obj.growth_exponent,
-            "bounded_evidence": obj.bounded_evidence,
-        }
-    if isinstance(obj, Cycle):
-        return {
-            "type": "cycle",
-            "points": [_c(z) for z in obj.points],
-            "period": obj.period,
-            "multiplier": _c(obj.multiplier),
-            "residual": obj.residual,
-            "classification": obj.classification,
-        }
-    if isinstance(obj, CycleAlphaSolution):
-        return {
-            "type": "alpha",
-            "alpha": [_c(z) for z in obj.alpha],
-            "residuals": list(obj.residuals),
-        }
-    if isinstance(obj, ContinuationResult):
-        return {
-            "type": "continuation",
-            "lambda_path": [_c(z) for z in obj.lambda_path],
-            "cycles": [encode(c) for c in obj.cycles],
-            "velocity_at_zero": _c(obj.velocity_at_zero),
-            "stopped_reason": obj.stopped_reason,
-        }
-    if isinstance(obj, MotionCheck):
-        return {
-            "type": "motion_check",
-            "alpha": _c(obj.alpha),
-            "fd_velocity": _c(obj.fd_velocity),
-            "discrepancy": obj.discrepancy,
-        }
-    if isinstance(obj, WitnessResult):
-        return {
-            "type": "witness",
-            "field": _field(obj.field),
-            "mu_value": _c(obj.mu_value),
-        }
-    if isinstance(obj, ParameterClass):
-        return {
-            "type": "parameter_class",
-            "kind": obj.kind,
-            "period": obj.period,
-            "multiplier": None if obj.multiplier is None else _c(obj.multiplier),
-            "iterations_used": obj.iterations_used,
-        }
-    if isinstance(obj, ScanRow):
-        return {
-            "type": "scan_row",
-            "c": _c(obj.c),
-            "class": obj.kind,
-            "period": obj.period,
-            "summability": obj.summability,
-            "growth_exponent": obj.growth_exponent,
-            "mu": None if obj.mu_constant is None else _c(obj.mu_constant),
-            "flags": list(obj.flags),
-        }
-    raise TypeError(f"no JSON encoding for {type(obj).__name__}")
+    """Typed JSON-ready payload for any registered result object."""
+    entry = _BY_TYPE.get(type(obj))
+    if entry is None:
+        raise TypeError(f"no JSON encoding for {type(obj).__name__}")
+    payload = {"type": entry.tag}
+    for name, key, to_json, _ in entry.fields:
+        payload[key] = to_json(getattr(obj, name))
+    return payload
 
 
 def decode(payload: dict) -> Any:
     """Inverse of encode()."""
-    kind = payload["type"]
-    if kind == "orbit":
-        return OrbitRecord(
-            map=_umap(payload["map"]),
-            points=tuple(_uc(p) for p in payload["points"]),
-            cocycle=tuple(_uxc(x) for x in payload["cocycle"]),
-            partial_sums_abs=tuple(float(x) for x in payload["partial_sums_abs"]),
-            escaped_at=payload["escaped_at"],
-            truncated_at=payload["truncated_at"],
-            critical_relation_at=payload["critical_relation_at"],
-        )
-    if kind == "summability":
-        return SummabilityReport(
-            partial_sum=payload["partial_sum"],
-            tail_ratio=payload["tail_ratio"],
-            classification=payload["classification"],
-            last_increment=payload["last_increment"],
-            tail_estimate=payload["tail_estimate"],
-            window=payload["window"],
-            n_terms=payload["n_terms"],
-        )
-    if kind == "mu":
-        return MuResult(
-            value=_uc(payload["value"]),
-            partial=tuple(_uc(p) for p in payload["partial"]),
-            tail_bound=payload["tail_bound"],
-            converged=payload["converged"],
-            terms_used=payload["terms_used"],
-        )
-    if kind == "obstruction":
-        return ObstructionSeries(
-            b=tuple(_uxc(x) for x in payload["b"]),
-            growth_exponent=payload["growth_exponent"],
-            bounded_evidence=payload["bounded_evidence"],
-        )
-    if kind == "cycle":
-        return Cycle(
-            points=tuple(_uc(p) for p in payload["points"]),
-            period=payload["period"],
-            multiplier=_uc(payload["multiplier"]),
-            residual=payload["residual"],
-        )
-    if kind == "alpha":
-        return CycleAlphaSolution(
-            alpha=tuple(_uc(p) for p in payload["alpha"]),
-            residuals=tuple(float(x) for x in payload["residuals"]),
-        )
-    if kind == "continuation":
-        return ContinuationResult(
-            lambda_path=tuple(_uc(p) for p in payload["lambda_path"]),
-            cycles=tuple(decode(c) for c in payload["cycles"]),
-            velocity_at_zero=_uc(payload["velocity_at_zero"]),
-            stopped_reason=payload["stopped_reason"],
-        )
-    if kind == "motion_check":
-        return MotionCheck(
-            alpha=_uc(payload["alpha"]),
-            fd_velocity=_uc(payload["fd_velocity"]),
-            discrepancy=payload["discrepancy"],
-        )
-    if kind == "witness":
-        return WitnessResult(
-            field=_ufield(payload["field"]), mu_value=_uc(payload["mu_value"])
-        )
-    if kind == "parameter_class":
-        return ParameterClass(
-            kind=payload["kind"],
-            period=payload["period"],
-            multiplier=None
-            if payload["multiplier"] is None
-            else _uc(payload["multiplier"]),
-            iterations_used=payload["iterations_used"],
-        )
-    if kind == "scan_row":
-        return ScanRow(
-            c=_uc(payload["c"]),
-            kind=payload["class"],
-            period=payload["period"],
-            summability=payload["summability"],
-            growth_exponent=payload["growth_exponent"],
-            mu_constant=None if payload["mu"] is None else _uc(payload["mu"]),
-            flags=tuple(payload["flags"]),
-        )
-    # composite CLI payloads
-    if kind == "moments":
-        return tuple(_uc(pair) for pair in payload["moments"])
-    if kind == "cycles":
-        return tuple(decode(c) for c in payload["cycles"])
-    if kind == "cycle_alpha":
-        return {
-            "cycle": decode(payload["cycle"]),
-            "solution": decode(payload["solution"]),
-        }
-    if kind == "scan":
-        return tuple(decode(r) for r in payload["rows"])
-    if kind == "render":
-        return np.asarray(payload["counts"], dtype=np.int32)
-    raise ValueError(f"unknown payload type {kind!r}")
+    entry = _BY_TAG.get(payload["type"])
+    if entry is None:
+        raise ValueError(f"unknown payload type {payload['type']!r}")
+    return entry.build(**{name: dec(payload[key]) for name, key, _, dec in entry.fields if dec})
+
+
+# The CLI's composite payloads.  decode() returns what they hold: a tuple, a
+# {"cycle", "solution"} dict, or the int32 count grid.
+MomentsPayload = NamedTuple("MomentsPayload", [("moments", tuple[complex, ...])])
+CyclesPayload = NamedTuple("CyclesPayload", [("cycles", tuple[Cycle, ...])])
+CycleAlphaPayload = NamedTuple(
+    "CycleAlphaPayload", [("cycle", Cycle), ("solution", CycleAlphaSolution)]
+)
+ScanPayload = NamedTuple("ScanPayload", [("rows", tuple[ScanRow, ...])])
+RenderPayload = NamedTuple("RenderPayload", [("max_iter", int), ("counts", np.ndarray)])
+
+
+_register("orbit", OrbitRecord)
+_register("summability", SummabilityReport)
+_register("mu", MuResult)
+_register("obstruction", ObstructionSeries)
+_register("cycle", Cycle, extras=("classification",))
+_register("alpha", CycleAlphaSolution)
+_register("continuation", ContinuationResult)
+_register("motion_check", MotionCheck)
+_register("witness", WitnessResult)
+_register("parameter_class", ParameterClass)
+_register("scan_row", ScanRow, keys={"kind": "class", "mu_constant": "mu"})
+_register("moments", MomentsPayload, build=lambda moments: moments)
+_register("cycles", CyclesPayload, build=lambda cycles: cycles)
+_register("cycle_alpha", CycleAlphaPayload, build=dict)
+_register("scan", ScanPayload, build=lambda rows: rows)
+_register("render", RenderPayload, build=lambda max_iter, counts: counts)
 
 
 def json_dumps(payload: Any) -> str:
-    """Deterministic JSON text (insertion-ordered keys, trailing newline).
-
-    Non-finite floats use Python's extended literals (Infinity, NaN), for
-    instance the -Infinity growth exponent of an identically-zero
-    obstruction sequence and the Infinity tail bound of a mu series whose
-    tail ratio is not below 1.
-    """
-    return json.dumps(payload, indent=2) + "\n"
+    """Deterministic strict JSON text (insertion-ordered keys, trailing
+    newline).  encode() writes non-finite floats as strings, such as the
+    "-Infinity" growth exponent of an identically-zero obstruction sequence
+    or the "Infinity" tail bound of a mu series whose tail ratio is not
+    below 1; a bare non-finite float raises ValueError here."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def json_loads(text: str) -> Any:
@@ -386,6 +300,4 @@ def heatmap_image(grid: HeatmapGrid) -> bytes:
 
 
 def scan_heatmap_ppm(rows, config: ScanConfig) -> bytes:
-    from .scan import growth_heatmap
-
     return heatmap_image(growth_heatmap(tuple(rows), config))
