@@ -39,7 +39,12 @@ from .polynomial import Polynomial
 from .scan import Rectangle, ScanConfig, render_escape, scan_parameters
 
 WORKERS_ENV = "RATPERT_WORKERS"
-MAX_PERIOD = 4096  # a cycle holds `period` points: no --period may exhaust memory
+# Caps checked while the options are parsed, before any work, so that no
+# flag value can exhaust memory (exit 2, one line).
+MAX_PERIOD = 4096  # a cycle holds `period` points
+MAX_TERMS = 1 << 18  # --n-max, --terms, --orbit-length, --max-iter: an orbit keeps every step
+MAX_STEPS = 4096  # --steps: a continuation keeps the whole cycle at every step
+MAX_PIXELS = 1 << 20  # --resolution nx*ny: one scan row or escape count per point
 
 # ---------------------------------------------------------------------------
 # Textual parsers
@@ -204,28 +209,30 @@ def _parse_z_power(text: str, offset: int) -> int:
 @dataclass(frozen=True)
 class Option:
     flag: str
-    kind: str  # str | int | positive-int | period | float | finite-float | complex | map | field | path | region | resolution
+    kind: str  # str | int | positive-int | float | finite-float | complex | map | field | path | region | resolution
     default: Any
     help: str
     required: bool = False
+    cap: int | None = None  # the largest int value accepted
 
     @property
     def key(self) -> str:
         return self.flag.lstrip("-").replace("-", "_")
 
 
-def _opt(flag, kind, default, help, required=False):
-    shown = help if default is None else f"{help} (default: {default})"
-    return Option(flag, kind, default, shown, required)
+def _opt(flag, kind, default, help, required=False, cap=None):
+    shown = help if cap is None else f"{help} (at most {cap})"
+    shown = shown if default is None else f"{shown} (default: {default})"
+    return Option(flag, kind, default, shown, required, cap)
 
 
 _MAP = _opt("--map", "map", None, "map spec, e.g. unicritical:2,-2+0i", required=True)
 _FIELD = _opt("--field", "field", "1", "perturbation field, e.g. '1' or '2*z^2-1'")
 _TOL = _opt("--tol", "finite-float", 1e-12, "series tolerance")
-_NMAX = _opt("--n-max", "int", 4096, "orbit / series length budget")
+_NMAX = _opt("--n-max", "positive-int", 4096, "orbit / series length budget", cap=MAX_TERMS)
 _ESCAPE = _opt("--escape-radius", "float", None, "escape radius (default: map-dependent bound)")
 _POINT = _opt("--point", "complex", None, "cycle point seed (default: first found cycle)")
-_PERIOD = _opt("--period", "period", None, f"cycle period, at most {MAX_PERIOD}", required=True)
+_PERIOD = _opt("--period", "positive-int", None, "cycle period", required=True, cap=MAX_PERIOD)
 _OUTPUT = _opt("--output", "str", "-", "output path, '-' for stdout")
 _CONFIG = _opt("--config", "str", None, "flat key=value config file; flags override it")
 
@@ -264,7 +271,7 @@ COMMANDS: dict[str, dict] = {
     },
     "obstruction": {
         "help": "derivative-weighted partial-sum sequence and growth fit",
-        "options": [_MAP, _FIELD, _opt("--terms", "int", 200, "sequence length"),
+        "options": [_MAP, _FIELD, _opt("--terms", "positive-int", 200, "sequence length", cap=MAX_TERMS),
                     _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "cycles": {
@@ -282,7 +289,7 @@ COMMANDS: dict[str, dict] = {
         "help": "continue a repelling cycle along R + lambda v",
         "options": [_MAP, _PERIOD, _FIELD, _POINT,
                     _opt("--lambda-target", "complex", None, "target lambda", required=True),
-                    _opt("--steps", "int", 16, "path subdivisions"),
+                    _opt("--steps", "positive-int", 16, "path subdivisions", cap=MAX_STEPS),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "check-motion": {
@@ -295,9 +302,9 @@ COMMANDS: dict[str, dict] = {
         "help": "sweep unicritical parameters over a grid or path",
         "options": [_opt("--d", "int", 2, "family degree"),
                     _opt("--region", "region", None, "re_min:re_max:im_min:im_max"),
-                    _opt("--resolution", "resolution", None, "nx,ny"),
+                    _opt("--resolution", "resolution", None, "nx,ny; nx*ny", cap=MAX_PIXELS),
                     _opt("--path", "path", None, "comma-separated c values (overrides region)"),
-                    _opt("--orbit-length", "int", 256, "orbit budget per parameter"),
+                    _opt("--orbit-length", "int", 256, "orbit budget per parameter", cap=MAX_TERMS),
                     _FIELD, _ESCAPE,
                     _opt("--workers", "int", None, f"worker processes (default: ${WORKERS_ENV} or 1)"),
                     _fmt("csv", "csv", "json", "ppm"), _OUTPUT, _CONFIG],
@@ -306,8 +313,8 @@ COMMANDS: dict[str, dict] = {
         "help": "escape-time image of the parameter or dynamical plane",
         "options": [_opt("--d", "int", 2, "family degree"),
                     _opt("--region", "region", None, "re_min:re_max:im_min:im_max", required=True),
-                    _opt("--resolution", "resolution", None, "nx,ny", required=True),
-                    _opt("--max-iter", "int", 256, "iteration cap"),
+                    _opt("--resolution", "resolution", None, "nx,ny; nx*ny", required=True, cap=MAX_PIXELS),
+                    _opt("--max-iter", "positive-int", 256, "iteration cap", cap=MAX_TERMS),
                     _opt("--julia", "complex", None, "fixed c: render the dynamical plane"),
                     _ESCAPE, _fmt("ppm", "ppm", "json"), _OUTPUT, _CONFIG],
     },
@@ -349,20 +356,22 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _check_cap(opt: Option, value: int) -> None:
+    if opt.cap is not None and value > opt.cap:
+        raise ParseError(f"{opt.flag}: {value} is above the cap of {opt.cap}")
+
+
 def _convert(opt: Option, raw: Any) -> Any:
     if raw is None or not isinstance(raw, str):
         return raw
     kind = opt.kind
     if kind == "str":
         return raw
-    if kind == "int":
-        return int(raw)
-    if kind in ("positive-int", "period"):
+    if kind in ("int", "positive-int"):
         value = int(raw)
-        if value < 1:
+        if kind == "positive-int" and value < 1:
             raise ValueError(f"must be >= 1, got {value}")
-        if kind == "period" and value > MAX_PERIOD:
-            raise ParseError(f"{opt.flag}: period {value} is above the cap of {MAX_PERIOD}")
+        _check_cap(opt, value)
         return value
     if kind == "float":
         return float(raw)
@@ -388,7 +397,9 @@ def _convert(opt: Option, raw: Any) -> Any:
         parts = raw.split(",")
         if len(parts) != 2:
             raise ParseError("resolution must be nx,ny", 0)
-        return (int(parts[0]), int(parts[1]))
+        nx, ny = int(parts[0]), int(parts[1])
+        _check_cap(opt, nx * ny)
+        return (nx, ny)
     if kind.startswith("choice:"):
         allowed = kind[len("choice:") :].split(",")
         if raw not in allowed:

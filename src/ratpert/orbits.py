@@ -213,6 +213,8 @@ def summability_report(
         orbit.partial_sums_abs[k] - orbit.partial_sums_abs[k - 1]
         for k in range(1, last + 1)
     ]
+    if not math.isfinite(increments[-1]):  # inf - inf once the partial sums overflow
+        increments[-1] = orbit.cocycle[last].reciprocal().magnitude()
     return _tail_report(
         orbit.partial_sums_abs[last], log2_drop, increments, window, last + 1,
         stabilization_tol,

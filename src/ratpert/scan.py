@@ -45,6 +45,12 @@ class Rectangle:
             raise ValueError("rectangle must have re_min <= re_max and im_min <= im_max")
 
 
+#: The most worker processes a scan may start: scan_parameters starts
+#: min(worker_count, points) of them, so an unchecked count could start one
+#: process per point.
+MAX_WORKERS = 64
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """A sweep over a pixel-centered rectangle grid or an explicit c path."""
@@ -63,8 +69,8 @@ class ScanConfig:
             raise ValueError("family degree must be >= 2")
         if self.orbit_length < 16:
             raise ValueError("orbit_length must be >= 16")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
+        if not 1 <= self.worker_count <= MAX_WORKERS:
+            raise ValueError(f"worker_count must be between 1 and {MAX_WORKERS}, got {self.worker_count}")
         has_grid = self.region is not None or self.resolution is not None
         if has_grid == (self.path is not None):
             raise ValueError("provide either region+resolution or a path, not both")

@@ -23,7 +23,7 @@ import dataclasses
 import json
 import math
 import typing
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -191,13 +191,83 @@ _register("scan", ScanPayload, build=lambda rows: rows)
 _register("render", RenderPayload, build=lambda max_iter, counts: counts)
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+@cache
+def _layout(level: int) -> tuple[str, str, str, str]:
+    """A list's item and closing breaks at `level`, and its pair and XComplex item formats."""
+    outer, item, inner, leaf = ("\n" + "  " * (level + k) for k in range(4))
+    pair = f"[{inner}%r,{inner}%r{item}]"
+    xcomplex = f'{{{inner}"mantissa": [{leaf}%r,{leaf}%r{inner}],{inner}"exponent": %r{item}}}'
+    return item, outer, pair, xcomplex
+
+
+def _scalar(x: Any) -> str:
+    if isinstance(x, str):
+        return _string(x)
+    if x is None or type(x) is bool:
+        return {None: "null", True: "true", False: "false"}[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _key(k: Any) -> str:
+    """A str key as it is, any other as the quoted text of its value."""
+    return _string(k if isinstance(k, str) else _scalar(k))
+
+
+def _pair_columns(items: list) -> list | None:
+    # not zip(*items): its live iterator per item sets off the garbage collector
+    ok = {*map(type, items)} <= {list, tuple} and {*map(len, items)} == {2}
+    return [[p[0] for p in items], [p[1] for p in items]] if ok else None
+
+
+def _leaf_items(xs: list, level: int) -> str | None:
+    """The items of a list of finite floats, of [re, im] pairs of them or of
+    {"mantissa": [re, im], "exponent": int} objects, in one join; None for
+    any other list, which _write then walks item by item."""
+    sep, _, pair, xcomplex = _layout(level)
+    kinds, ints = {*map(type, xs)}, []
+    if kinds == {float}:
+        floats, fmt = [xs], "%r"
+    elif kinds <= {list, tuple}:
+        floats, fmt = _pair_columns(xs), pair
+    elif kinds == {dict} and {*map(tuple, xs)} == {("mantissa", "exponent")}:
+        floats, fmt = _pair_columns([d["mantissa"] for d in xs]), xcomplex
+        ints = [[d["exponent"] for d in xs]]
+    else:
+        return None
+    if floats and all([{*map(type, c)} == {float} and all(map(math.isfinite, c)) for c in floats]
+                      + [{*map(type, c)} == {int} for c in ints]):
+        return ("," + sep).join(map(fmt.__mod__, zip(*floats, *ints)))
+    return None  # a misshapen item, a bool or int for a float, or a non-finite float
+
+
+def _write(x: Any, level: int) -> str:
+    if not isinstance(x, (list, tuple, dict)):
+        return _scalar(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    sep, outer, _, _ = _layout(level)
+    if isinstance(x, dict):
+        items = ("," + sep).join([f"{_key(k)}: {_write(v, level + 1)}" for k, v in x.items()])
+        return f"{{{sep}{items}{outer}}}"
+    items = _leaf_items(x, level) or ("," + sep).join([_write(v, level + 1) for v in x])
+    return f"[{sep}{items}{outer}]"
+
+
 def json_dumps(payload: Any) -> str:
-    """Deterministic strict JSON text (insertion-ordered keys, trailing
-    newline).  encode() writes non-finite floats as strings, such as the
-    "-Infinity" growth exponent of an identically-zero obstruction sequence
-    or the "Infinity" tail bound of a mu series whose tail ratio is not
-    below 1; a bare non-finite float raises ValueError here."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Strict JSON text, byte for byte json.dumps(payload, indent=2,
+    allow_nan=False) plus a newline, written without the stdlib's pure-Python
+    indent encoder.  encode() writes non-finite floats as strings; a bare one
+    raises ValueError here, and a value json.dumps cannot write TypeError."""
+    return _write(payload, 0) + "\n"
 
 
 def json_loads(text: str) -> Any:

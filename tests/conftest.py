@@ -1,6 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from ratpert import MapSpec, iterate_orbit
+
+# One profile for every property test: no per-example deadline, which fails
+# on timing alone on a loaded machine, and the reproducing blob printed with
+# any failure.  HYPOTHESIS_PROFILE may name another registered profile.
+settings.register_profile("ratpert", deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ratpert"))
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,14 @@ import math
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratpert import MapSpec, VectorFieldSpec, iterate_orbit, mu_functional, obstruction_sequence
 from ratpert import serialize
 from ratpert.cli import main
 from ratpert.continuation import MotionCheck
 from ratpert.maps import default_escape_radius
+from ratpert.orbits import default_summability_window, summability_report
 from ratpert.serialize import decode, encode, json_dumps, json_loads
 
 
@@ -83,6 +85,13 @@ def test_output_is_strict_json_that_round_trips(command, capsysbinary):
          "fa7d82d745b7c0464fb51d66320156154534e38db9da03d90d096939c78a8ed8"),
         ("render --region=-2:0.5:-1:1 --resolution 20,16 --format json",
          "11d79a8b23c6ec72cda8d1def037f696d04f0ba722e95713ebe5e297ce517ad3"),
+        # long outputs, pinned when json_dumps was still json.dumps(indent=2)
+        ("orbit --map unicritical:2,-2+0i --n-max 20000",
+         "72528414f2656c73989ba1330cee13422b7107fb37ac96341cdcaa9c6ecb9bc9"),
+        ("obstruction --map rational:-2,0,1/1,0,0.001 --field 1+0.3*z --terms 20000",
+         "f45401fc615208516a8bce27db8308e4319b50521dace1f29bce4c2616360814"),
+        ("cycles --map unicritical:2,-0.5969-1.6758i --period 9",
+         "04cddb13cd18f8971f62c0a39056bad20f0892b639b0e7a2cb76ca744340a1dc"),
     ],
 )
 def test_finite_outputs_keep_their_bytes(command, digest, capsysbinary):
@@ -146,3 +155,82 @@ def test_duplicate_registration_raises():
         serialize._register("other", serialize.MomentsPayload)
     with pytest.raises(TypeError):
         encode(Other(1.0))
+
+
+def test_overflowed_summability_report_round_trips():
+    # drawn into an attracting cycle: 1/|cocycle| overflows, so the partial
+    # sums are inf from index 762 on and the last increment is inf, not inf - inf
+    c = -0.12 + 0.75j
+    orbit = _orbit(c, 4096)
+    report = summability_report(orbit, default_summability_window(len(orbit.points)))
+    assert report.partial_sum == report.last_increment == math.inf
+    assert decode(json_loads(json_dumps(encode(report)))) == report
+
+
+def test_finite_summability_report_keeps_its_increment():
+    orbit = _orbit(-2, 300)
+    report = summability_report(orbit, 64)
+    assert report.last_increment == orbit.partial_sums_abs[-1] - orbit.partial_sums_abs[-2]
+
+
+# json_dumps against the stdlib's json.dumps(indent=2): the leaf shapes the
+# codec writes in one join, their misshapen neighbours, and non-finite floats
+_any_float = st.floats()
+_number = st.one_of(_any_float, st.integers(), st.booleans())
+_pair = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+    st.tuples(_any_float, _any_float),
+    st.lists(_number, max_size=3),
+)
+_xcomplex = st.one_of(
+    st.fixed_dictionaries({"mantissa": _pair, "exponent": st.integers()}),
+    st.fixed_dictionaries({"mantissa": _pair, "exponent": _number}),
+    st.builds(lambda m, e: {"exponent": e, "mantissa": m}, _pair, st.integers()),
+    st.fixed_dictionaries({"mantissa": _pair, "exponent": st.integers(), "extra": _number}),
+)
+_leaf_lists = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    st.lists(_number, min_size=1),
+    st.lists(_pair, min_size=1),
+    st.lists(_xcomplex, min_size=1),
+)
+_scalar = st.one_of(st.none(), _number, st.text())
+_values = st.recursive(
+    st.one_of(_scalar, _leaf_lists),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+        st.dictionaries(st.one_of(st.integers(), _any_float, st.booleans(), st.none()), inner),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_values)
+def test_json_dumps_matches_the_stdlib(value):
+    try:
+        expected = json.dumps(value, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError):
+            json_dumps(value)
+    else:
+        assert json_dumps(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        object(),
+        [1.0, 2.0, 1j],
+        [[1.0, 2.0], [1.0, {1, 2}]],
+        [{"mantissa": [1.0, 2.0], "exponent": 1j}],
+        {"key": b"bytes"},
+        {(1, 2): 3.0},
+    ],
+)
+def test_json_dumps_rejects_what_the_stdlib_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        json_dumps(value)

@@ -177,7 +177,7 @@ def assert_same_series(orbit, v, n):
 
 class TestPartsCoreMatchesXComplexLoop:
     @pytest.mark.filterwarnings("ignore::ratpert.orbits.NearCriticalRelationWarning")
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         st.floats(-2.0, 0.5, allow_nan=False),
         st.floats(-1.2, 1.2, allow_nan=False),

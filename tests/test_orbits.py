@@ -174,7 +174,7 @@ class TestClassifyClosedForm:
     2.4e-8, and rho = 4 p (p^2 + c) moves by |4(q + 2p^2)| < 16.4 times
     that, under 4e-7.  Rounding c itself adds about 1e-16 / 0.05."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
     def test_fixed_point_multiplier(self, radius, angle):
         lam = radius * complex(math.cos(angle), math.sin(angle))
@@ -182,7 +182,7 @@ class TestClassifyClosedForm:
         assert (got.kind, got.period) == ("attracting", 1)
         assert abs(got.multiplier - lam) <= 4e-8
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
     def test_two_cycle_multiplier(self, radius, angle):
         mu = radius * complex(math.cos(angle), math.sin(angle))
@@ -322,7 +322,7 @@ def assert_same_orbit(m, c, n_max, **kwargs):
 
 
 class TestPartsCoreMatchesXComplexLoop:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         st.floats(-2.0, 0.5, allow_nan=False),
         st.floats(-1.2, 1.2, allow_nan=False),

@@ -137,7 +137,7 @@ def _binomials(draw):
 
 
 class TestBinomialRoots:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(_binomials())
     def test_closed_form_roots(self, case):
         mpmath = pytest.importorskip("mpmath")
