@@ -34,7 +34,7 @@ from .fields import VectorFieldSpec
 from .maps import MapSpec, default_escape_radius, is_critical_point
 from .mu import find_witness_field, moment_vector, mu_functional
 from .obstruction import obstruction_sequence
-from .orbits import default_summability_window, iterate_orbit, summability_report
+from .orbits import default_summability_report, iterate_orbit, summability_report
 from .polynomial import Polynomial
 from .scan import Rectangle, ScanConfig, render_escape, scan_parameters
 
@@ -42,9 +42,16 @@ WORKERS_ENV = "RATPERT_WORKERS"
 # Caps checked while the options are parsed, before any work, so that no
 # flag value can exhaust memory (exit 2, one line).
 MAX_PERIOD = 4096  # a cycle holds `period` points
-MAX_TERMS = 1 << 18  # --n-max, --terms, --orbit-length, --max-iter: an orbit keeps every step
+# --n-max, --terms, --orbit-length, --max-iter: an orbit keeps every step;
+# --seed-count: one Newton lane per seed; --steps x --period of continue: a
+# continuation keeps the whole cycle at every step
+MAX_TERMS = 1 << 18
 MAX_STEPS = 4096  # --steps: a continuation keeps the whole cycle at every step
 MAX_PIXELS = 1 << 20  # --resolution nx*ny: one scan row or escape count per point
+# --field exponents, unicritical:d, --d, --max-degree, and the degree
+# (coefficient count less one) of each side of rational:: a polynomial holds
+# degree + 1 coefficients
+MAX_DEGREE = 1024
 
 # ---------------------------------------------------------------------------
 # Textual parsers
@@ -99,6 +106,8 @@ def parse_map(text: str) -> MapSpec:
             raise ParseError(f"bad degree {head!r}", position=offset) from None
         if d < 2:
             raise ParseError("unicritical degree must be >= 2", position=offset)
+        if d > MAX_DEGREE:
+            raise ParseError(f"unicritical degree {d} is above the cap of {MAX_DEGREE}", position=offset)
         c = parse_complex(rest, offset + len(head) + 1)
         return MapSpec.unicritical(d, c)
     if text.startswith("rational:"):
@@ -109,6 +118,9 @@ def parse_map(text: str) -> MapSpec:
             raise ParseError(
                 "expected 'rational:<num coeffs>/<den coeffs>'", position=len(text)
             )
+        degree = max(num_text.count(","), den_text.count(","))
+        if degree > MAX_DEGREE:
+            raise ParseError(f"rational degree {degree} is above the cap of {MAX_DEGREE}", position=offset)
         num = Polynomial(tuple(_parse_complex_list(num_text, offset)))
         den = Polynomial(
             tuple(_parse_complex_list(den_text, offset + len(num_text) + 1))
@@ -181,10 +193,8 @@ def parse_field(text: str) -> VectorFieldSpec:
             coefficient = _parse_coefficient(term, offset)
             power = 0
         coeffs[power] = coeffs.get(power, 0j) + sign * coefficient
-    top = max(coeffs)
-    return VectorFieldSpec.from_coefficients(
-        [coeffs.get(j, 0j) for j in range(top + 1)]
-    )
+    # every power is capped, so the dense list built from this is too
+    return VectorFieldSpec.from_coefficients(coeffs.get(j, 0j) for j in range(max(coeffs) + 1))
 
 
 def _parse_z_power(text: str, offset: int) -> int:
@@ -197,6 +207,8 @@ def _parse_z_power(text: str, offset: int) -> int:
             raise ParseError(f"bad exponent in {text!r}", position=offset) from None
         if power < 0:
             raise ParseError("negative powers are not polynomial", position=offset)
+        if power > MAX_DEGREE:
+            raise ParseError(f"field degree {power} is above the cap of {MAX_DEGREE}", position=offset)
         return power
     raise ParseError(f"expected 'z' or 'z^k', got {text!r}", position=offset)
 
@@ -209,7 +221,7 @@ def _parse_z_power(text: str, offset: int) -> int:
 @dataclass(frozen=True)
 class Option:
     flag: str
-    kind: str  # str | int | positive-int | float | finite-float | complex | map | field | path | region | resolution
+    kind: str  # str | int | nonnegative-int | positive-int | finite-float | positive-float | complex | map | field | path | region | resolution
     default: Any
     help: str
     required: bool = False
@@ -230,7 +242,7 @@ _MAP = _opt("--map", "map", None, "map spec, e.g. unicritical:2,-2+0i", required
 _FIELD = _opt("--field", "field", "1", "perturbation field, e.g. '1' or '2*z^2-1'")
 _TOL = _opt("--tol", "finite-float", 1e-12, "series tolerance")
 _NMAX = _opt("--n-max", "positive-int", 4096, "orbit / series length budget", cap=MAX_TERMS)
-_ESCAPE = _opt("--escape-radius", "float", None, "escape radius (default: map-dependent bound)")
+_ESCAPE = _opt("--escape-radius", "positive-float", None, "escape radius (default: map-dependent bound)")
 _POINT = _opt("--point", "complex", None, "cycle point seed (default: first found cycle)")
 _PERIOD = _opt("--period", "positive-int", None, "cycle period", required=True, cap=MAX_PERIOD)
 _OUTPUT = _opt("--output", "str", "-", "output path, '-' for stdout")
@@ -259,14 +271,14 @@ COMMANDS: dict[str, dict] = {
     },
     "moments": {
         "help": "functional values on monomials z^j",
-        "options": [_MAP, _opt("--max-degree", "int", 5, "highest monomial degree"),
+        "options": [_MAP, _opt("--max-degree", "nonnegative-int", 5, "highest monomial degree", cap=MAX_DEGREE),
                     _TOL, _NMAX, _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "witness": {
         "help": "unit-norm polynomial field maximizing |mu|",
         "options": [_opt("--map", "map", None, "map spec (compute moments first)"),
                     _opt("--moments", "str", None, "comma-separated moments, overrides --map"),
-                    _opt("--max-degree", "int", 5, "highest monomial degree"),
+                    _opt("--max-degree", "nonnegative-int", 5, "highest monomial degree", cap=MAX_DEGREE),
                     _TOL, _NMAX, _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "obstruction": {
@@ -277,7 +289,8 @@ COMMANDS: dict[str, dict] = {
     "cycles": {
         "help": "find periodic cycles of a given period",
         "options": [_MAP, _PERIOD,
-                    _opt("--seed-count", "positive-int", 500, "Newton seeds (non-polynomial maps only)"),
+                    _opt("--seed-count", "positive-int", 500, "Newton seeds (non-polynomial maps only)",
+                         cap=MAX_TERMS),
                     _opt("--newton-tol", "finite-float", 1e-9, "cycle residual tolerance"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
@@ -295,12 +308,12 @@ COMMANDS: dict[str, dict] = {
     "check-motion": {
         "help": "compare solved velocity against finite-difference motion",
         "options": [_MAP, _PERIOD, _FIELD, _POINT,
-                    _opt("--h", "float", 1e-4, "finite-difference step"),
+                    _opt("--h", "positive-float", 1e-4, "finite-difference step"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "scan": {
         "help": "sweep unicritical parameters over a grid or path",
-        "options": [_opt("--d", "int", 2, "family degree"),
+        "options": [_opt("--d", "int", 2, "family degree", cap=MAX_DEGREE),
                     _opt("--region", "region", None, "re_min:re_max:im_min:im_max"),
                     _opt("--resolution", "resolution", None, "nx,ny; nx*ny", cap=MAX_PIXELS),
                     _opt("--path", "path", None, "comma-separated c values (overrides region)"),
@@ -311,7 +324,7 @@ COMMANDS: dict[str, dict] = {
     },
     "render": {
         "help": "escape-time image of the parameter or dynamical plane",
-        "options": [_opt("--d", "int", 2, "family degree"),
+        "options": [_opt("--d", "int", 2, "family degree", cap=MAX_DEGREE),
                     _opt("--region", "region", None, "re_min:re_max:im_min:im_max", required=True),
                     _opt("--resolution", "resolution", None, "nx,ny; nx*ny", required=True, cap=MAX_PIXELS),
                     _opt("--max-iter", "positive-int", 256, "iteration cap", cap=MAX_TERMS),
@@ -361,24 +374,27 @@ def _check_cap(opt: Option, value: int) -> None:
         raise ParseError(f"{opt.flag}: {value} is above the cap of {opt.cap}")
 
 
+_INT_MINIMUM = {"int": -math.inf, "nonnegative-int": 0, "positive-int": 1}
+
+
 def _convert(opt: Option, raw: Any) -> Any:
     if raw is None or not isinstance(raw, str):
         return raw
     kind = opt.kind
     if kind == "str":
         return raw
-    if kind in ("int", "positive-int"):
+    if kind in _INT_MINIMUM:
         value = int(raw)
-        if kind == "positive-int" and value < 1:
-            raise ValueError(f"must be >= 1, got {value}")
+        if value < _INT_MINIMUM[kind]:
+            raise ValueError(f"must be >= {_INT_MINIMUM[kind]}, got {value}")
         _check_cap(opt, value)
         return value
-    if kind == "float":
-        return float(raw)
-    if kind == "finite-float":
+    if kind in ("finite-float", "positive-float"):
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError(f"must be finite, got {raw!r}")
+        if kind == "positive-float" and value <= 0:
+            raise ValueError(f"must be > 0, got {raw!r}")
         return value
     if kind == "complex":
         return parse_complex(raw)
@@ -392,7 +408,10 @@ def _convert(opt: Option, raw: Any) -> Any:
         parts = raw.split(":")
         if len(parts) != 4:
             raise ParseError("region must be re_min:re_max:im_min:im_max", 0)
-        return Rectangle(*[float(p) for p in parts])
+        bounds = [float(p) for p in parts]
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"region bounds must be finite, got {raw!r}")
+        return Rectangle(*bounds)
     if kind == "resolution":
         parts = raw.split(",")
         if len(parts) != 2:
@@ -511,14 +530,15 @@ def _cmd_summability(opts) -> str:
     _, orbit = _orbit_from(opts)
     window = opts["window"]
     if window is None:
-        window = default_summability_window(len(orbit.points))
+        report = default_summability_report(orbit)
     elif len(orbit.points) < 2 * window:
         raise ParseError(
             f"--window {window} needs an orbit of at least {2 * window} entries; "
             f"it has {len(orbit.points)}",
             0,
         )
-    report = summability_report(orbit, window)
+    else:
+        report = summability_report(orbit, window)
     return serialize.json_dumps(serialize.encode(report))
 
 
@@ -572,6 +592,10 @@ def _cmd_alpha(opts) -> str:
 
 
 def _cmd_continue(opts) -> str:
+    # a continuation keeps the whole cycle at every step
+    points = opts["steps"] * opts["period"]
+    if points > MAX_TERMS:
+        raise ParseError(f"--steps x --period: {points} is above the cap of {MAX_TERMS}")
     map = opts["map"]
     cycle = _pick_cycle(map, opts)
     result = continue_cycle(

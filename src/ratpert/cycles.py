@@ -26,7 +26,7 @@ from .errors import ParabolicCycleError, PoleError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, eval_map, eval_map_many
 from .orbits import julia_sample
-from .polynomial import Polynomial, poly_roots
+from .polynomial import Polynomial, _repulsion, poly_roots
 
 #: |1 - multiplier| at or below this is treated as parabolic.
 PARABOLIC_TOL = 1e-6
@@ -76,9 +76,6 @@ ABERTH_TOL = 1e-12
 
 #: Sweep cap; simple roots settle in 3-30 sweeps, clusters never do.
 ABERTH_MAX_SWEEPS = 100
-
-#: Entries of the pairwise sum held at once (256 KiB of complex128).
-ABERTH_BLOCK = 1 << 14
 
 #: Seeds are offset by this, relative to the largest, a golden angle apart.
 SEED_OFFSET = 1e-6
@@ -407,7 +404,6 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
     z = z + SEED_OFFSET * scale * np.exp(1j * GOLDEN_ANGLE * np.arange(n_roots))
     last = z.copy()
     active = np.arange(n_roots)
-    buffer = np.empty((min(n_roots, max(1, ABERTH_BLOCK // n_roots)), n_roots), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(ABERTH_MAX_SWEEPS):
             za = z[active]
@@ -424,28 +420,11 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
             # overflow is taken back halfway
             lost = ~np.isfinite(newton)
             z[active[lost]] = 0.5 * (za[lost] + last[active[lost]])
-            step = newton / (1.0 - newton * _repulsion(z, active, buffer))
+            step = newton / (1.0 - newton * _repulsion(z, active))
             go = ~lost & np.isfinite(step)
             last[active[go]] = za[go]
             z[active[go]] = za[go] - step[go]
     return z
-
-
-def _repulsion(z: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1 / (z_i - z_j) for each i in rows, a block of rows at a
-    time so that no more than buffer.size entries are held."""
-    out = np.empty(len(rows), dtype=complex)
-    block = buffer.shape[0]
-    for start in range(0, len(rows), block):
-        idx = rows[start : start + block]
-        diag = (np.arange(len(idx)), idx)
-        part = buffer[: len(idx)]
-        np.subtract(z[idx, None], z[None, :], out=part)
-        part[diag] = 1.0
-        np.divide(1.0, part, out=part)
-        part[diag] = 0.0
-        part.sum(axis=1, out=out[start : start + len(idx)])
-    return out
 
 
 def _backward_tree(map: MapSpec, period: int) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import PoleProximityError
 from .polynomial import ONE, Polynomial, poly_roots
@@ -39,7 +39,7 @@ class VectorFieldSpec:
         return VectorFieldSpec(Polynomial.monomial(degree, coefficient))
 
     @staticmethod
-    def from_coefficients(coeffs: Sequence[complex]) -> "VectorFieldSpec":
+    def from_coefficients(coeffs: Iterable[complex]) -> "VectorFieldSpec":
         return VectorFieldSpec(Polynomial(tuple(complex(a) for a in coeffs)))
 
     @staticmethod

@@ -194,11 +194,7 @@ def eval_map_many(
         ok = np.isfinite(p) & np.isfinite(dp)
         return p / q0, dp / q0, ok
     q, dq = map.denominator.eval_with_derivative(z)
-    az = np.abs(z)
-    scale = np.zeros_like(az)
-    for a in map.denominator.coefficients[::-1]:
-        scale = scale * az + abs(a)
-    ok = np.abs(q) > POLE_TOL * np.maximum(scale, 1e-300)
+    ok = np.abs(q) > POLE_TOL * np.maximum(map.denominator.eval_scale(z), 1e-300)
     q_safe = np.where(ok, q, 1.0)
     value = p / q_safe
     derivative = (dp * q_safe - p * dq) / (q_safe * q_safe)
@@ -236,18 +232,3 @@ def default_escape_radius(d: int, c: complex) -> float:
     """Escape bound for z**d + c with margin: max(2, |c|^(1/(d-1))) + 1."""
     return max(2.0, abs(c) ** (1.0 / (d - 1))) + 1.0
 
-
-def map_label(map: MapSpec) -> str:
-    """Compact human-readable description used in diagnostics."""
-    def poly_str(p: Polynomial) -> str:
-        terms = []
-        for k, a in enumerate(p.coefficients):
-            if a == 0 and p.degree > 0:
-                continue
-            unit = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            terms.append(f"({a.real:g}{a.imag:+g}i){unit}" if a.imag else f"{a.real:g}{unit}")
-        return " + ".join(terms) if terms else "0"
-
-    if map.is_polynomial:
-        return poly_str(map.numerator)
-    return f"[{poly_str(map.numerator)}] / [{poly_str(map.denominator)}]"

@@ -18,9 +18,8 @@ from .fields import VectorFieldSpec
 from .maps import MapSpec, default_escape_radius
 from .orbits import (
     OrbitRecord,
-    default_summability_window,
+    default_summability_report,
     iterate_orbit,
-    summability_report,
 )
 from .xcomplex import XComplex
 
@@ -62,7 +61,7 @@ def mu_functional(
     """
     if orbit.has_critical_relation:
         raise InvalidOrbitError("orbit carries a critical relation")
-    report = summability_report(orbit, default_summability_window(len(orbit.points)))
+    report = default_summability_report(orbit)
     if report.classification == "divergent-evidence":
         raise NotSummableError(
             f"orbit shows divergent evidence (tail ratio {report.tail_ratio:.4g})"
@@ -162,7 +161,7 @@ def moment_vector(
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    report = summability_report(orbit, default_summability_window(len(orbit.points)))
+    report = default_summability_report(orbit)
     if report.classification != "summable-evidence":
         raise NotSummableError(
             f"moment vector needs summable evidence, got {report.classification}"

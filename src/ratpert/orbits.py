@@ -277,6 +277,16 @@ def default_summability_window(orbit_length: int) -> int:
     return max(2, min(64, orbit_length // 4))
 
 
+def default_summability_report(orbit: OrbitRecord) -> SummabilityReport:
+    """summability_report at the default window; an orbit too short for
+    it (an early escape, a tiny n_max) is an InvalidOrbitError."""
+    n = len(orbit.points)
+    window = default_summability_window(n)
+    if n < 2 * window and not orbit.has_critical_relation:
+        raise InvalidOrbitError(f"orbit has {n} entries; summability evidence needs at least {2 * window}")
+    return summability_report(orbit, window)
+
+
 @dataclass(frozen=True)
 class ParameterClass:
     """Outcome of iterating the critical orbit of z**d + c.

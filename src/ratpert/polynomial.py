@@ -21,6 +21,9 @@ from .xcomplex import cmul_lanes
 #: multiple root when clustering.
 CLUSTER_TOL = 1e-7
 
+#: Entries of the Aberth pairwise sum held at once (256 KiB of complex128).
+ABERTH_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -85,37 +88,28 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            acc = np.full_like(z, self.coefficients[-1], dtype=complex)
-            for a in reversed(self.coefficients[:-1]):
-                acc = acc * z + a
-            return acc
+        """p(z) by Horner, on a scalar or elementwise on an ndarray."""
         value = self.coefficients[-1]
         for a in reversed(self.coefficients[:-1]):
             value = value * z + a
+        if not self.degree and isinstance(z, np.ndarray):
+            return np.full_like(z, value, dtype=complex)
         return value
 
     def eval_with_derivative(self, z):
-        """Horner pass returning (p(z), p'(z)); z may be scalar or ndarray.
-
-        horner_lanes repeats the scalar pass on float64 lanes; keep the two
-        in step."""
-        if isinstance(z, np.ndarray):
-            p = np.full_like(z, self.coefficients[-1], dtype=complex)
-            dp = np.zeros_like(z, dtype=complex)
-            for a in reversed(self.coefficients[:-1]):
-                dp = dp * z + p
-                p = p * z + a
-            return p, dp
-        p = self.coefficients[-1]
-        dp = 0j
+        """(p(z), p'(z)) by one Horner pass, on a scalar or elementwise on
+        an ndarray; horner_lanes repeats it on float64 lanes, so keep the
+        two in step."""
+        p, dp = self.coefficients[-1], 0j
         for a in reversed(self.coefficients[:-1]):
             dp = dp * z + p
             p = p * z + a
+        if not self.degree and isinstance(z, np.ndarray):
+            return np.full_like(z, p, dtype=complex), np.zeros_like(z, dtype=complex)
         return p, dp
 
-    def eval_scale(self, z) -> float:
-        """sum_k |c_k| |z|^k, the natural residual scale at z."""
+    def eval_scale(self, z):
+        """sum_k |c_k| |z|^k, the natural residual scale at z (or at each z)."""
         az = abs(z)
         s = 0.0
         for a in reversed(self.coefficients):
@@ -218,38 +212,35 @@ def _binomial_roots(a0: complex, an: complex, n: int) -> list[complex]:
 
 
 def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> list[complex]:
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
+    """Roots of p = sum coeffs[k] z^k by Aberth-Ehrlich sweeps: p and p'
+    from eval_with_derivative, the pairwise sums from the blocked _repulsion
+    of the cycle census, so at most ABERTH_BLOCK of them are held at once."""
+    p = Polynomial(tuple(coeffs))
+    n = p.degree
     # Cauchy bound on root modulus; seeds on that circle with a fixed
     # angular offset to avoid symmetric stalls.
-    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(lead)
+    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1])
     angles = 2.0 * math.pi * (np.arange(n) + 0.376) / n
     z = bound * np.exp(1j * angles)
-
     abs_coeffs = np.abs(coeffs)
-    for _ in range(max_iter):
-        pv = np.full(n, coeffs[-1], dtype=complex)
-        dv = np.zeros(n, dtype=complex)
-        for a in coeffs[-2::-1]:
-            dv = dv * z + pv
-            pv = pv * z + a
-        # residual scale per point
+
+    def settled(z, pv):
+        # residual scale on np.abs(coeffs), not eval_scale's abs(complex)
         az = np.abs(z)
         scale = np.zeros(n)
         for a in abs_coeffs[::-1]:
             scale = scale * az + a
-        converged = np.abs(pv) <= tol * np.maximum(scale, 1e-300)
+        return np.abs(pv) <= tol * np.maximum(scale, 1e-300)
+
+    for _ in range(max_iter):
+        pv, dv = p.eval_with_derivative(z)
+        converged = settled(z, pv)
         if converged.all():
             return list(map(complex, z))
 
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(dv != 0, pv / np.where(dv != 0, dv, 1.0), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            s = inv.sum(axis=1)
-            denom = 1.0 - w * s
+            denom = 1.0 - w * _repulsion(z, np.arange(n))
             step = np.where(np.abs(denom) > 1e-300, w / np.where(denom != 0, denom, 1.0), w)
         # nudge any point where the derivative vanished exactly
         dead = (dv == 0) & ~converged
@@ -261,18 +252,30 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> list[complex]:
             break
 
     # final residual check against the requested tolerance
-    pv = np.full(n, coeffs[-1], dtype=complex)
-    for a in coeffs[-2::-1]:
-        pv = pv * z + a
-    az = np.abs(z)
-    scale = np.zeros(n)
-    for a in abs_coeffs[::-1]:
-        scale = scale * az + a
-    if not (np.abs(pv) <= tol * np.maximum(scale, 1e-300)).all():
+    if not settled(z, p(z)).all():
         raise RootFindingError(
             f"Aberth iteration did not converge for degree {n} polynomial"
         )
     return list(map(complex, z))
+
+
+def _repulsion(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1 / (z_i - z_j) for each i in rows, a block of rows at a
+    time so that no more than ABERTH_BLOCK entries are held; each row is
+    summed whole, so the blocking does not change the bits."""
+    out = np.empty(len(rows), dtype=complex)
+    block = max(1, min(len(rows), ABERTH_BLOCK // len(z)))
+    buffer = np.empty((block, len(z)), dtype=complex)
+    for start in range(0, len(rows), block):
+        idx = rows[start : start + block]
+        diag = (np.arange(len(idx)), idx)
+        part = buffer[: len(idx)]
+        np.subtract(z[idx, None], z[None, :], out=part)
+        part[diag] = 1.0
+        np.divide(1.0, part, out=part)
+        part[diag] = 0.0
+        part.sum(axis=1, out=out[start : start + len(idx)])
+    return out
 
 
 def cluster_points(

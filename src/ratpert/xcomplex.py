@@ -31,9 +31,6 @@ from math import frexp, hypot, isfinite, ldexp
 
 import numpy as np
 
-#: Normalization base.  Everything below assumes 2 (frexp/ldexp based).
-BASE = 2
-
 #: Significand width of the mantissa type.  An addend whose exponent lies
 #: more than this far below the other operand cannot affect the result.
 MANTISSA_BITS = 53

@@ -5,13 +5,13 @@ no worker process is started."""
 import pytest
 
 import ratpert.scan as scan_module
-from ratpert import cli
-from ratpert.cli import MAX_PIXELS, MAX_STEPS, MAX_TERMS, main
+from ratpert import MapSpec, VectorFieldSpec, cli
+from ratpert.cli import MAX_DEGREE, MAX_PERIOD, MAX_PIXELS, MAX_STEPS, MAX_TERMS, main
 from ratpert.scan import MAX_WORKERS, Rectangle, ScanConfig, scan_parameters
 
 # the library call that each command's capped flag sizes
 WORK = ("iterate_orbit", "obstruction_sequence", "scan_parameters", "render_escape",
-        "continue_cycle", "_census")
+        "continue_cycle", "_census", "cycle_from_point")
 
 
 class Reached(Exception):
@@ -36,6 +36,11 @@ CAPPED = [
     (["render", "--region=-2:0.5:-1:1", "--resolution", "4,4"], "--max-iter", MAX_TERMS),
     (["continue", "--map", "unicritical:2,-2+0i", "--period", "3", "--lambda-target", "0.01"],
      "--steps", MAX_STEPS),
+    (["moments", "--map", "unicritical:2,-2+0i"], "--max-degree", MAX_DEGREE),
+    (["witness", "--map", "unicritical:2,-2+0i"], "--max-degree", MAX_DEGREE),
+    (["scan", "--path=-1,0.25"], "--d", MAX_DEGREE),
+    (["render", "--region=-2:0.5:-1:1", "--resolution", "4,4"], "--d", MAX_DEGREE),
+    (["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1"], "--seed-count", MAX_TERMS),
 ]
 
 
@@ -61,11 +66,70 @@ def test_at_the_cap_reaches_the_work(base, flag, cap, monkeypatch):
         main(_args(base, flag, cap))
 
 
-@pytest.mark.parametrize("base,flag,cap", [case for case in CAPPED if case[1] != "--orbit-length"])
+@pytest.mark.parametrize("base,flag,cap", [case for case in CAPPED
+                                            if case[1] not in ("--orbit-length", "--max-degree", "--d")])
 def test_zero_is_a_usage_error(base, flag, cap, capsys):
     assert main(_args(base, flag, 0)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: bad value for {flag}:") and err.count("\n") == 1
+
+
+def _rational(n_coefficients):
+    return "rational:" + ",".join(["0"] * (n_coefficients - 1) + ["1"]) + "/1,0.5"
+
+
+# (arguments for a degree, the library call that would allocate that many
+# coefficients, the usage error); the map and field texts are checked while
+# they are parsed
+DEGREES = [
+    (lambda d: ["orbit", "--map", f"unicritical:{d},0"], (MapSpec, "unicritical"),
+     "unicritical degree {d} is above the cap of {cap} (at position 12)"),
+    (lambda d: ["mu", "--map", "unicritical:2,-2+0i", "--field", f"1+z^{d}"],
+     (VectorFieldSpec, "from_coefficients"), "field degree {d} is above the cap of {cap} (at position 2)"),
+    (lambda d: ["orbit", "--map", _rational(d + 1)], (cli, "_parse_complex_list"),
+     "rational degree {d} is above the cap of {cap} (at position 9)"),
+]
+
+
+@pytest.mark.parametrize("args,call,message", DEGREES)
+def test_degree_above_the_cap_rejected_before_any_allocation(args, call, message, capsys, monkeypatch):
+    monkeypatch.setattr(*call, _never_called)
+    for name in WORK:
+        monkeypatch.setattr(cli, name, _never_called)
+    # a rational: text spells out every coefficient, so it stays at cap + 1
+    for degree in (MAX_DEGREE + 1,) if call[1] == "_parse_complex_list" else (MAX_DEGREE + 1, 10**18):
+        assert main(args(degree)) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: " + message.format(d=degree, cap=MAX_DEGREE) + "\n"
+
+
+@pytest.mark.parametrize("args,call,message", DEGREES)
+def test_degree_at_the_cap_reaches_the_allocation(args, call, message, monkeypatch):
+    monkeypatch.setattr(*call, _reached)
+    with pytest.raises(Reached):
+        main(args(MAX_DEGREE))
+
+
+CONTINUE = ["continue", "--map", "unicritical:2,-2+0i", "--lambda-target", "0.01"]
+
+
+# each within its own cap; together they are not
+@pytest.mark.parametrize("steps,period", [(MAX_STEPS, MAX_TERMS // MAX_STEPS + 1),
+                                          (MAX_TERMS // MAX_PERIOD + 1, MAX_PERIOD),
+                                          (MAX_STEPS, MAX_PERIOD)])
+def test_continuation_above_the_points_cap_rejected(steps, period, capsys, monkeypatch):
+    for name in WORK:
+        monkeypatch.setattr(cli, name, _never_called)
+    assert main(CONTINUE + ["--steps", str(steps), "--period", str(period)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: --steps x --period: {steps * period} is above the cap of {MAX_TERMS}\n"
+
+
+def test_continuation_at_the_points_cap_reaches_the_work(monkeypatch):
+    for name in WORK:
+        monkeypatch.setattr(cli, name, _reached)
+    with pytest.raises(Reached):
+        main(CONTINUE + ["--steps", str(MAX_STEPS), "--period", str(MAX_TERMS // MAX_STEPS)])
 
 
 GRIDS = [

@@ -26,6 +26,7 @@ import pytest
 
 from ratpert import MapSpec, find_cycles
 from ratpert import cycles as cycles_module
+from ratpert import polynomial as polynomial_module
 from ratpert.cycles import (
     CENSUS_MAX_ROOTS,
     PARABOLIC_TOL,
@@ -170,7 +171,7 @@ class TestExactCount:
     def test_blocking_does_not_change_the_census(self, monkeypatch):
         m = MapSpec.unicritical(2, -0.12 + 0.75j)
         full = find_cycles(m, 7)
-        monkeypatch.setattr(cycles_module, "ABERTH_BLOCK", 300)
+        monkeypatch.setattr(polynomial_module, "ABERTH_BLOCK", 300)
         assert find_cycles(m, 7) == full
 
 

@@ -190,6 +190,51 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    # each flag's option kind rejects these while the options are parsed,
+    # before the command's own work (which used to raise or run on)
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_h_rejected(self, value, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "motion_velocity_check", _never_called)
+        monkeypatch.setattr(cli, "_census", _never_called)
+        args = ["check-motion", "--map", "unicritical:2,-1+0i", "--period", "2", f"--h={value}"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad value for --h:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["moments", "witness"])
+    @pytest.mark.parametrize("value", ["-1", "-1000"])
+    def test_bad_max_degree_rejected(self, command, value, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "iterate_orbit", _never_called)
+        assert main([command, "--map", "unicritical:2,-2+0i", f"--max-degree={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad value for --max-degree: must be >= 0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["orbit", "obstruction", "scan", "render"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_bad_escape_radius_rejected(self, command, value, capsys, monkeypatch):
+        for name in ("iterate_orbit", "scan_parameters", "render_escape"):
+            monkeypatch.setattr(cli, name, _never_called)
+        args = {"orbit": ["--map", "unicritical:2,-1+0i"],
+                "obstruction": ["--map", "unicritical:2,-1+0i"],
+                "scan": ["--path", "0"],
+                "render": ["--region=-2:0.5:-1:1", "--resolution", "4,4"]}[command]
+        assert main([command, *args, f"--escape-radius={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad value for --escape-radius:")
+        assert err.count("\n") == 1
+
+    # an orbit that escapes (or stops) within three entries is too short
+    # for the default summability window: a domain error, not a traceback
+    @pytest.mark.parametrize("command", ["summability", "mu", "moments", "witness"])
+    @pytest.mark.parametrize("flags", [["--map", "unicritical:2,10"],
+                                       ["--map", "unicritical:2,-2+0i", "--escape-radius", "1e-3"],
+                                       ["--map", "unicritical:2,-2+0i", "--n-max", "1"]])
+    def test_too_short_orbit_is_one_error_line(self, command, flags, capsys):
+        assert main([command, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidOrbitError: orbit has") and err.count("\n") == 1
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_bad_seed_count_rejected(self, count, capsys):
         args = ["cycles", "--map", "unicritical:2,-1+0i", "--period", "2",

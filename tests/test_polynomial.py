@@ -45,6 +45,24 @@ class TestStructure:
             assert v == pytest.approx(v2, rel=1e-14)
             assert d == pytest.approx(d2, rel=1e-14)
 
+    @pytest.mark.parametrize("coefficients", [(2 - 1j,), (0.5, 3j), (1, -2, 0.5, 3j)])
+    def test_one_horner_body_for_scalars_and_arrays(self, coefficients):
+        # the same Horner body runs on both (numpy's complex product may
+        # round differently from Python's in the last bit): scalars stay
+        # Python complex, and arrays, a constant polynomial's too, keep
+        # their shape
+        p = Polynomial(coefficients)
+        zs = np.array([[0.3 + 0.1j, -1.2j], [2.0, -0.7 + 1e3j]])
+        value, (p_z, dp_z) = p(zs), p.eval_with_derivative(zs)
+        for out in (value, p_z, dp_z):
+            assert isinstance(out, np.ndarray) and out.shape == zs.shape and out.dtype == complex
+        for index, z in np.ndenumerate(zs):
+            scalar, (p_s, dp_s) = p(complex(z)), p.eval_with_derivative(complex(z))
+            assert type(scalar) is complex and type(p_s) is complex and type(dp_s) is complex
+            assert scalar == p_s
+            assert (p_s, dp_s) == pytest.approx((p_z[index], dp_z[index]), rel=1e-14, abs=0)
+            assert p.eval_scale(zs)[index] == pytest.approx(p.eval_scale(complex(z)), rel=1e-14)
+
 
 class TestRoots:
     def test_quadratic(self):
