@@ -29,7 +29,7 @@ from .cycles import (
     find_cycles,
     solve_alpha_on_cycle,
 )
-from .errors import ParseError, RatpertError
+from .errors import DegenerateMapError, ParseError, RatpertError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, default_escape_radius, is_critical_point
 from .mu import find_witness_field, moment_vector, mu_functional
@@ -125,7 +125,10 @@ def parse_map(text: str) -> MapSpec:
         den = Polynomial(
             tuple(_parse_complex_list(den_text, offset + len(num_text) + 1))
         )
-        return MapSpec.rational(num, den)
+        try:
+            return MapSpec.rational(num, den)
+        except DegenerateMapError as err:
+            raise ParseError(f"degenerate map: {err}", position=offset) from None
     raise ParseError(
         "map must start with 'unicritical:' or 'rational:'", position=0
     )
@@ -417,6 +420,8 @@ def _convert(opt: Option, raw: Any) -> Any:
         if len(parts) != 2:
             raise ParseError("resolution must be nx,ny", 0)
         nx, ny = int(parts[0]), int(parts[1])
+        if nx < 1 or ny < 1:
+            raise ValueError(f"nx and ny must be >= 1, got {raw!r}")
         _check_cap(opt, nx * ny)
         return (nx, ny)
     if kind.startswith("choice:"):

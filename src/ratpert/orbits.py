@@ -23,7 +23,7 @@ from .errors import (
     RootFindingError,
 )
 from .maps import MapSpec, default_escape_radius, eval_map, is_critical_point
-from .polynomial import Polynomial, poly_roots
+from .polynomial import Polynomial, _solve_roots, _trim, poly_roots
 from .xcomplex import XComplex, _from_parts, _magnitude, _mul, _normalize, _reciprocal
 
 if TYPE_CHECKING:
@@ -101,7 +101,8 @@ def iterate_orbit(
     Stops early on escape (|z| > escape_radius, the escaping point is
     recorded) and raises CriticalRelationError if the orbit returns to a
     critical point within tolerance; the exception carries the marked
-    prefix orbit.  PoleError propagates for rational maps.
+    prefix orbit.  PoleError propagates for rational maps.  An iterate that
+    overflows before it passes escape_radius raises InvalidOrbitError.
 
     The cocycle runs on XComplex parts (see xcomplex.py) and becomes
     XComplex values once, in the record.
@@ -122,38 +123,45 @@ def iterate_orbit(
     partials: list[float] = [total]
     escaped_at: int | None = None
 
-    for index in range(1, n_max + 1):
-        z = value
-        points.append(z)
-        nearest = min(abs(z - cp) / scale for cp, scale in crit)
-        # Evaluate the next step and DR(z) in one pass.
-        value, dz = eval_map(map, z)
-        derivatives.append(dz)
+    try:
+        for index in range(1, n_max + 1):
+            z = value
+            points.append(z)
+            nearest = min(abs(z - cp) / scale for cp, scale in crit)
+            # Evaluate the next step and DR(z) in one pass.
+            value, dz = eval_map(map, z)
+            derivatives.append(dz)
 
-        if nearest < RELATION_TOL or dz == 0:
-            cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
-            partials.append(math.inf)
-            record = _orbit_record(map, points, cocycle, partials, derivatives, None, index)
-            raise CriticalRelationError(
-                f"orbit landed on a critical point at index {index}",
-                index=index,
-                orbit=record,
-            )
-        if nearest < NEAR_RELATION_TOL:
-            warnings.warn(
-                f"orbit within {nearest:.2e} of a critical point at index {index}",
-                NearCriticalRelationWarning,
-                stacklevel=2,
-            )
+            if nearest < RELATION_TOL or dz == 0:
+                cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
+                partials.append(math.inf)
+                record = _orbit_record(map, points, cocycle, partials, derivatives, None, index)
+                raise CriticalRelationError(
+                    f"orbit landed on a critical point at index {index}",
+                    index=index,
+                    orbit=record,
+                )
+            if nearest < NEAR_RELATION_TOL:
+                warnings.warn(
+                    f"orbit within {nearest:.2e} of a critical point at index {index}",
+                    NearCriticalRelationWarning,
+                    stacklevel=2,
+                )
 
-        entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
-        cocycle.append(entry)
-        total += _magnitude(_reciprocal(entry))
-        partials.append(total)
+            entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
+            cocycle.append(entry)
+            total += _magnitude(_reciprocal(entry))
+            partials.append(total)
 
-        if abs(z) > escape_radius:
-            escaped_at = index
-            break
+            if abs(z) > escape_radius:
+                escaped_at = index
+                break
+    except ValueError:
+        # an iterate overflowed to inf/nan before |z| passed the radius;
+        # _normalize rejects the non-finite derivative
+        raise InvalidOrbitError(
+            f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
+        ) from None
 
     return _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, None)
 
@@ -386,7 +394,8 @@ def julia_sample(
 
     Each step solves R(z) = w for all preimages and picks one branch
     uniformly at random (deterministic for a given seed); the first
-    `transient` points are discarded.
+    `transient` points are discarded.  A step forms P - w Q on coefficients, as
+    Polynomial.__sub__ and scale do, and solves it as poly_roots does.
     """
     if map.degree < 2:
         raise ValueError("julia_sample needs map degree >= 2")
@@ -395,13 +404,15 @@ def julia_sample(
 
     w = _repelling_periodic_point(map)
     rng = random.Random(seed)
+    num, den = map.numerator.coefficients, map.denominator.coefficients
     out: list[complex] = []
     for step in range(transient + n_points):
         # preimage equation R(z) = w, i.e. P(z) - w Q(z) = 0
-        shifted = map.numerator - map.denominator.scale(w)
-        if shifted.degree < 1:
+        neg = _trim([-1.0 * (w * b) for b in den])
+        shifted = _trim([a + b for a, b in zip(num, neg)] + list(num[len(neg):] or neg[len(num):]))
+        if len(shifted) < 2:
             raise RootFindingError(f"no finite preimages of {w}")
-        candidates = poly_roots(shifted, tol=1e-12)
+        candidates = _solve_roots(shifted, 1e-12)
         w = candidates[rng.randrange(len(candidates))]
         if step >= transient:
             out.append(w)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,30 @@ CLUSTER_TOL = 1e-7
 ABERTH_BLOCK = 1 << 14
 
 
+def _trim(coeffs):
+    """coeffs without its trailing zeros, keeping at least one entry."""
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] == 0:
+        n -= 1
+    return coeffs[:n]
+
+
+def _horner(coefficients, z):
+    """sum_k c_k z^k by Horner, constant term first; Polynomial.__call__."""
+    value = coefficients[-1]
+    for a in coefficients[-2::-1]:
+        value = value * z + a
+    return value
+
+
+def _horner_scale(coefficients, z):
+    """sum_k |c_k| |z|^k by Horner; Polynomial.eval_scale."""
+    az, s = abs(z), 0.0
+    for a in reversed(coefficients):
+        s = s * az + abs(a)
+    return s
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Polynomial with complex coefficients, constant term first.
@@ -37,14 +62,8 @@ class Polynomial:
     coefficients: tuple[complex, ...]
 
     def __post_init__(self):
-        coeffs = tuple(complex(a) for a in self.coefficients)
-        n = len(coeffs)
-        while n > 1 and coeffs[n - 1] == 0:
-            n -= 1
-        if n == 0:
-            coeffs = (0j,)
-            n = 1
-        object.__setattr__(self, "coefficients", coeffs[:n])
+        coeffs = _trim(tuple(map(complex, self.coefficients)))
+        object.__setattr__(self, "coefficients", coeffs or (0j,))
 
     # -- constructors --------------------------------------------------
 
@@ -89,9 +108,7 @@ class Polynomial:
 
     def __call__(self, z):
         """p(z) by Horner, on a scalar or elementwise on an ndarray."""
-        value = self.coefficients[-1]
-        for a in reversed(self.coefficients[:-1]):
-            value = value * z + a
+        value = _horner(self.coefficients, z)
         if not self.degree and isinstance(z, np.ndarray):
             return np.full_like(z, value, dtype=complex)
         return value
@@ -110,11 +127,7 @@ class Polynomial:
 
     def eval_scale(self, z):
         """sum_k |c_k| |z|^k, the natural residual scale at z (or at each z)."""
-        az = abs(z)
-        s = 0.0
-        for a in reversed(self.coefficients):
-            s = s * az + abs(a)
-        return s
+        return _horner_scale(self.coefficients, z)
 
     # -- algebra -----------------------------------------------------------
 
@@ -167,7 +180,7 @@ def horner_lanes(coefficients, zr, zi, derivative: bool):
 def poly_roots(
     p: Polynomial, tol: float = 1e-12, max_iter: int = 400
 ) -> tuple[complex, ...]:
-    """All complex roots of p, with multiplicity, via Aberth-Ehrlich.
+    """All complex roots of p, with multiplicity: _solve_roots on its coefficients.
 
     A binomial a_0 + a_n z^n (every coefficient strictly between the
     constant and the leading one zero, as in the preimage equation of
@@ -176,31 +189,30 @@ def poly_roots(
 
     Every returned root r satisfies |p(r)| < tol * (sum_k |c_k| |r|^k).
     Roots are sorted by (real, imaginary) for determinism.  Raises
-    RootFindingError if the simultaneous iteration does not settle.
+    RootFindingError if the simultaneous Aberth-Ehrlich iteration does not settle.
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
-    coeffs = list(p.coefficients)
+    return tuple(_solve_roots(p.coefficients, tol, max_iter))
 
-    # Exact roots at the origin: factor them out so the iteration only
-    # sees a polynomial with nonzero constant term.
+
+def _solve_roots(coeffs, tol: float = 1e-12, max_iter: int = 400) -> list[complex]:
+    """poly_roots on trimmed coefficients (constant first, degree >= 1), as a sorted list."""
+    # exact roots at the origin are factored out: Aberth needs a nonzero constant term
     n_zero = 0
-    while coeffs[0] == 0 and len(coeffs) > 1:
-        coeffs.pop(0)
+    while coeffs[n_zero] == 0:
         n_zero += 1
     roots: list[complex] = [0j] * n_zero
-
-    n = len(coeffs) - 1
-    if n == 0:
-        pass
-    elif n == 1:
-        roots.append(-coeffs[0] / coeffs[1])
-    else:
-        closed = None if any(coeffs[1:-1]) else _binomial_roots(coeffs[0], coeffs[-1], n)
-        if closed is None or not all(abs(p(r)) < tol * p.eval_scale(r) for r in closed):
-            closed = _aberth(np.asarray(coeffs, dtype=complex), tol, max_iter)
+    rest = coeffs[n_zero:]
+    n = len(rest) - 1
+    if n == 1:
+        roots.append(-rest[0] / rest[1])
+    elif n > 1:
+        closed = None if any(rest[1:-1]) else _binomial_roots(rest[0], rest[-1], n)
+        if closed is None or not all(abs(_horner(coeffs, r)) < tol * _horner_scale(coeffs, r) for r in closed):
+            closed = _aberth(np.asarray(rest, dtype=complex), tol, max_iter)
         roots.extend(closed)
-    return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
+    return sorted(roots, key=attrgetter("real", "imag"))
 
 
 def _binomial_roots(a0: complex, an: complex, n: int) -> list[complex]:

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from ratpert import DegenerateMapError, ParseError
+from ratpert import ParseError
 from ratpert import cli
 from ratpert.cli import main, parse_complex, parse_field, parse_map
 
@@ -62,8 +62,15 @@ class TestParseMap:
         assert m.critical_points == (0j,)
 
     def test_shared_root_degenerate(self):
-        with pytest.raises(DegenerateMapError):
+        # MapSpec.rational's DegenerateMapError, as a usage error at the map text
+        with pytest.raises(ParseError, match="share a root") as info:
             parse_map("rational:1,0,1/2,0,2")
+        assert info.value.position == len("rational:")
+
+    @pytest.mark.parametrize("text", ["rational:1/1", "rational:1,0/1", "rational:0/1"])
+    def test_rational_degree_below_two_rejected(self, text):
+        with pytest.raises(ParseError, match="degenerate map"):
+            parse_map(text)
 
     @pytest.mark.parametrize(
         "text", ["", "poly:1,2", "unicritical:2", "unicritical:x,1", "rational:1,0,1"]
@@ -234,6 +241,24 @@ class TestCommands:
         assert main([command, *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidOrbitError: orbit has") and err.count("\n") == 1
+
+    # an iterate that overflows before it passes the escape radius: a domain
+    # error naming the index and the radius, not a traceback
+    @pytest.mark.parametrize("flags", [["--map", "unicritical:2,1e300"],
+                                       ["--map", "rational:1e300,0,1/1"],
+                                       ["--map", "unicritical:2,1e200", "--escape-radius", "1e250"]])
+    def test_overflow_before_escape_is_one_error_line(self, flags, capsys):
+        assert main(["orbit", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidOrbitError: orbit overflowed at index 2") and err.count("\n") == 1
+        assert "escape radius 1e+" in err
+
+    @pytest.mark.parametrize("value", ["0,2", "2,0", "-1,-1"])
+    def test_resolution_below_one_rejected_with_path(self, value, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "scan_parameters", _never_called)
+        assert main(["scan", f"--resolution={value}", "--path=0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad value for --resolution:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_bad_seed_count_rejected(self, count, capsys):

@@ -26,8 +26,9 @@ VALUES = {
                "unicritical:3,0.1+0.2i", "rational:-2,0,1/1,0,0.001"],
               ["", "circle:1", "unicritical:2", "unicritical:1,0", "unicritical:2,nan",
                "unicritical:2,1e400", f"unicritical:{MAX_DEGREE + 1},0", "rational:1,2",
-               "rational:" + ",".join(["0"] * (MAX_DEGREE + 1)) + ",1/1"],
-              ["unicritical:2,-1+0i", "rational:1/1", "rational:0,1,1/0,1"]),
+               "rational:" + ",".join(["0"] * (MAX_DEGREE + 1)) + ",1/1",
+               "rational:1/1", "rational:0,1,1/0,1"],
+              ["unicritical:2,-1+0i"]),
     "--field": (["1", "z", "z^0", "2*z^2-1", "(0+1i)*z-0.5"],
                 ["", "w", "z^x", "z^-1", "1+", "(1", f"z^{MAX_DEGREE + 1}"], []),
     "--tol": (["1e-12", "1e-6"], BAD_NUMBERS, []),
@@ -106,6 +107,12 @@ MAP = "--map=unicritical:2,-2+0i"
 @example((["obstruction", MAP, "--escape-radius=-1"], {2}, "json"))
 @example((["scan", "--region=-inf:inf:-1:1", "--resolution=2,2"], {2}, "csv"))
 @example((["mu", "--map=unicritical:2,10"], {1}, "json"))
+@example((["scan", "--resolution=0,2", "--path=0"], {2}, "csv"))
+@example((["scan", "--resolution=-1,-1", "--path=0"], {2}, "csv"))
+# iterates that overflow before they pass the escape radius
+@example((["orbit", "--map=unicritical:2,1e300"], {1}, "json"))
+@example((["orbit", "--map=rational:1e300,0,1/1"], {1}, "json"))
+@example((["orbit", "--map=unicritical:2,1e200", "--escape-radius=1e250"], {1}, "json"))
 def test_every_invocation_exits_cleanly(invocation):
     argv, allowed, fmt = invocation
     code, out, err = _run(argv)

@@ -31,10 +31,33 @@ roundings, each times the conditioning of the rest of the recurrence: the
 product of |DR| for b, and nothing for the cocycle's relative error.
 Second-order terms are below bound**2 / |value|, many orders under the
 bound at these lengths; a factor of 2 on the bound covers them.
+
+alpha on a cycle (``TestAlphaOnCycles``).  The cycle points are again taken
+as given.  solve_alpha_on_cycle solves v(p_k) = alpha[k+1] - d_k alpha[k]
+(indices mod n, d_k = DR(p_k), rho = d_0 ... d_{n-1}), and the reference is
+a 40-digit LU solve of the same n x n system on the same points.  Its
+solution is alpha_i = sum_k W(k, i) v(p_k) / (1 - rho), where W(k, i) is the
+product of d_j for j from k+1 round to i-1 (fewer than n factors).  So an
+error delta_k in equation k moves alpha_i by W(k, i) delta_k / (1 - rho):
+the conditioning 1 / |1 - rho|, weighted along the cycle.  Each delta_k is
+at most
+
+- the evaluation errors of v(p_k) and of d_k (times |alpha_k|), bounded by
+  ``Tracked`` as above;
+- the solve's own rounding, as a componentwise backward error gamma times
+  |v(p_k)| + |d_k alpha_k| + |alpha_{k+1}|.  One equation costs a product
+  and two sums, (sqrt 5 + 2) u; the head alpha_0 takes an n-term sum of
+  products of up to n factors (the weights and rho), so the wrap-around
+  equation carries up to n times that before refinement, and refinement
+  brings the residual down to the level of a backward-stable solve
+  (Higham, sec. 12.2) but not below.  gamma = (sqrt 5 + 2) n u.
+
+The bound is SLACK times the sum over k of |W(k, i)| delta_k / |1 - rho|.
 """
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -46,9 +69,11 @@ from ratpert import (
     MapSpec,
     Polynomial,
     VectorFieldSpec,
+    find_cycles,
     iterate_orbit,
     mu_functional,
     obstruction_sequence,
+    solve_alpha_on_cycle,
 )
 from ratpert.maps import default_escape_radius
 
@@ -196,3 +221,49 @@ class TestMuPartialSums:
         # differ from the exact ones by the rounding of the terms alone
         result = _mu_partials(1j, 200)
         assert result.converged and len(result.partial) > 20
+
+
+def _check_alpha(m: MapSpec, cycle, field: list) -> None:
+    alpha = solve_alpha_on_cycle(m, cycle, VectorFieldSpec.from_coefficients(field)).alpha
+    n = cycle.period
+    with mpmath.workdps(DIGITS):
+        points = [Tracked(z) for z in cycle.points]
+        d = [_map(m, z)[1] for z in points]
+        v = [_horner(field, z)[0] for z in points]
+        system = mpmath.zeros(n, n)
+        for k in range(n):
+            system[k, (k + 1) % n] += 1
+            system[k, k] -= d[k].value
+        exact = mpmath.lu_solve(system, mpmath.matrix([x.value for x in v]))
+        rho = mpmath.fprod(x.value for x in d)
+        gamma = (SQRT5 + 2) * n * U
+        delta = [
+            v[k].err + d[k].err * abs(exact[k])
+            + gamma * (abs(v[k].value) + abs(d[k].value * exact[k]) + abs(exact[(k + 1) % n]))
+            for k in range(n)
+        ]
+        for i in range(n):
+            bound = 0
+            for k in range(n):
+                weight = mpmath.fprod(abs(d[j % n].value) for j in range(k + 1, i + (n if i <= k else 0)))
+                bound += weight * delta[k]
+            assert abs(mpmath.mpc(alpha[i]) - exact[i]) <= SLACK * bound / abs(1 - rho), (cycle, i)
+
+
+class TestAlphaOnCycles:
+    # three z^2 + c drawn from a fixed seed, and the rational map of the
+    # cycle-census benchmark, (z^2 - 1) / (1 + 0.05 z^2)
+    @pytest.mark.parametrize(
+        "m",
+        [MapSpec.unicritical(2, c) for c in (lambda r: [
+            complex(r.uniform(-1.5, 0.4), r.uniform(-1, 1)) for _ in range(3)])(random.Random(3))]
+        + [MapSpec.rational(Polynomial((-1, 0, 1)), Polynomial((1, 0, 0.05)))],
+    )
+    def test_census_cycles_against_mp_solve(self, m):
+        checked = 0
+        for period in range(1, 5):
+            for cycle in find_cycles(m, period):
+                for field in ([1], [0, 1], [0, 0, 1]):
+                    _check_alpha(m, cycle, field)
+                    checked += 1
+        assert checked >= 3 * 4

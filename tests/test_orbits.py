@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from ratpert import (
     Polynomial,
     XComplex,
     classify_parameter,
+    default_cycle_seeds,
     default_escape_radius,
     eval_map,
     iterate_orbit,
@@ -20,8 +22,14 @@ from ratpert import (
     mantissa_ulp_gap,
     summability_report,
 )
-from ratpert.cli import main
-from ratpert.orbits import NEAR_RELATION_TOL, RELATION_TOL, NearCriticalRelationWarning
+from ratpert.cli import main, parse_map
+from ratpert.orbits import (
+    NEAR_RELATION_TOL,
+    RELATION_TOL,
+    NearCriticalRelationWarning,
+    _repelling_periodic_point,
+)
+from ratpert.polynomial import poly_roots
 
 
 class TestIterateOrbit:
@@ -34,6 +42,15 @@ class TestIterateOrbit:
             assert orb.cocycle[k].to_complex() == -(4.0**k)
         assert orb.escaped_at is None
         assert orb.truncated_at == 300
+
+    @pytest.mark.parametrize("c,radius", [(1e300, None), (1e200, 1e250)])
+    def test_overflow_before_escape_is_an_invalid_orbit(self, c, radius):
+        # z_1 = c stays inside the radius and z_2 = c^2 + c overflows, so
+        # the derivative at z_2 is not finite
+        m = MapSpec.unicritical(2, c)
+        radius = radius or default_escape_radius(2, c)
+        with pytest.raises(InvalidOrbitError, match="overflowed at index 2 before passing"):
+            iterate_orbit(m, 0j, 50, escape_radius=radius)
 
     def test_superattracting_fixed_critical_point(self):
         with pytest.raises(CriticalRelationError) as excinfo:
@@ -232,6 +249,55 @@ class TestJuliaSample:
         for prev, cur in zip(pts, pts[1:]):
             value, _ = eval_map(m, cur)
             assert abs(value - prev) <= budget * (abs(c - prev) + abs(cur) ** d)
+
+
+def reference_julia_sample(map, n_points, transient, seed):
+    """julia_sample as it was when each step built its preimage equation as
+    a Polynomial and called poly_roots."""
+    w = _repelling_periodic_point(map)
+    rng = random.Random(seed)
+    out = []
+    for step in range(transient + n_points):
+        candidates = poly_roots(map.numerator - map.denominator.scale(w), tol=1e-12)
+        w = candidates[rng.randrange(len(candidates))]
+        if step >= transient:
+            out.append(w)
+    return tuple(out)
+
+
+# numerator longer, denominator longer, equal lengths, a non-binomial
+# numerator (the Aberth path) and a root of the preimage equation at 0
+@pytest.mark.parametrize(
+    "text",
+    ["unicritical:2,0.3-0.5i", "unicritical:4,0.2+0.4i", "rational:1,0,0/0,0,1,0.3",
+     "rational:0,0,1/0.3,1", "rational:0,0,1,1/1,0,0.7", "rational:0.1,-1,0.5,1/1,0.2",
+     "rational:0,-3,0,4/1"],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_julia_sample_matches_the_polynomial_reference(text, seed):
+    m = parse_map(text)
+    assert julia_sample(m, 60, transient=20, seed=seed) == reference_julia_sample(m, 60, 20, seed)
+
+
+# the first 16 hex digits of sha256(repr(...)) of default_cycle_seeds(m) and
+# of julia_sample(m, 200, transient=32, seed=1), pinned while each inverse-
+# iteration step still built its preimage equation as a Polynomial
+@pytest.mark.parametrize(
+    "text,seeds_digest,sample_digest",
+    [
+        ("unicritical:2,-0.12+0.75i", "665d8c2047144ed8", "d474adc5774d3ac8"),
+        ("unicritical:3,1.2796+1.2706i", "fd4d9772e803289c", "0602aea6c446a1f6"),
+        ("rational:0,-3,0,4/1", "9337dfeab57d7d37", "a32b9cb9a644172f"),
+        ("rational:-2,0,1/1,0,0.001", "be1e64296957d171", "45224e6d6652061e"),
+        ("rational:0,0,1/0.3,1", "3d707f202a9687cc", "d92ddfe252e1f38f"),
+        ("rational:0.1,-1,0.5,1/1,0.2", "a688db2400680a86", "0b90641c098d7597"),
+    ],
+)
+def test_julia_seeds_keep_their_bytes(text, seeds_digest, sample_digest):
+    m = parse_map(text)
+    digest = lambda x: hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+    assert digest(default_cycle_seeds(m)) == seeds_digest
+    assert digest(julia_sample(m, 200, transient=32, seed=1)) == sample_digest
 
 
 # The XComplex loop iterate_orbit ran before its cocycle moved to raw parts,

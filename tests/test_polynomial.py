@@ -196,3 +196,21 @@ class TestBinomialRoots:
             key=lambda z: (z.real, z.imag),
         )
         assert list(poly_roots(Polynomial(coeffs))) == reference
+
+    def test_solve_falls_back_to_aberth_on_coefficients(self, monkeypatch):
+        # the solve behind poly_roots and julia_sample, on a coefficient list
+        # with a root at the origin: the perturbed closed form misses the
+        # residual test on the whole polynomial, so Aberth solves the rest
+        closed_form = polynomial._binomial_roots
+        monkeypatch.setattr(
+            polynomial,
+            "_binomial_roots",
+            lambda a0, an, n: [r * (1 + 1e-6) for r in closed_form(a0, an, n)],
+        )
+        coeffs = [0j, 1.5 + 0.5j, 0j, 0j, -2 + 0j]
+        tol = 1e-12
+        roots = polynomial._solve_roots(coeffs, tol)
+        aberth = _aberth(np.asarray(coeffs[1:], dtype=complex), tol, 400)
+        assert roots == sorted([0j, *aberth], key=lambda z: (z.real, z.imag))
+        for r in aberth:  # the origin is exact: p(0) = 0
+            assert abs(polynomial._horner(coeffs, r)) < tol * polynomial._horner_scale(coeffs, r)
