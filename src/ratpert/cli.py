@@ -560,7 +560,7 @@ def _cmd_moments(opts) -> str:
 
 
 def _cmd_witness(opts) -> str:
-    if opts.get("moments"):
+    if opts.get("moments") is not None:
         try:
             moments = _parse_complex_list(opts["moments"], 0)
         except ParseError as err:

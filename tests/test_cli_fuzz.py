@@ -103,6 +103,7 @@ MAP = "--map=unicritical:2,-2+0i"
 @example((["check-motion", MAP, "--period=2", "--h=nan"], {2}, "json"))
 @example((["moments", MAP, "--max-degree=-1"], {2}, "json"))
 @example((["witness", MAP, "--max-degree=-1"], {2}, "json"))
+@example((["witness", MAP, "--moments="], {2}, "json"))
 @example((["obstruction", MAP, "--escape-radius=nan"], {2}, "json"))
 @example((["obstruction", MAP, "--escape-radius=-1"], {2}, "json"))
 @example((["scan", "--region=-inf:inf:-1:1", "--resolution=2,2"], {2}, "csv"))

@@ -102,6 +102,14 @@ def test_finite_outputs_keep_their_bytes(command, digest, capsysbinary):
     assert hashlib.sha256(_run(capsysbinary, command.split())).hexdigest() == digest
 
 
+def test_julia_render_keeps_its_bytes(capsysbinary):
+    # a d = 3 dynamical-plane PPM, pinned while the escape loop still masked
+    # the whole grid on every iteration
+    command = "render --d 3 --julia=-0.1+0.7i --region=-1.5:1.5:-1.5:1.5 --resolution 48,40 --max-iter 64"
+    assert (hashlib.sha256(_run(capsysbinary, command.split())).hexdigest()
+            == "6e1452c118fb08f718c07026c00d90d98c01baa75cc8604fc62bebbf40040ce2")
+
+
 def _orbit(c: complex, n_max: int):
     m = MapSpec.unicritical(2, c)
     return iterate_orbit(m, 0j, n_max=n_max, escape_radius=default_escape_radius(2, c))

@@ -18,7 +18,8 @@ from ratpert import (
 )
 import ratpert.lanes as lanes_module
 from ratpert.lanes import MIN_LANES, candidate_lanes
-from ratpert.maps import MapSpec
+from ratpert.cli import main
+from ratpert.maps import MapSpec, default_escape_radius
 from ratpert.orbits import NEAR_RELATION_TOL, NearCriticalRelationWarning, iterate_orbit
 from ratpert.scan import _candidate_row
 from ratpert.serialize import scan_rows_to_csv
@@ -93,6 +94,11 @@ class TestConfig:
     def test_short_orbit_rejected(self):
         with pytest.raises(ValueError):
             ScanConfig(d=2, path=(0j,), orbit_length=8)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    def test_escape_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="escape_radius"):
+            ScanConfig(d=2, path=(0j,), escape_radius=radius)
 
     def test_grid_points_row_major_pixel_centers(self):
         config = ScanConfig(
@@ -377,3 +383,120 @@ class TestRenderEscape:
         a = render_escape(config, max_iter=40)
         b = render_escape(config, max_iter=40)
         assert (a == b).all()
+
+
+def _mask_loop_render(config, max_iter, julia_c=None):
+    """render_escape as the plain whole-grid mask loop: the reference the
+    blocked loop must match byte for byte wherever no iterate overflows."""
+    nx, ny = config.resolution
+    r = config.region
+    dx = (r.re_max - r.re_min) / nx
+    dy = (r.im_max - r.im_min) / ny
+    xs = r.re_min + (np.arange(nx) + 0.5) * dx
+    ys = r.im_min + (np.arange(ny) + 0.5) * dy
+    pixels = xs[None, :] + 1j * ys[:, None]
+
+    if julia_c is None:
+        c = pixels
+        z = np.zeros_like(pixels)
+        corner_scale = max(abs(r.re_min), abs(r.re_max)) + max(
+            abs(r.im_min), abs(r.im_max)
+        )
+        radius = (
+            config.escape_radius
+            if config.escape_radius is not None
+            else max(2.0, corner_scale ** (1.0 / (config.d - 1))) + 1.0
+        )
+    else:
+        c = np.full_like(pixels, complex(julia_c))
+        z = pixels.copy()
+        radius = (
+            config.escape_radius
+            if config.escape_radius is not None
+            else default_escape_radius(config.d, julia_c)
+        )
+
+    counts = np.full(pixels.shape, max_iter, dtype=np.int32)
+    alive = np.ones(pixels.shape, dtype=bool)
+    for k in range(1, max_iter + 1):
+        z_alive = z[alive]
+        w = z_alive.copy()
+        for _ in range(config.d - 1):
+            w = w * z_alive
+        z[alive] = w + c[alive]
+        escaped = alive & (np.abs(z) > radius)
+        counts[escaped] = k
+        alive &= ~escaped
+        if not alive.any():
+            break
+    return counts
+
+
+WIDE = Rectangle(-2.0, 2.0, -2.0, 2.0)
+# (config, max_iter, julia_c)
+RENDER_CASES = {
+    # 20,000 pixels: one whole block and a partial one
+    "200x100": (ScanConfig(d=2, region=Rectangle(-2.2, 0.8, -1.2, 1.2), resolution=(200, 100)), 128, None),
+    "200x100-julia": (ScanConfig(d=2, region=WIDE, resolution=(200, 100)), 128, -0.75 + 0.1j),
+    "1x1": (ScanConfig(d=2, region=Rectangle(-1.0, -0.5, 0.0, 0.5), resolution=(1, 1)), 64, None),
+    "degenerate-region": (ScanConfig(d=2, region=Rectangle(-0.75, -0.75, -1.0, 1.0), resolution=(3, 40)), 64, None),
+    "max-iter-1": (ScanConfig(d=2, region=WIDE, resolution=(30, 20)), 1, None),
+    "max-iter-1-julia": (ScanConfig(d=3, region=WIDE, resolution=(30, 20)), 1, 0.5j),
+    # every pixel escapes within a few steps: the loop stops early
+    "all-escape": (ScanConfig(d=2, region=Rectangle(3.0, 5.0, 3.0, 5.0), resolution=(40, 30)), 256, None),
+    "all-escape-julia": (ScanConfig(d=2, region=Rectangle(3.0, 5.0, 3.0, 5.0), resolution=(40, 30)), 256, 1 + 1j),
+    # the scan-boundary benchmark region and Julia parameter at seed 1
+    "scan-boundary-1": (
+        ScanConfig(d=2, region=Rectangle(-1.0492002637577773, -0.9492002637577771,
+                                         0.1828361991458621, 0.2828361991458621),
+                   resolution=(256, 256)),
+        256, None),
+    "scan-boundary-1-julia": (
+        ScanConfig(d=2, region=Rectangle(-1.0492002637577773, -0.9492002637577771,
+                                         0.1828361991458621, 0.2828361991458621),
+                   resolution=(256, 256)),
+        256, -0.9992002637577773 + 0.23283619914586212j),
+}
+for _d in (2, 3, 5):
+    for _radius in (None, 7.5):
+        _config = ScanConfig(d=_d, region=WIDE, resolution=(90, 70), escape_radius=_radius)
+        RENDER_CASES[f"d{_d}-r{_radius}"] = (_config, 96, None)
+        RENDER_CASES[f"d{_d}-r{_radius}-julia"] = (_config, 96, 0.3 - 0.55j)
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_render_matches_mask_loop_byte_for_byte(case):
+    config, max_iter, julia_c = RENDER_CASES[case]
+    counts = render_escape(config, max_iter, julia_c=julia_c)
+    expected = _mask_loop_render(config, max_iter, julia_c=julia_c)
+    assert counts.dtype == np.int32 and counts.shape == expected.shape
+    assert counts.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("julia_c", [None, 0.3 + 0.5j])
+def test_overflow_counts_as_escape(d, julia_c):
+    # an orbit that stays inside the default radius stays inside any larger
+    # one, so its pixels are the only ones that may never escape at 1e300:
+    # orbits that overflow to nan on the way count as escaped
+    def never_escaping(radius):
+        config = ScanConfig(d=d, region=WIDE, resolution=(64, 64), escape_radius=radius)
+        return render_escape(config, 256, julia_c=julia_c) == 256
+
+    at_default, at_large = never_escaping(None), never_escaping(1e300)
+    assert not (at_large & ~at_default).any()
+
+
+def test_overflowing_orbit_escapes():
+    # c = -0.28125-1.90625i under z**4 + c reaches 7.9e298, then nan
+    config = ScanConfig(d=4, region=WIDE, resolution=(64, 64), escape_radius=1e300)
+    assert render_escape(config, 256)[1, 27] == 7
+
+
+def test_render_leaks_no_overflow_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["render", "--region=-2:2:-2:2", "--resolution", "4,4",
+                     "--escape-radius", "1e200", "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
