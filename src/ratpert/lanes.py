@@ -1,30 +1,44 @@
-"""The scan's candidate diagnostics run as numpy lanes, one per parameter.
+"""The scan's per-point work run as numpy lanes, one per parameter.
 
-For each candidate c of the family z**d + c, the scan needs the critical
-orbit of 0 with its derivative cocycle, the summability verdict and the
-growth fit of the obstruction sequence b.  The scalar path builds an
-OrbitRecord and an ObstructionSeries per candidate; here one fused step
-loop advances every candidate at once and keeps only what the verdict and
-the fit read.
+The scan classifies every parameter c of the family z**d + c and then runs
+the diagnostics of the candidates.  _classify_lanes runs classify_parameter
+for a chunk of parameters at once: the critical orbits advance in lockstep
+with the escape and coincidence tests of every undecided lane, and each
+coincidence goes to the scalar period solver.  candidate_lanes gives, for
+each candidate, the summability verdict and the growth fit of the
+obstruction sequence b, from the critical orbit of 0 and its derivative
+cocycle.  The scalar path builds an OrbitRecord and an ObstructionSeries
+per candidate; here the lanes keep only what the verdict and the fit read.
+
+The candidate loop runs in segments of a few steps.  In each, a sequential
+pass advances the orbit alone; one vectorized pass over the segment's steps
+and lanes evaluates DR and the field and makes every test on the orbit
+points; a second sequential pass runs only the recurrences, the cocycle
+product and b; and the reciprocals of the cocycle and the partial sums of
+their moduli are again taken over the whole segment at once.
 
 Lane values repeat the scalar arithmetic step for step, so every lane is
 bit-identical to the scalar path: extended-range values and their
 operations are the lane versions in xcomplex.py, polynomials are evaluated
-by polynomial.horner_lanes, quotients follow CPython's complex division,
-and the logarithms of the verdict and the fit are taken with ``math``, not
-numpy.  The verdict and the fit themselves are the scalar code's own.
-``np.hypot`` equals ``abs(complex)``, so the relation and escape tests
-compare with their tolerance and radius exactly, as the scalar path does.
+by polynomial.horner_lanes, products are formed componentwise as Python
+forms them, quotients follow CPython's complex division, partial sums are
+added in order (np.add.accumulate), and the logarithms of the verdict and
+the fit are taken with ``math``, not numpy.  The verdict and the fit
+themselves are the scalar code's own.  ``np.hypot`` equals
+``abs(complex)``, so the relation, escape and coincidence tests compare
+with their tolerance and radius exactly, as the scalar path does.
 
-A lane whose orbit does anything the scalar path reports or treats
-specially leaves the batch (its result is None) and the caller runs the
-scalar path for it: a critical or near-critical relation, a vanishing
+A candidate lane whose orbit does anything the scalar path reports or
+treats specially leaves the batch (its result is None) and the caller runs
+the scalar path for it: a critical or near-critical relation, a vanishing
 derivative, escape, a non-finite value, and summable evidence (whose
 constant-field functional needs the whole orbit).  With a rational field
 every lane leaves.
 
-A step of the loop costs about as much as a step of the scalar path for
-MIN_LANES lanes; the scan sends smaller batches to the scalar path.
+A step of the candidate loop costs about as much as a step of the scalar
+chain for MIN_LANES candidates, and a step of the classifier about as much
+as 15-20 scalar classification steps; the scan sends chunks with fewer than
+MIN_LANES points or candidates to the scalar code.
 """
 
 from __future__ import annotations
@@ -37,18 +51,23 @@ from .fields import VectorFieldSpec
 from .maps import MapSpec
 from .obstruction import _fit_samples, _fit_start
 from .orbits import (
+    CYCLE_DETECT_TOL,
     NEAR_RELATION_TOL,
     STABILIZATION_TOL,
+    ParameterClass,
+    _refine_coincidence,
     _tail_report,
     default_summability_window,
 )
 from .polynomial import horner_lanes
-from .xcomplex import add_lanes, mul_lanes, normalize_lanes, reciprocal_lanes
+from .xcomplex import add_lanes, cmul_lanes, mul_lanes, normalize_lanes, reciprocal_lanes
 
-#: Break-even lane count: on z**2 + c candidates from the scan-boundary
-#: region, the loop was slower than the scalar path below 10-12 lanes and
-#: faster above, at orbit lengths 256 and 2048 alike (2-CPU x86-64 box,
-#: Python 3.11, numpy 2.4).
+#: Break-even lane count of the candidate loop: on z**2 + c and z**3 + c
+#: candidates near the boundary it was slower than the per-point chain
+#: below 10-12 lanes and faster above, at orbit lengths 256 and 1024 (2-CPU
+#: x86-64 box, Python 3.11, numpy 2.4).  The scan classifies chunks of at
+#: least MIN_LANES points as lanes too, although that loop breaks even only
+#: at 15-20 points that stay undecided: below, it loses at most a few ms.
 MIN_LANES = 12
 
 #: Nominal lanes per block times the length of the fit window.  A block
@@ -56,6 +75,13 @@ MIN_LANES = 12
 #: blocks hold up to twice the nominal lane count), unless MIN_LANES lanes
 #: of a very long orbit need more.
 BLOCK_ENTRIES = 1 << 16
+
+#: Lanes times steps of a segment of the step loop (at least one step).  A
+#: scan-boundary scan (about 185 candidates, orbit 256) ran about as fast
+#: with 2,048 to 4,096 entries a segment and 10% slower with 1,024; its
+#: peak RSS rose by 1.3 MB at 2,048 and 1.6-1.8 MB at 4,096, against 1.2 MB
+#: with the former unsegmented step loop.
+SEGMENT_ENTRIES = BLOCK_ENTRIES // 32
 
 _LN2 = math.log(2.0)
 
@@ -69,6 +95,59 @@ def _cdiv_const(ar, ai, q: complex):
     ratio = q.real / q.imag
     denom = q.real * ratio + q.imag
     return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+
+
+def _classify_lanes(cs: list[complex], radii: list[float], d: int, n_max: int) -> list[ParameterClass]:
+    """classify_parameter(c, d, n_max, radius) for every c of z**d + c, the
+    orbits run as lanes.
+
+    Each step forms _unicritical_step componentwise as Python does and
+    makes the escape and the coincidence test of every undecided lane; the
+    coincidences of a step go to _refine_coincidence in lane order, at most
+    4 per lane.  A decided lane keeps iterating but is tested no more.
+    """
+    lanes = len(cs)
+    c = np.asarray(cs, dtype=complex)
+    cr, ci = c.real.copy(), c.imag.copy()
+    radius = np.asarray(radii, dtype=float)
+    zr, zi = np.zeros(lanes), np.zeros(lanes)
+    anchor_r, anchor_i, anchor_index, next_power = zr, zi, 0, 1
+    attempts = [0] * lanes
+    out: list[ParameterClass | None] = [None] * lanes
+    testable = np.ones(lanes, dtype=bool)  # undecided, with attempts left
+    undecided = np.ones(lanes, dtype=bool)
+
+    with np.errstate(all="ignore"):
+        for k in range(1, n_max + 1):
+            wr, wi = zr, zi
+            for _ in range(d - 1):
+                wr, wi = cmul_lanes(wr, wi, zr, zi)
+            zr, zi = wr + cr, wi + ci
+            size = np.hypot(zr, zi)
+            # not |z| <= radius: an overflow to nan escapes too
+            escaped = undecided & ~(size <= radius)
+            if escaped.any():
+                for i in np.flatnonzero(escaped):
+                    out[i] = ParameterClass("escaping", None, None, k)
+                undecided &= ~escaped
+                testable &= undecided
+            near = testable & (
+                np.hypot(zr - anchor_r, zi - anchor_i) < CYCLE_DETECT_TOL * np.maximum(1.0, size)
+            )
+            for i in np.flatnonzero(near):
+                attempts[i] += 1
+                testable[i] = attempts[i] < 4
+                cycle = _refine_coincidence(cs[i], d, complex(zr[i], zi[i]), k - anchor_index)
+                if cycle is not None and abs(cycle.multiplier) < 1.0:
+                    out[i] = ParameterClass("attracting", cycle.period, cycle.multiplier, k)
+                    undecided[i] = testable[i] = False
+            if not undecided.any():
+                break
+            if k == next_power:
+                anchor_r, anchor_i, anchor_index = zr, zi, k
+                next_power *= 2
+
+    return [ParameterClass("undecided", None, None, n_max) if x is None else x for x in out]
 
 
 def candidate_lanes(
@@ -96,11 +175,12 @@ def candidate_lanes(
     bounds = [len(cs) * i // count for i in range(count + 1)]
     out: list[tuple[str, float, str] | None] = []
     for lo, hi in zip(bounds, bounds[1:]):
-        out.extend(_run_block(cs[lo:hi], radii[lo:hi], d, orbit_length, field))
+        segment = max(1, SEGMENT_ENTRIES // (hi - lo))
+        out.extend(_run_block(cs[lo:hi], radii[lo:hi], d, orbit_length, field, segment))
     return out
 
 
-def _run_block(cs, radii, d, orbit_length, field):
+def _run_block(cs, radii, d, orbit_length, field, segment):
     lanes = len(cs)
     last = orbit_length
     window = default_summability_window(last + 1)
@@ -116,48 +196,90 @@ def _run_block(cs, radii, d, orbit_length, field):
     field_q = field.denominator.coefficients[0]
     radius = np.asarray(radii, dtype=float)
 
-    zeros = np.zeros(lanes)
-    zr, zi = zeros.copy(), zeros.copy()  # points[0] = 0
-    cocycle = (np.ones(lanes), zeros.copy(), np.zeros(lanes, dtype=np.int64))
-    b = (zeros.copy(), zeros.copy(), np.zeros(lanes, dtype=np.int64))
+    def point_terms(zr, zi, first):
+        """DR and v at the orbit points zr + i zi of a segment (a row a
+        step), normalized, and which lanes pass every test there: values
+        are finite, and from row `first` on (the steps k >= 1) no point is
+        near a critical point, has DR = 0 or lies beyond the radius."""
+        shape = zr.shape
+        _, _, dzr, dzi = horner_lanes(map_coeffs, zr, zi, derivative=True)
+        dzr, dzi = _cdiv_const(dzr, dzi, map_q)
+        fr, fi, _, _ = horner_lanes(field_coeffs, zr, zi, derivative=False)
+        fr, fi = (np.broadcast_to(x, shape) for x in _cdiv_const(fr, fi, field_q))
+        ok = np.isfinite(dzr) & np.isfinite(dzi) & np.isfinite(fr) & np.isfinite(fi)
+        zr, zi, dr, di = zr[first:], zi[first:], dzr[first:], dzi[first:]
+        nearest = np.minimum.reduce(
+            [np.hypot(zr - cpr, zi - cpi) / scale for cpr, cpi, scale in crit]
+        )
+        ok[first:] &= (
+            ~(nearest < NEAR_RELATION_TOL)
+            & ((dr != 0.0) | (di != 0.0))
+            & (np.hypot(zr, zi) <= radius)
+        )
+        dz = [x.reshape(shape) for x in normalize_lanes(dzr.ravel(), dzi.ravel(), 0)]
+        fv = [x.reshape(shape) for x in normalize_lanes(fr.ravel(), fi.ravel(), 0)]
+        return ok.all(axis=0), dz, fv
+
+    zr, zi = np.zeros(lanes), np.zeros(lanes)  # points[0] = 0
+    cocycle = (np.ones(lanes), np.zeros(lanes), np.zeros(lanes, dtype=np.int64))
+    b = (np.zeros(lanes), np.zeros(lanes), np.zeros(lanes, dtype=np.int64))
     partial = np.ones(lanes)
     alive = np.ones(lanes, dtype=bool)
 
     # what the verdict and the fit read: partial sums over the last
     # 2*window steps, |cocycle| at last - window and last, b over the fit
+    first_partial = last - 2 * window
     partials = np.empty((2 * window + 1, lanes))
     cocycle_at = {}
     b_abs = np.empty((last + 2 - fit_start, lanes))
     b_exp = np.empty((last + 2 - fit_start, lanes), dtype=np.int64)
 
     with np.errstate(all="ignore"):
-        for k in range(last + 1):
-            vr, vi, dzr, dzi = horner_lanes(map_coeffs, zr, zi, derivative=True)
-            vr, vi = _cdiv_const(vr, vi, map_q)
-            dzr, dzi = _cdiv_const(dzr, dzi, map_q)
-            fr, fi, _, _ = horner_lanes(field_coeffs, zr, zi, derivative=False)
-            fr, fi = (np.broadcast_to(x, (lanes,)) for x in _cdiv_const(fr, fi, field_q))
-            alive &= np.isfinite(dzr) & np.isfinite(dzi) & np.isfinite(fr) & np.isfinite(fi)
-            dz = normalize_lanes(dzr, dzi, 0)
-            if k >= 1:
-                nearest = np.minimum.reduce(
-                    [np.hypot(zr - cpr, zi - cpi) / scale for cpr, cpi, scale in crit]
-                )
-                alive &= ~(nearest < NEAR_RELATION_TOL)
-                alive &= (dzr != 0.0) | (dzi != 0.0)
-                alive &= np.hypot(zr, zi) <= radius
-                cocycle = mul_lanes(cocycle, dz)
-                inverse = reciprocal_lanes(cocycle)
-                partial = partial + np.ldexp(np.hypot(inverse[0], inverse[1]), inverse[2])
-                if k >= last - 2 * window:
-                    partials[k - (last - 2 * window)] = partial
-                if k in (last - window, last):
-                    cocycle_at[k] = (np.hypot(cocycle[0], cocycle[1]), cocycle[2].copy())
-            b = add_lanes(mul_lanes(dz, b), normalize_lanes(fr, fi, 0))
-            if k + 1 >= fit_start:
-                b_abs[k + 1 - fit_start] = np.hypot(b[0], b[1])
-                b_exp[k + 1 - fit_start] = b[2]
-            zr, zi = vr, vi
+        for k0 in range(0, last + 1, segment):
+            k1 = min(k0 + segment, last + 1)
+            # (a) the orbit alone: z at the steps k0 .. k1 - 1
+            rows_r, rows_i = [], []
+            for _ in range(k0, k1):
+                rows_r.append(zr)
+                rows_i.append(zi)
+                vr, vi, _, _ = horner_lanes(map_coeffs, zr, zi, derivative=False)
+                zr, zi = _cdiv_const(vr, vi, map_q)
+            # (b) everything that needs only z, for the whole segment at once
+            passed, dz, fv = point_terms(np.stack(rows_r), np.stack(rows_i), 1 if k0 == 0 else 0)
+            alive &= passed
+
+            # (c) the recurrences alone: the cocycle product and b
+            rows_c, rows_b = [], []
+            for s, k in enumerate(range(k0, k1)):
+                dz_k = (dz[0][s], dz[1][s], dz[2][s])
+                if k >= 1:
+                    cocycle = mul_lanes(cocycle, dz_k)
+                    rows_c.append(cocycle)
+                b = add_lanes(mul_lanes(dz_k, b), (fv[0][s], fv[1][s], fv[2][s]))
+                rows_b.append(b)
+
+            # the partial sums of 1/|cocycle| at the steps max(k0, 1) .. k1 - 1
+            if rows_c:
+                k_c = max(k0, 1)
+                cr, ci, ce = (np.stack(x) for x in zip(*rows_c))
+                inverse = reciprocal_lanes((cr.ravel(), ci.ravel(), ce.ravel()))
+                terms = np.ldexp(np.hypot(inverse[0], inverse[1]), inverse[2])
+                sums = np.add.accumulate(
+                    np.concatenate([partial[None], terms.reshape(cr.shape)]), axis=0
+                )[1:]
+                partial = sums[-1]
+                lo = max(k_c, first_partial)
+                if lo < k1:
+                    partials[lo - first_partial : k1 - first_partial] = sums[lo - k_c :]
+                for k in (last - window, last):
+                    if k_c <= k < k1:
+                        cocycle_at[k] = (np.hypot(cr[k - k_c], ci[k - k_c]), ce[k - k_c].copy())
+            # b after step k is b[k + 1]
+            lo = max(k0 + 1, fit_start)
+            if lo <= k1:
+                br, bi, be = (np.stack(x[lo - k0 - 1 :]) for x in zip(*rows_b))
+                b_abs[lo - fit_start : k1 + 1 - fit_start] = np.hypot(br, bi)
+                b_exp[lo - fit_start : k1 + 1 - fit_start] = be
 
     increments = partials[1:] - partials[:-1]
     (abs_w, exp_w), (abs_n, exp_n) = cocycle_at[last - window], cocycle_at[last]

@@ -332,7 +332,8 @@ def classify_parameter(
 ) -> ParameterClass:
     """Classify c for the family z**d + c by iterating the critical orbit.
 
-    Escape is decided by radius crossing; attraction by Brent-style cycle
+    Escape is decided by radius crossing (not |z| <= radius, so an iterate
+    that overflows to nan escapes); attraction by Brent-style cycle
     detection, then the census's period solver on the coincidence
     (`cycles.cycle_from_point`: its Newton, minimal period and residual
     gate `_within_tolerance` at CYCLE_DETECT_TOL) and |multiplier| < 1.
@@ -351,7 +352,7 @@ def classify_parameter(
 
     for k in range(1, n_max + 1):
         z = _unicritical_step(z, c, d)
-        if abs(z) > radius:
+        if not abs(z) <= radius:  # an overflow to nan escapes too
             return ParameterClass("escaping", None, None, k)
         if (
             refinement_attempts < 4

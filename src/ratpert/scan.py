@@ -3,9 +3,10 @@
 Each grid or path point is classified (escaping / attracting / candidate);
 candidates get the full orbit diagnostics: summability evidence, the
 obstruction growth exponent for the configured field, and the constant-field
-orbit sum.  The candidates of a chunk of points run together as numpy lanes
-(see lanes.py), bit-identical to the per-point chain, which still serves
-every lane that leaves the batch and every chunk with fewer than MIN_LANES
+orbit sum.  The points of a chunk are classified together as numpy lanes,
+and then its candidates run together as lanes too (see lanes.py), both
+bit-identical to the per-point chain, which still serves every lane that
+leaves the batch and every chunk with fewer than MIN_LANES points or
 candidates.  Rows are independent of each other and are always aggregated
 in index order, so the output is byte-reproducible regardless of the
 worker count.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import CriticalRelationError, RatpertError, ShapeError
 from .fields import CONSTANT_ONE, VectorFieldSpec
-from .lanes import MIN_LANES, candidate_lanes
+from .lanes import MIN_LANES, _classify_lanes, candidate_lanes
 from .maps import MapSpec, default_escape_radius
 from .mu import mu_functional
 from .obstruction import obstruction_sequence
@@ -49,6 +50,13 @@ class Rectangle:
 #: min(worker_count, points) of them, so an unchecked count could start one
 #: process per point.
 MAX_WORKERS = 64
+
+#: Points times orbit_length below which a scan runs in-process whatever its
+#: worker_count.  Starting the pool and shipping the chunks and rows costs
+#: about 0.1 s; on z**2 + c grids near the Mandelbrot boundary, 2 workers
+#: began to beat 1 between 150,000 and 400,000 orbit steps (2-CPU x86-64
+#: box, Python 3.11, numpy 2.4).
+MIN_POOL_STEPS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -163,16 +171,26 @@ def _candidate_row(
 
 
 def _scan_chunk(task: tuple) -> list[ScanRow]:
-    """Rows of consecutive scan points: classify each point, run the
-    candidates as lanes, and the per-point chain for lanes that leave (all
-    of them when there are fewer than MIN_LANES, below which the lanes are
-    slower)."""
+    """Rows of consecutive scan points: classify them and run the candidates
+    as lanes, with the per-point chain for lanes that leave.  Fewer than
+    MIN_LANES points are classified one by one, and fewer than MIN_LANES
+    candidates all take the per-point chain, since the lanes are slower
+    there."""
     points, d, orbit_length, field, escape_radius = task
+    radii = [
+        default_escape_radius(d, c) if escape_radius is None else escape_radius
+        for c in points
+    ]
+    if len(points) >= MIN_LANES:
+        classes = _classify_lanes(list(points), radii, d, orbit_length)
+    else:
+        classes = [
+            classify_parameter(c, d, n_max=orbit_length, escape_radius=radius)
+            for c, radius in zip(points, radii)
+        ]
     rows: list[ScanRow | None] = []
     candidates: list[tuple[int, complex, float]] = []
-    for c in points:
-        radius = default_escape_radius(d, c) if escape_radius is None else escape_radius
-        cls = classify_parameter(c, d, n_max=orbit_length, escape_radius=radius)
+    for c, radius, cls in zip(points, radii, classes):
         if cls.kind in ("escaping", "attracting"):
             rows.append(ScanRow(c, cls.kind, cls.period, None, None, None, ()))
         else:
@@ -207,12 +225,14 @@ def scan_parameters(config: ScanConfig) -> tuple[ScanRow, ...]:
     worker_count, so repeated runs are byte-identical.
 
     With worker_count > 1 the points are split into worker_count contiguous
-    chunks of equal size (within one point), one per worker process.
+    chunks of equal size (within one point), one per worker process, unless
+    the scan has fewer than MIN_POOL_STEPS orbit steps: it then runs
+    in-process, as with one worker.
     """
     points = config.points()
     task = (config.d, config.orbit_length, config.field, config.escape_radius)
     workers = min(config.worker_count, len(points))
-    if workers == 1:
+    if workers == 1 or len(points) * config.orbit_length < MIN_POOL_STEPS:
         return tuple(_scan_chunk((points, *task)))
     bounds = [len(points) * i // workers for i in range(workers + 1)]
     chunks = [(points[a:b], *task) for a, b in zip(bounds, bounds[1:])]

@@ -179,8 +179,10 @@ class _RecordingPool:
 
 @pytest.fixture
 def pool(monkeypatch):
+    """The recording pool, taken by scans of any size."""
     _RecordingPool.max_workers = []
     monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(scan_module, "MIN_POOL_STEPS", 0)
     return _RecordingPool
 
 

@@ -167,6 +167,14 @@ class TestClassifyParameter:
         z_fix = (1 - math.sqrt(0.6)) / 2
         assert got.multiplier == pytest.approx(2 * z_fix, rel=1e-9)
 
+    def test_overflow_to_nan_escapes(self):
+        # z_6 of z**4 + c overflows to nan while |z_5| < 1e300; iterate_orbit
+        # raises on the same orbit, so "undecided" would send it there
+        got = classify_parameter(1.875 + 1.875j, 4, escape_radius=1e300)
+        assert (got.kind, got.iterations_used) == ("escaping", 6)
+        with pytest.raises(InvalidOrbitError, match="overflowed at index 5"):
+            iterate_orbit(MapSpec.unicritical(4, 1.875 + 1.875j), 0j, 256, escape_radius=1e300)
+
     def test_outside_disk_escapes(self):
         import random
 

@@ -17,10 +17,16 @@ from ratpert import (
     scan_parameters,
 )
 import ratpert.lanes as lanes_module
-from ratpert.lanes import MIN_LANES, candidate_lanes
+from ratpert.lanes import MIN_LANES, _classify_lanes, candidate_lanes
 from ratpert.cli import main
 from ratpert.maps import MapSpec, default_escape_radius
-from ratpert.orbits import NEAR_RELATION_TOL, NearCriticalRelationWarning, iterate_orbit
+import ratpert.orbits as orbits_module
+from ratpert.orbits import (
+    NEAR_RELATION_TOL,
+    NearCriticalRelationWarning,
+    classify_parameter,
+    iterate_orbit,
+)
 from ratpert.scan import _candidate_row
 from ratpert.serialize import scan_rows_to_csv
 
@@ -70,9 +76,15 @@ def _lane_csv(config, monkeypatch):
         return _csv(config)
 
 
+def _per_point_classes(cs, radii, d, n_max):
+    return [classify_parameter(c, d, n_max=n_max, escape_radius=r) for c, r in zip(cs, radii)]
+
+
 def _per_point_csv(config, monkeypatch):
-    """The scan with every candidate sent through the per-point chain."""
+    """The scan with every point classified by classify_parameter and every
+    candidate sent through the per-point chain."""
     with monkeypatch.context() as patch:
+        patch.setattr(scan_module, "_classify_lanes", _per_point_classes)
         patch.setattr(scan_module, "candidate_lanes", lambda cs, *args: [None] * len(cs))
         return _csv(config)
 
@@ -180,35 +192,52 @@ class TestLanePath:
         assert _lane_csv(config, monkeypatch) == expected
         assert _csv(config) == expected
 
-    def test_csv_identical_across_worker_counts(self):
+    def test_csv_identical_across_worker_counts(self, monkeypatch):
         config = LANE_CASES["boundary"]
         expected = _csv(config)
+        monkeypatch.setattr(scan_module, "MIN_POOL_STEPS", 0)  # a pool however small
         for workers in (2, 3):
             assert _csv(dataclasses.replace(config, worker_count=workers)) == expected
 
     def test_boundary_candidates_stay_in_the_batch(self, monkeypatch):
-        calls = []
+        calls, classified = [], []
 
         def spy(cs, *args):
             results = candidate_lanes(cs, *args)
             calls.append(results)
             return results
 
+        def classify_spy(cs, *args):
+            results = _classify_lanes(cs, *args)
+            classified.append(results)
+            return results
+
         monkeypatch.setattr(scan_module, "candidate_lanes", spy)
+        monkeypatch.setattr(scan_module, "_classify_lanes", classify_spy)
+        monkeypatch.setattr(scan_module, "classify_parameter", None)  # never per point
         rows = scan_parameters(LANE_CASES["boundary"])
         (results,) = calls
         assert len(results) == sum(r.kind == "candidate" for r in rows) > 150
         assert all(r is not None for r in results)
+        (classes,) = classified
+        assert [(x.kind, x.period) for x in classes] == [
+            ("undecided" if r.kind == "candidate" else r.kind, r.period) for r in rows
+        ]
 
     def test_few_candidates_skip_the_lanes(self, monkeypatch):
-        calls = []
+        calls, classified = [], []
         monkeypatch.setattr(
             scan_module, "candidate_lanes", lambda cs, *args: calls.append(cs) or [None] * len(cs)
         )
-        scan_parameters(LANE_CASES["summable-path"])  # 4 candidates
-        assert calls == []
+        monkeypatch.setattr(
+            scan_module, "_classify_lanes",
+            lambda cs, *args: classified.append(cs) or _per_point_classes(cs, *args),
+        )
+        scan_parameters(LANE_CASES["summable-path"])  # 4 points, 4 candidates
+        assert calls == [] and classified == []
         scan_parameters(LANE_CASES["boundary"])
         assert len(calls) == 1 and len(calls[0]) >= MIN_LANES
+        assert len(classified) == 1 and len(classified[0]) == 256
 
     def test_equal_blocks_give_the_same_lanes(self, monkeypatch):
         config = LANE_CASES["boundary"]
@@ -286,6 +315,164 @@ class TestLanePath:
                 text = run(config)
             assert [w.category for w in caught] == [NearCriticalRelationWarning]
             assert "critical-relation@10" in text.splitlines()[3]
+
+
+def _classes_both_ways(cs, radii, d, n_max):
+    """repr of the lane classes and of classify_parameter's, point by point."""
+    return repr(_classify_lanes(list(cs), list(radii), d, n_max)), repr(
+        _per_point_classes(cs, radii, d, n_max)
+    )
+
+
+class TestLockstepClassification:
+    @pytest.mark.parametrize("name", ["grid-40x40", "cubic-grid", "boundary"])
+    def test_grids_match_classify_parameter(self, name):
+        config = LANE_CASES[name]
+        cs = config.points()
+        radii = [default_escape_radius(config.d, c) for c in cs]
+        lanes, scalar = _classes_both_ways(cs, radii, config.d, config.orbit_length)
+        assert lanes == scalar
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_signed_zero_parameters(self, d):
+        # the orbits differ from Horner's only in the signs of zeros
+        cs = [complex(-1.0, -0.0), complex(-0.0, 0.5), complex(-0.0, -0.0), complex(0.25, -0.0),
+              complex(-2.0, 0.0), complex(-0.0, 1.0)] * 2
+        radii = [default_escape_radius(d, c) for c in cs]
+        lanes, scalar = _classes_both_ways(cs, radii, d, 128)
+        assert lanes == scalar
+
+    def test_radius_tie_on_a_classification_step(self):
+        # the radius equal to |z_k| does not escape at step k; one ulp less does
+        c, d = 0.3 + 0.55j, 2
+        z, sizes = 0j, []
+        for _ in range(6):
+            z = orbits_module._unicritical_step(z, c, d)
+            sizes.append(abs(z))
+        radius = max(sizes)
+        step = sizes.index(radius) + 1
+        inside = math.nextafter(radius, 0.0)
+        cs, radii = [c, c, 0.5j, 0.5j], [radius, inside, radius, inside]
+        lanes, scalar = _classes_both_ways(cs, radii, d, 64)
+        assert lanes == scalar
+        assert classify_parameter(c, d, 64, escape_radius=inside).iterations_used == step
+        assert classify_parameter(c, d, 64, escape_radius=radius).iterations_used > step
+
+    def test_failed_refinements_and_the_attempt_cap(self, monkeypatch):
+        # every refinement fails, so the orbits that meet a cycle within the
+        # budget (c = -2, i, -1, 0.1) stay undecided after exactly 4 attempts;
+        # 2 escapes first and the parabolic -0.75 makes no coincidence
+        cs = [-2 + 0j, 1j, -1 + 0j, 0.1 + 0j, 2 + 0j, -0.75 + 0j] * 2
+        radii = [default_escape_radius(2, c) for c in cs]
+        calls = []
+
+        def failing(c, d, z, m):
+            calls.append((c, z, m))
+            return None
+
+        monkeypatch.setattr(orbits_module, "_refine_coincidence", failing)
+        scalar = repr(_per_point_classes(cs, radii, 2, 256))
+        scalar_calls, calls[:] = sorted(map(repr, calls)), []
+        monkeypatch.setattr(lanes_module, "_refine_coincidence", failing)
+        lanes = repr(_classify_lanes(cs, radii, 2, 256))
+        assert lanes == scalar
+        assert sorted(map(repr, calls)) == scalar_calls
+        # 4 each, as cs holds every point twice
+        assert [sum(c == x for x, _, _ in calls) for c in cs[:6]] == [8, 8, 8, 8, 0, 0]
+        assert lanes.count("undecided") == 10
+
+    def test_failed_refinements_keep_the_scalar_verdicts(self):
+        # c = -2, i and -2 + 1e-15i use up their 4 attempts on repelling
+        # cycles (the last then escapes); -1 is accepted at its first
+        cs = [-2 + 0j, 1j, -2 + 1e-15j, -1 + 0j, -0.1 + 0.65j, 0.26 + 0j, -1.75 + 0j] * 2
+        radii = [default_escape_radius(2, c) for c in cs]
+        lanes, scalar = _classes_both_ways(cs, radii, 2, 512)
+        assert lanes == scalar
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_escapes_without_warnings(self):
+        # at radius 1e300 the orbit of z**4 + c overflows to nan before it
+        # passes the radius; that is an escape in both paths
+        cs = [1.875 + 1.875j, -1.875 - 1.875j, 0.125 + 0.125j, 1e-3 + 0j] * 3
+        radii = [1e300] * len(cs)
+        lanes, scalar = _classes_both_ways(cs, radii, 4, 256)
+        assert lanes == scalar
+        got = classify_parameter(1.875 + 1.875j, 4, escape_radius=1e300)
+        assert (got.kind, got.iterations_used) == ("escaping", 6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_rows_escape_in_the_scan(self, monkeypatch):
+        # 154 of these rows were candidates flagged "orbit-error:orbit
+        # overflowed ..." while classification let nan pass as bounded
+        config = ScanConfig(d=4, region=Rectangle(-2, 2, -2, 2), resolution=(16, 16),
+                            escape_radius=1e300)
+        text = _csv(config)
+        assert text == _per_point_csv(config, monkeypatch)
+        assert "orbit-error" not in text
+        rows = scan_parameters(config)
+        assert rows[0].c == -1.875 - 1.875j and rows[0].kind == "escaping"
+        assert [sum(r.kind == k for r in rows) for k in ("escaping", "attracting", "candidate")] == [
+            224, 24, 8]
+
+
+class TestSegments:
+    @pytest.mark.parametrize("orbit_length", [64, 256, 1024])
+    def test_segment_sizes_give_the_same_lanes(self, orbit_length, monkeypatch):
+        config = LANE_CASES["boundary"]
+        cs = [r.c for r in scan_parameters(config) if r.kind == "candidate"][:24]
+        args = ([3.0] * len(cs), 2, orbit_length, config.field)
+        whole = repr(candidate_lanes(cs, *args))
+        segments = []
+        run_block = lanes_module._run_block
+        monkeypatch.setattr(
+            lanes_module, "_run_block",
+            lambda cs, *a: segments.append(a[-1]) or run_block(cs, *a),
+        )
+        for steps in (1, 7, orbit_length + 5):
+            monkeypatch.setattr(lanes_module, "SEGMENT_ENTRIES", steps * len(cs))
+            assert repr(candidate_lanes(cs, *args)) == whole
+        assert segments == [1, 7, orbit_length + 5]
+        rows = [_candidate_row(c, 2, orbit_length, config.field, 3.0) for c in cs]
+        assert whole == repr([(r.summability, r.growth_exponent, r.flags[0][len("obstruction="):])
+                              for r in rows])
+
+
+class TestWorkerPool:
+    def test_small_scans_run_in_process(self, monkeypatch):
+        config = LANE_CASES["boundary"]
+        assert 256 * config.orbit_length < scan_module.MIN_POOL_STEPS
+        expected = _csv(config)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a small scan started a process pool")
+
+        monkeypatch.setattr(scan_module, "ProcessPoolExecutor", no_pool)
+        for workers in (2, 4):
+            assert _csv(dataclasses.replace(config, worker_count=workers)) == expected
+
+    def test_large_scans_use_the_pool(self, monkeypatch):
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(scan_module, "ProcessPoolExecutor", Pool)
+        config = ScanConfig(d=2, region=Rectangle(3, 4, 0, 1), resolution=(64, 64),
+                            orbit_length=64, worker_count=2)
+        assert 64 * 64 * 64 == scan_module.MIN_POOL_STEPS
+        rows = scan_parameters(config)
+        assert started == [2]
+        assert rows == scan_parameters(dataclasses.replace(config, worker_count=1))
 
 
 class TestHeatmap:
