@@ -201,11 +201,10 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
         step), normalized, and which lanes pass every test there: values
         are finite, and from row `first` on (the steps k >= 1) no point is
         near a critical point, has DR = 0 or lies beyond the radius."""
-        shape = zr.shape
         _, _, dzr, dzi = horner_lanes(map_coeffs, zr, zi, derivative=True)
         dzr, dzi = _cdiv_const(dzr, dzi, map_q)
         fr, fi, _, _ = horner_lanes(field_coeffs, zr, zi, derivative=False)
-        fr, fi = (np.broadcast_to(x, shape) for x in _cdiv_const(fr, fi, field_q))
+        fr, fi = (np.broadcast_to(x, zr.shape) for x in _cdiv_const(fr, fi, field_q))
         ok = np.isfinite(dzr) & np.isfinite(dzi) & np.isfinite(fr) & np.isfinite(fi)
         zr, zi, dr, di = zr[first:], zi[first:], dzr[first:], dzi[first:]
         nearest = np.minimum.reduce(
@@ -216,9 +215,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
             & ((dr != 0.0) | (di != 0.0))
             & (np.hypot(zr, zi) <= radius)
         )
-        dz = [x.reshape(shape) for x in normalize_lanes(dzr.ravel(), dzi.ravel(), 0)]
-        fv = [x.reshape(shape) for x in normalize_lanes(fr.ravel(), fi.ravel(), 0)]
-        return ok.all(axis=0), dz, fv
+        return ok.all(axis=0), normalize_lanes(dzr, dzi, 0), normalize_lanes(fr, fi, 0)
 
     zr, zi = np.zeros(lanes), np.zeros(lanes)  # points[0] = 0
     cocycle = (np.ones(lanes), np.zeros(lanes), np.zeros(lanes, dtype=np.int64))
@@ -262,11 +259,9 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
             if rows_c:
                 k_c = max(k0, 1)
                 cr, ci, ce = (np.stack(x) for x in zip(*rows_c))
-                inverse = reciprocal_lanes((cr.ravel(), ci.ravel(), ce.ravel()))
+                inverse = reciprocal_lanes((cr, ci, ce))
                 terms = np.ldexp(np.hypot(inverse[0], inverse[1]), inverse[2])
-                sums = np.add.accumulate(
-                    np.concatenate([partial[None], terms.reshape(cr.shape)]), axis=0
-                )[1:]
+                sums = np.add.accumulate(np.concatenate([partial[None], terms]), axis=0)[1:]
                 partial = sums[-1]
                 lo = max(k_c, first_partial)
                 if lo < k1:

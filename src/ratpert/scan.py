@@ -53,10 +53,11 @@ MAX_WORKERS = 64
 
 #: Points times orbit_length below which a scan runs in-process whatever its
 #: worker_count.  Starting the pool and shipping the chunks and rows costs
-#: about 0.1 s; on z**2 + c grids near the Mandelbrot boundary, 2 workers
-#: began to beat 1 between 150,000 and 400,000 orbit steps (2-CPU x86-64
-#: box, Python 3.11, numpy 2.4).
-MIN_POOL_STEPS = 1 << 18
+#: tens of ms, and the lane loops cost nearly as much for half the lanes;
+#: on z**2 + c grids near the Mandelbrot boundary at orbit 256, 2 workers
+#: were no faster than 1 at 65,536 orbit steps and 5-20% faster from
+#: 100,000 on (2-CPU x86-64 box, Python 3.11, numpy 2.4).
+MIN_POOL_STEPS = 100_000
 
 
 @dataclass(frozen=True)

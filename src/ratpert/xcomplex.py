@@ -260,15 +260,15 @@ HYPOT_TIE = 1e-15
 
 
 def normalize_lanes(re, im, e):
-    """_normalize on lanes: frexp on the larger component, then at most one
-    doubling.  Finite components only; zero stays zero."""
+    """_normalize on lanes of any shape: frexp on the larger component, then
+    at most one doubling.  Finite components only; zero stays zero."""
     _, e0 = np.frexp(np.maximum(np.abs(re), np.abs(im)))
     re = np.ldexp(re, -e0)
     im = np.ldexp(im, -e0)
     a = np.hypot(re, im)
     double = a < 1.0
     for i in np.flatnonzero(np.abs(a - 1.0) <= HYPOT_TIE):
-        double[i] = math.hypot(re[i], im[i]) < 1.0
+        double.flat[i] = math.hypot(re.flat[i], im.flat[i]) < 1.0
     scale = np.where(double, 2.0, 1.0)
     return re * scale, im * scale, e + e0 - double
 

@@ -53,6 +53,17 @@ def test_normalize_matches_from_complex(seed):
     assert _scalars(lane) == [XComplex.from_complex(z) for z in zs]
 
 
+def test_normalize_takes_any_shape():
+    # the tie fix-up indexes the flat lanes, so a block of steps x lanes
+    # normalizes as its rows would, ties included
+    rng = np.random.default_rng(2)
+    zs = rng.uniform(-3, 3, 24) + 1j * rng.uniform(-3, 3, 24)
+    zs[::4] = rng.choice(TIES, size=6) * 2.0 ** rng.integers(-5, 5, 6)
+    flat = normalize_lanes(zs.real.copy(), zs.imag.copy(), 0)
+    block = normalize_lanes(zs.real.reshape(4, 6), zs.imag.reshape(4, 6), 0)
+    assert all(np.array_equal(x.ravel(), y) for x, y in zip(block, flat))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mul_add_reciprocal_match_xcomplex(seed):
     a = _random_values(seed)

@@ -467,9 +467,9 @@ class TestWorkerPool:
                 return map(fn, chunks)
 
         monkeypatch.setattr(scan_module, "ProcessPoolExecutor", Pool)
-        config = ScanConfig(d=2, region=Rectangle(3, 4, 0, 1), resolution=(64, 64),
-                            orbit_length=64, worker_count=2)
-        assert 64 * 64 * 64 == scan_module.MIN_POOL_STEPS
+        config = ScanConfig(d=2, region=Rectangle(3, 4, 0, 1), resolution=(25, 25),
+                            orbit_length=160, worker_count=2)
+        assert 25 * 25 * 160 == scan_module.MIN_POOL_STEPS
         rows = scan_parameters(config)
         assert started == [2]
         assert rows == scan_parameters(dataclasses.replace(config, worker_count=1))
