@@ -1,4 +1,4 @@
-"""The scan's per-point work run as numpy lanes, one per parameter.
+"""The scan's per-point work, run as numpy lanes, one per parameter.
 
 The scan classifies every parameter c of the family z**d + c and then runs
 the diagnostics of the candidates.  _classify_lanes runs classify_parameter
@@ -78,9 +78,8 @@ BLOCK_ENTRIES = 1 << 16
 
 #: Lanes times steps of a segment of the step loop (at least one step).  A
 #: scan-boundary scan (about 185 candidates, orbit 256) ran about as fast
-#: with 2,048 to 4,096 entries a segment and 10% slower with 1,024; its
-#: peak RSS rose by 1.3 MB at 2,048 and 1.6-1.8 MB at 4,096, against 1.2 MB
-#: with the former unsegmented step loop.
+#: with 2,048 to 4,096 entries a segment and 10% slower with 1,024, and the
+#: scan raised peak RSS by 1.3 MB at 2,048 and by 1.6-1.8 MB at 4,096.
 SEGMENT_ENTRIES = BLOCK_ENTRIES // 32
 
 _LN2 = math.log(2.0)
