@@ -35,7 +35,7 @@ derivative, escape, a non-finite value, and summable evidence (whose
 constant-field functional needs the whole orbit).  With a rational field
 every lane leaves.
 
-A step of the candidate loop costs about as much as a step of the scalar
+A step of the candidate loop costs about as much as a step of the per-point
 chain for MIN_LANES candidates, and a step of the classifier about as much
 as 15-20 scalar classification steps; the scan sends chunks with fewer than
 MIN_LANES points or candidates to the scalar code.
@@ -60,15 +60,18 @@ from .orbits import (
     default_summability_window,
 )
 from .polynomial import horner_lanes
-from .xcomplex import add_lanes, cmul_lanes, mul_lanes, normalize_lanes, reciprocal_lanes
+from .xcomplex import _cdiv_lanes, add_lanes, cmul_lanes, mul_lanes, normalize_lanes, reciprocal_lanes
 
 #: Break-even lane count of the candidate loop: on z**2 + c and z**3 + c
 #: candidates near the boundary it was slower than the per-point chain
-#: below 10-12 lanes and faster above, at orbit lengths 256 and 1024 (2-CPU
-#: x86-64 box, Python 3.11, numpy 2.4).  The scan classifies chunks of at
-#: least MIN_LANES points as lanes too, although that loop breaks even only
-#: at 15-20 points that stay undecided: below, it loses at most a few ms.
-MIN_LANES = 12
+#: (iterate_orbit and obstruction_sequence in segments) below 20-24 lanes
+#: and faster above, at orbit lengths 256 and 1024; the per-point/lanes
+#: time ratio was 0.5-0.9 at 12 lanes, 0.9-1.0 at 20 and 1.2-1.7 at 32
+#: (2-CPU x86-64 box, Python 3.11, numpy 2.4).  Against the step-by-step
+#: chain it replaced, which took twice as long, break-even was 10-12.  The
+#: scan classifies chunks of at least MIN_LANES points as lanes too; that
+#: loop breaks even at 15-20 points that stay undecided.
+MIN_LANES = 20
 
 #: Nominal lanes per block times the length of the fit window.  A block
 #: keeps b over the fit window in 16 bytes an entry, so at most 2 MB (equal
@@ -83,17 +86,6 @@ BLOCK_ENTRIES = 1 << 16
 SEGMENT_ENTRIES = BLOCK_ENTRIES // 32
 
 _LN2 = math.log(2.0)
-
-
-def _cdiv_const(ar, ai, q: complex):
-    """(ar + i ai) / q by CPython's complex division, for a constant q."""
-    if abs(q.real) >= abs(q.imag):
-        ratio = q.imag / q.real
-        denom = q.real + q.imag * ratio
-        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-    ratio = q.real / q.imag
-    denom = q.real * ratio + q.imag
-    return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
 
 
 def _classify_lanes(cs: list[complex], radii: list[float], d: int, n_max: int) -> list[ParameterClass]:
@@ -201,9 +193,9 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
         are finite, and from row `first` on (the steps k >= 1) no point is
         near a critical point, has DR = 0 or lies beyond the radius."""
         _, _, dzr, dzi = horner_lanes(map_coeffs, zr, zi, derivative=True)
-        dzr, dzi = _cdiv_const(dzr, dzi, map_q)
+        dzr, dzi = _cdiv_lanes(dzr, dzi, map_q.real, map_q.imag)
         fr, fi, _, _ = horner_lanes(field_coeffs, zr, zi, derivative=False)
-        fr, fi = (np.broadcast_to(x, zr.shape) for x in _cdiv_const(fr, fi, field_q))
+        fr, fi = (np.broadcast_to(x, zr.shape) for x in _cdiv_lanes(fr, fi, field_q.real, field_q.imag))
         ok = np.isfinite(dzr) & np.isfinite(dzi) & np.isfinite(fr) & np.isfinite(fi)
         zr, zi, dr, di = zr[first:], zi[first:], dzr[first:], dzi[first:]
         nearest = np.minimum.reduce(
@@ -239,7 +231,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
                 rows_r.append(zr)
                 rows_i.append(zi)
                 vr, vi, _, _ = horner_lanes(map_coeffs, zr, zi, derivative=False)
-                zr, zi = _cdiv_const(vr, vi, map_q)
+                zr, zi = _cdiv_lanes(vr, vi, map_q.real, map_q.imag)
             # (b) everything that needs only z, for the whole segment at once
             passed, dz, fv = point_terms(np.stack(rows_r), np.stack(rows_i), 1 if k0 == 0 else 0)
             alive &= passed

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMapError, PoleError, RootFindingError
-from .polynomial import ONE, CLUSTER_TOL, Polynomial, cluster_points, poly_roots
+from .polynomial import ONE, CLUSTER_TOL, Polynomial, cluster_points, horner_lanes, poly_roots
+from .xcomplex import _cdiv_lanes, cmul_lanes
 
 #: Relative tolerance below which the denominator counts as a pole.
 POLE_TOL = 1e-10
@@ -181,6 +182,40 @@ def eval_map(map: MapSpec, z: complex) -> tuple[complex, complex]:
     value = p / q
     derivative = (dp * q - p * dq) / (q * q)
     return value, derivative
+
+
+def _clear_errno() -> None:
+    """Leave C errno at 0, as a step-by-step loop has it between steps.
+
+    CPython's abs() of a complex with a nan part and no infinite one
+    returns nan without setting errno, so it raises OverflowError if errno
+    still holds an ERANGE from an earlier C call, such as numpy's ldexp or
+    hypot on lanes that under- or overflow.  Code that runs lanes between
+    scalar steps calls this before such a step."""
+    abs(0j)  # a finite modulus sets errno to 0
+
+
+def _derivative_lanes(map: MapSpec, zr, zi):
+    """DR at the lanes zr + i zi as eval_map forms it, bit for bit, and the
+    lanes where eval_map returns exactly that: no pole, and the scale, |q|
+    and DR finite, so that nothing there overflows or divides by zero.
+    Elsewhere eval_map itself says what happens."""
+    lanes = lambda poly: [(a.real, a.imag) for a in poly.coefficients]
+    pr, pi, dpr, dpi = horner_lanes(lanes(map.numerator), zr, zi, derivative=True)
+    if map.is_polynomial:
+        q0 = map.denominator.coefficients[0]
+        dr, di = _cdiv_lanes(dpr, dpi, q0.real, q0.imag)
+        return dr, di, np.isfinite(dr) & np.isfinite(di)
+    qr, qi, dqr, dqi = horner_lanes(lanes(map.denominator), zr, zi, derivative=True)
+    az, scale = np.hypot(zr, zi), 0.0
+    for a in reversed(map.denominator.coefficients):  # Polynomial.eval_scale
+        scale = scale * az + abs(a)
+    q_abs = np.hypot(qr, qi)
+    ar, ai = cmul_lanes(dpr, dpi, qr, qi)
+    br, bi = cmul_lanes(pr, pi, dqr, dqi)
+    dr, di = _cdiv_lanes(ar - br, ai - bi, *cmul_lanes(qr, qi, qr, qi))
+    regular = (q_abs > POLE_TOL * np.maximum(scale, 1e-300)) & np.isfinite(scale) & np.isfinite(q_abs)
+    return dr, di, regular & np.isfinite(dr) & np.isfinite(di)
 
 
 def eval_map_many(

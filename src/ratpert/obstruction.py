@@ -20,11 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidOrbitError
 from .fields import VectorFieldSpec
-from .maps import eval_map
-from .orbits import OrbitRecord
-from .xcomplex import XComplex, _add, _from_parts, _mul, _normalize
+from .maps import _clear_errno, _derivative_lanes, eval_map
+from .orbits import OrbitRecord, _complex_list, _normalized_parts
+from .polynomial import horner_lanes
+from .xcomplex import XComplex, _add, _cdiv_lanes, _from_parts, _mul, _normalize
 
 #: |growth exponent| below this is neither growth nor decay evidence.
 GROWTH_MARGIN = 0.05
@@ -61,7 +64,13 @@ def obstruction_sequence(
 
     DR along the orbit comes from orbit.derivatives; a record without them
     (built by hand, or decoded from JSON) has them evaluated again here.
+    The sequence runs in segments of lanes.SEGMENT_ENTRIES steps: v and
+    the normalized DR and v over a whole segment at once, then the
+    recurrence alone on XComplex parts.  A step with a non-finite DR or v
+    is taken on its own, so errors are those of a step-by-step loop.
     """
+    from .lanes import SEGMENT_ENTRIES
+
     if orbit.has_critical_relation:
         raise InvalidOrbitError("orbit carries a critical relation")
     if n < 1:
@@ -71,18 +80,61 @@ def obstruction_sequence(
             f"orbit has {orbit.truncated_at + 1} points; n = {n} needs {n} points"
         )
 
-    derivatives = orbit.derivatives or [eval_map(orbit.map, z)[1] for z in orbit.points[:n]]
+    points = orbit.points[:n]
+    derivatives = orbit.derivatives or _derivatives(orbit.map, points, SEGMENT_ENTRIES)
+    count = min(len(points), len(derivatives))
+    numerator = [(a.real, a.imag) for a in v.numerator.coefficients]
     parts: list = [None]  # b[0] = 0
     term = None
-    for point, dz in zip(orbit.points[:n], derivatives):
-        product = _mul(_normalize(dz.real, dz.imag, 0), term)
-        w = complex(v(point))
-        term = _add(product, _normalize(w.real, w.imag, 0))
-        parts.append(term)
+    for k0 in range(0, count, SEGMENT_ENTRIES):
+        k1 = min(k0 + SEGMENT_ENTRIES, count)
+        seg_points, seg_dz = points[k0:k1], derivatives[k0:k1]
+        # v and the normalized DR and v of the whole segment
+        with np.errstate(all="ignore"):
+            zs = np.array(seg_points, dtype=complex)
+            dzs = np.array(seg_dz, dtype=complex)
+            wr, wi, _, _ = horner_lanes(numerator, zs.real, zs.imag, derivative=False)
+            if v.is_polynomial:
+                q0 = v.denominator.coefficients[0]
+                wr, wi = _cdiv_lanes(wr, wi, q0.real, q0.imag)
+            else:
+                den = [(a.real, a.imag) for a in v.denominator.coefficients]
+                wr, wi = _cdiv_lanes(wr, wi, *horner_lanes(den, zs.real, zs.imag, derivative=False)[:2])
+            wr, wi = np.broadcast_to(wr, zs.shape), np.broadcast_to(wi, zs.shape)
+            finite = np.isfinite(dzs.real) & np.isfinite(dzs.imag) & np.isfinite(wr) & np.isfinite(wi)
+            dz_parts = _normalized_parts(dzs.real, dzs.imag)
+            w_parts = _normalized_parts(wr, wi)
+        # the recurrence alone; a non-finite step raises as _normalize does
+        for s, ok in enumerate(finite.tolist()):
+            if ok:
+                term = _add(_mul(dz_parts[s], term), w_parts[s])
+            else:
+                dz = seg_dz[s]
+                product = _mul(_normalize(dz.real, dz.imag, 0), term)
+                w = complex(v(seg_points[s]))
+                term = _add(product, _normalize(w.real, w.imag, 0))
+            parts.append(term)
 
     b = [_from_parts(x) for x in parts]
     exponent, evidence = _fit_growth(b)
     return ObstructionSeries(tuple(b), exponent, evidence)
+
+
+def _derivatives(map, points, segment: int) -> list[complex]:
+    """eval_map(map, z)[1] for every point, segment by segment as lanes;
+    a point where the lanes cannot vouch for eval_map's result is
+    evaluated by eval_map itself, which raises what it raises there."""
+    out: list[complex] = []
+    for k0 in range(0, len(points), segment):
+        zs = np.array(points[k0 : k0 + segment], dtype=complex)
+        with np.errstate(all="ignore"):
+            dzr, dzi, regular = _derivative_lanes(map, zs.real, zs.imag)
+        values = _complex_list(dzr, dzi)
+        for s in np.flatnonzero(~regular).tolist():
+            _clear_errno()
+            values[s] = eval_map(map, points[k0 + s])[1]
+        out.extend(values)
+    return out
 
 
 def _fit_growth(b: list[XComplex]) -> tuple[float, str]:

@@ -16,15 +16,17 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from .errors import (
     CriticalRelationError,
     InvalidOrbitError,
     PoleError,
     RootFindingError,
 )
-from .maps import MapSpec, default_escape_radius, eval_map, is_critical_point
-from .polynomial import Polynomial, _solve_roots, _trim, poly_roots
-from .xcomplex import XComplex, _from_parts, _magnitude, _mul, _normalize, _reciprocal
+from .maps import MapSpec, _clear_errno, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
+from .polynomial import Polynomial, _horner, _solve_roots, _trim, poly_roots
+from .xcomplex import XComplex, _from_parts, _mul, _normalize, normalize_lanes, reciprocal_lanes
 
 if TYPE_CHECKING:
     from .cycles import Cycle
@@ -104,64 +106,116 @@ def iterate_orbit(
     prefix orbit.  PoleError propagates for rational maps.  An iterate that
     overflows before it passes escape_radius raises InvalidOrbitError.
 
-    The cocycle runs on XComplex parts (see xcomplex.py) and becomes
-    XComplex values once, in the record.
+    The orbit runs in segments of lanes.SEGMENT_ENTRIES steps, each in three
+    passes: the orbit points alone; DR and every test on the points, over
+    the whole segment at once (maps._derivative_lanes); and the cocycle
+    product alone, on XComplex parts (see xcomplex.py), which become
+    XComplex values once, in the record.  A step whose tests do not all
+    pass (an escape, a relation, a warning, a pole, a non-finite value) is
+    taken on its own with eval_map, in order, so records, exceptions and
+    warnings are those of a step-by-step loop.
     """
+    from .lanes import SEGMENT_ENTRIES  # lanes imports this module
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not 0 < escape_radius < math.inf:
+        raise ValueError(f"escape_radius must be positive and finite, got {escape_radius}")
     c = complex(c)
     if not is_critical_point(map, c):
         raise ValueError(f"{c} is not a critical point of the map (residual check)")
 
     crit = [(cp, max(1.0, abs(cp))) for cp in map.critical_points]
+    num = map.numerator.coefficients
+    den = None if map.is_polynomial else map.denominator.coefficients
+    q0 = map.denominator.coefficients[0]
     points: list[complex] = [c]
     value, dz = eval_map(map, c)
     derivatives: list[complex] = [dz]
     entry = (1 + 0j, 0)  # the parts of XComplex.one()
     cocycle: list = [entry]
-    total = 1.0
-    partials: list[float] = [total]
+    partials: list[float] = [1.0]
     escaped_at: int | None = None
+    index = 0  # the last step taken
 
-    try:
-        for index in range(1, n_max + 1):
-            z = value
+    while index < n_max and escaped_at is None:
+        # (a) the orbit alone, up to a point that leaves the radius or
+        # whose image cannot be formed: the step there stops the orbit
+        segment: list[complex] = []
+        try:
+            for _ in range(min(SEGMENT_ENTRIES, n_max - index)):
+                z = value
+                segment.append(z)
+                if not abs(z) <= escape_radius:
+                    break
+                p = _horner(num, z)
+                value = p / q0 if den is None else p / _horner(den, z)
+        except (OverflowError, ZeroDivisionError):
+            pass
+
+        # (b) DR and the tests of every point, for the whole segment
+        with np.errstate(all="ignore"):
+            zs = np.array(segment, dtype=complex)
+            zr, zi = zs.real, zs.imag
+            dzr, dzi, regular = _derivative_lanes(map, zr, zi)
+            distances = np.array([np.hypot(zr - cp.real, zi - cp.imag) / scale for cp, scale in crit])
+            regular &= (
+                np.isfinite(distances).all(axis=0)  # else abs(z - cp) raises OverflowError
+                & (distances.min(axis=0) >= NEAR_RELATION_TOL)
+                & ((dzr != 0.0) | (dzi != 0.0))
+                & (np.hypot(zr, zi) <= escape_radius)
+            )
+            dz_values = _complex_list(dzr, dzi)
+            dz_parts = _normalized_parts(dzr, dzi)
+
+        # (c) the cocycle product alone; an irregular step on its own
+        start = 0
+        for stop in np.flatnonzero(~regular).tolist() + [len(segment)]:
+            for m in dz_parts[start:stop]:
+                entry = _mul(entry, m)
+                cocycle.append(entry)
+            points.extend(segment[start:stop])
+            derivatives.extend(dz_values[start:stop])
+            index += stop - start
+            if stop == len(segment):
+                break
+            index += 1
+            z = segment[stop]
             points.append(z)
+            _clear_errno()
             nearest = min(abs(z - cp) / scale for cp, scale in crit)
-            # Evaluate the next step and DR(z) in one pass.
-            value, dz = eval_map(map, z)
+            dz = eval_map(map, z)[1]
             derivatives.append(dz)
-
-            if nearest < RELATION_TOL or dz == 0:
-                cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
-                partials.append(math.inf)
-                record = _orbit_record(map, points, cocycle, partials, derivatives, None, index)
-                raise CriticalRelationError(
-                    f"orbit landed on a critical point at index {index}",
-                    index=index,
-                    orbit=record,
-                )
-            if nearest < NEAR_RELATION_TOL:
-                warnings.warn(
-                    f"orbit within {nearest:.2e} of a critical point at index {index}",
-                    NearCriticalRelationWarning,
-                    stacklevel=2,
-                )
-
-            entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
+            try:
+                if nearest < RELATION_TOL or dz == 0:
+                    _extend_partial_sums(partials, cocycle)
+                    cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
+                    partials.append(math.inf)
+                    record = _orbit_record(map, points, cocycle, partials, derivatives, None, index)
+                    raise CriticalRelationError(
+                        f"orbit landed on a critical point at index {index}",
+                        index=index,
+                        orbit=record,
+                    )
+                if nearest < NEAR_RELATION_TOL:
+                    warnings.warn(
+                        f"orbit within {nearest:.2e} of a critical point at index {index}",
+                        NearCriticalRelationWarning,
+                        stacklevel=2,
+                    )
+                entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
+            except ValueError:
+                # an iterate overflowed to inf/nan before |z| passed the
+                # radius; _normalize rejects the non-finite derivative
+                raise InvalidOrbitError(
+                    f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
+                ) from None
             cocycle.append(entry)
-            total += _magnitude(_reciprocal(entry))
-            partials.append(total)
-
             if abs(z) > escape_radius:
                 escaped_at = index
                 break
-    except ValueError:
-        # an iterate overflowed to inf/nan before |z| passed the radius;
-        # _normalize rejects the non-finite derivative
-        raise InvalidOrbitError(
-            f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
-        ) from None
+            start = stop + 1
+        _extend_partial_sums(partials, cocycle)
 
     return _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, None)
 
@@ -178,6 +232,41 @@ def _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, relat
         critical_relation_at=relation_at,
         derivatives=tuple(derivatives),
     )
+
+
+def _extend_partial_sums(partials: list[float], cocycle: list) -> None:
+    """Append the running sum of 1/|x| over the (nonzero) cocycle entries
+    that partials does not cover yet: reciprocal_lanes and the moduli over
+    all of them at once, then the sums in order, as total += would add
+    them."""
+    new = cocycle[len(partials):]
+    if not new:
+        return
+    mantissas = np.array([x[0] for x in new], dtype=complex)
+    exponents = np.array([x[1] for x in new], dtype=np.int64)
+    with np.errstate(over="ignore"):  # an overflowing term is inf, as in _magnitude
+        re, im, e = reciprocal_lanes((mantissas.real, mantissas.imag, exponents))
+        terms = np.ldexp(np.hypot(re, im), e)
+        sums = np.add.accumulate(np.concatenate([[partials[-1]], terms]))
+    partials.extend(sums[1:].tolist())
+
+
+def _complex_list(re, im) -> list[complex]:
+    """re + i im as Python complex values, signed zeros and non-finite
+    parts kept as they are."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out.tolist()
+
+
+def _normalized_parts(re, im) -> list:
+    """_normalize(re, im, 0) of finite lanes: (mantissa, exponent) parts,
+    or None for zero."""
+    mr, mi, e = normalize_lanes(re, im, 0)
+    parts = list(zip(_complex_list(mr, mi), e.tolist()))
+    for i in np.flatnonzero((mr == 0.0) & (mi == 0.0)).tolist():
+        parts[i] = None
+    return parts
 
 
 @dataclass(frozen=True)
@@ -217,9 +306,10 @@ def summability_report(
 
     last = orbit.truncated_at
     log2_drop = orbit.cocycle[last - window].log2_abs() - orbit.cocycle[last].log2_abs()
+    # the last 2*window increments (or all there are): what the verdict reads
     increments = [
         orbit.partial_sums_abs[k] - orbit.partial_sums_abs[k - 1]
-        for k in range(1, last + 1)
+        for k in range(max(1, last + 1 - 2 * window), last + 1)
     ]
     if not math.isfinite(increments[-1]):  # inf - inf once the partial sums overflow
         increments[-1] = orbit.cocycle[last].reciprocal().magnitude()

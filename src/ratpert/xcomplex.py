@@ -305,16 +305,35 @@ def add_lanes(a, b):
     return select_lanes(a_zero, b, select_lanes(b_zero, a, total))
 
 
+def _cdiv_lanes(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) by CPython's complex division: divide by
+    the divisor component of larger modulus.  Each operand is lanes or a
+    scalar; a scalar divisor takes its one branch, lanes take both and keep
+    one per lane.  A zero divisor gives nan where Python raises
+    ZeroDivisionError."""
+    br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
+    real_major = np.abs(br) >= np.abs(bi)  # false for a nan divisor, as in CPython
+
+    def by_real():
+        ratio = bi / br
+        denom = br + bi * ratio
+        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+    def by_imag():
+        ratio = br / bi
+        denom = br * ratio + bi
+        return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+
+    # CPython's division overflows and underflows silently, and the branch
+    # not taken may divide by zero
+    with np.errstate(all="ignore"):
+        if real_major.ndim == 0:
+            return by_real() if real_major else by_imag()
+        return select_lanes(real_major, by_real(), by_imag())
+
+
 def reciprocal_lanes(x):
     """_reciprocal on nonzero lanes: 1.0 / mantissa by CPython's
     complex division, then normalize."""
     br, bi, e = x
-    real_major = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
-        ratio = bi / br
-        denom = br + bi * ratio
-        r1, i1 = 1.0 / denom, (0.0 - ratio) / denom
-        ratio = br / bi
-        denom = br * ratio + bi
-        r2, i2 = (ratio + 0.0) / denom, -1.0 / denom
-    return normalize_lanes(*select_lanes(real_major, (r1, i1), (r2, i2)), -e)
+    return normalize_lanes(*_cdiv_lanes(1.0, 0.0, br, bi), -e)

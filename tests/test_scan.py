@@ -241,7 +241,7 @@ class TestLanePath:
 
     def test_equal_blocks_give_the_same_lanes(self, monkeypatch):
         config = LANE_CASES["boundary"]
-        cs = [r.c for r in scan_parameters(config) if r.kind == "candidate"][:40]
+        cs = [r.c for r in scan_parameters(config) if r.kind == "candidate"][:45]
         args = ([3.0] * len(cs), 2, 256, config.field)
         whole = candidate_lanes(cs, *args)
         sizes = []
@@ -251,7 +251,7 @@ class TestLanePath:
             lanes_module, "_run_block", lambda cs, *a: sizes.append(len(cs)) or run_block(cs, *a)
         )
         assert repr(candidate_lanes(cs, *args)) == repr(whole)
-        assert sizes == [13, 13, 14]  # 40 // MIN_LANES equal blocks
+        assert sizes == [22, 23]  # 45 // MIN_LANES equal blocks
 
     def test_radius_tie_is_exact(self):
         # a candidate whose farthest orbit point lies exactly on the radius
