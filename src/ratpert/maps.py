@@ -184,29 +184,19 @@ def eval_map(map: MapSpec, z: complex) -> tuple[complex, complex]:
     return value, derivative
 
 
-def _clear_errno() -> None:
-    """Leave C errno at 0, as a step-by-step loop has it between steps.
-
-    CPython's abs() of a complex with a nan part and no infinite one
-    returns nan without setting errno, so it raises OverflowError if errno
-    still holds an ERANGE from an earlier C call, such as numpy's ldexp or
-    hypot on lanes that under- or overflow.  Code that runs lanes between
-    scalar steps calls this before such a step."""
-    abs(0j)  # a finite modulus sets errno to 0
-
-
 def _derivative_lanes(map: MapSpec, zr, zi):
     """DR at the lanes zr + i zi as eval_map forms it, bit for bit, and the
     lanes where eval_map returns exactly that: no pole, and the scale, |q|
     and DR finite, so that nothing there overflows or divides by zero.
     Elsewhere eval_map itself says what happens."""
-    lanes = lambda poly: [(a.real, a.imag) for a in poly.coefficients]
-    pr, pi, dpr, dpi = horner_lanes(lanes(map.numerator), zr, zi, derivative=True)
+    num = [(a.real, a.imag) for a in map.numerator.coefficients]
+    pr, pi, dpr, dpi = horner_lanes(num, zr, zi, derivative=True)
     if map.is_polynomial:
         q0 = map.denominator.coefficients[0]
         dr, di = _cdiv_lanes(dpr, dpi, q0.real, q0.imag)
         return dr, di, np.isfinite(dr) & np.isfinite(di)
-    qr, qi, dqr, dqi = horner_lanes(lanes(map.denominator), zr, zi, derivative=True)
+    den = [(a.real, a.imag) for a in map.denominator.coefficients]
+    qr, qi, dqr, dqi = horner_lanes(den, zr, zi, derivative=True)
     az, scale = np.hypot(zr, zi), 0.0
     for a in reversed(map.denominator.coefficients):  # Polynomial.eval_scale
         scale = scale * az + abs(a)

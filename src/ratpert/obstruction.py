@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidOrbitError
 from .fields import VectorFieldSpec
-from .maps import _clear_errno, _derivative_lanes, eval_map
+from .maps import eval_map
 from .orbits import OrbitRecord, _complex_list, _normalized_parts
 from .polynomial import horner_lanes
 from .xcomplex import XComplex, _add, _cdiv_lanes, _from_parts, _mul, _normalize
@@ -81,7 +81,7 @@ def obstruction_sequence(
         )
 
     points = orbit.points[:n]
-    derivatives = orbit.derivatives or _derivatives(orbit.map, points, SEGMENT_ENTRIES)
+    derivatives = orbit.derivatives or [eval_map(orbit.map, z)[1] for z in points]
     count = min(len(points), len(derivatives))
     numerator = [(a.real, a.imag) for a in v.numerator.coefficients]
     parts: list = [None]  # b[0] = 0
@@ -118,23 +118,6 @@ def obstruction_sequence(
     b = [_from_parts(x) for x in parts]
     exponent, evidence = _fit_growth(b)
     return ObstructionSeries(tuple(b), exponent, evidence)
-
-
-def _derivatives(map, points, segment: int) -> list[complex]:
-    """eval_map(map, z)[1] for every point, segment by segment as lanes;
-    a point where the lanes cannot vouch for eval_map's result is
-    evaluated by eval_map itself, which raises what it raises there."""
-    out: list[complex] = []
-    for k0 in range(0, len(points), segment):
-        zs = np.array(points[k0 : k0 + segment], dtype=complex)
-        with np.errstate(all="ignore"):
-            dzr, dzi, regular = _derivative_lanes(map, zs.real, zs.imag)
-        values = _complex_list(dzr, dzi)
-        for s in np.flatnonzero(~regular).tolist():
-            _clear_errno()
-            values[s] = eval_map(map, points[k0 + s])[1]
-        out.extend(values)
-    return out
 
 
 def _fit_growth(b: list[XComplex]) -> tuple[float, str]:

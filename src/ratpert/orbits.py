@@ -24,7 +24,7 @@ from .errors import (
     PoleError,
     RootFindingError,
 )
-from .maps import MapSpec, _clear_errno, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
+from .maps import MapSpec, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
 from .polynomial import Polynomial, _horner, _solve_roots, _trim, poly_roots
 from .xcomplex import XComplex, _from_parts, _mul, _normalize, normalize_lanes, reciprocal_lanes
 
@@ -249,6 +249,17 @@ def _extend_partial_sums(partials: list[float], cocycle: list) -> None:
         terms = np.ldexp(np.hypot(re, im), e)
         sums = np.add.accumulate(np.concatenate([[partials[-1]], terms]))
     partials.extend(sums[1:].tolist())
+
+
+def _clear_errno() -> None:
+    """Leave C errno at 0, as a step-by-step loop has it between steps.
+
+    CPython's abs() of a complex with a nan part and no infinite one
+    returns nan without setting errno, so it raises OverflowError if errno
+    still holds an ERANGE from an earlier C call, such as numpy's ldexp or
+    hypot on lanes that under- or overflow.  Code that runs lanes between
+    scalar steps calls this before such a step."""
+    abs(0j)  # a finite modulus sets errno to 0
 
 
 def _complex_list(re, im) -> list[complex]:

@@ -21,14 +21,17 @@ from ratpert import (
     eval_map,
     iterate_orbit,
     obstruction_sequence,
+    summability_report,
 )
 from ratpert import lanes
 from ratpert.obstruction import ObstructionSeries, _fit_growth
 from ratpert.orbits import (
     NEAR_RELATION_TOL,
     RELATION_TOL,
+    STABILIZATION_TOL,
     NearCriticalRelationWarning,
     _orbit_record,
+    _tail_report,
 )
 from ratpert.serialize import decode, encode, json_dumps, json_loads
 from ratpert.xcomplex import (
@@ -243,6 +246,13 @@ def test_pole_at_the_critical_point():
     assert isinstance(got, PoleError)
 
 
+def _orbit_point(m, index):
+    z = 0j
+    for _ in range(index):
+        z = eval_map(m, z)[0]
+    return z
+
+
 @pytest.mark.parametrize("segment", [1, 2, 3, lanes.SEGMENT_ENTRIES])
 @pytest.mark.parametrize("m,index", [
     # 0 -> -1, and q(-1) = 0 exactly: no ZeroDivisionError
@@ -255,14 +265,7 @@ def test_pole_on_the_orbit(m, index, segment):
     with mock.patch.object(lanes, "SEGMENT_ENTRIES", segment):
         got, _ = assert_same_orbit(m, 0j, 50, 1e6)
     assert isinstance(got, PoleError) and "within pole tolerance" in str(got)
-    assert m.denominator(per_step_points(m, index)) == 0
-
-
-def per_step_points(m, index):
-    z = 0j
-    for _ in range(index):
-        z = eval_map(m, z)[0]
-    return z
+    assert m.denominator(_orbit_point(m, index)) == 0
 
 
 def test_derivative_exactly_zero_beats_the_escape():
@@ -366,3 +369,24 @@ def test_lane_division_by_one_value(q):
     re, im = _cdiv_lanes(a.real, a.imag, q.real, q.imag)
     got = [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
     assert _bits(got) == _bits([x / q for x in a.tolist()])
+
+
+# -- summability_report reads only the last 2*window increments -------------
+
+
+@pytest.mark.parametrize("c,n_max,window", [
+    (-2 + 0j, 300, 64), (-2 + 0j, 127, 64), (-2 + 0j, 128, 64), (1j, 200, 2),
+    (-0.12 + 0.75j, 500, 64), (-0.75 + 0j, 40, 7),
+])
+def test_summability_report_reads_the_last_increments(c, n_max, window):
+    # the verdict from every increment, as summability_report formed it
+    # before; a 2*window-entry orbit has only 2*window - 1 increments
+    orbit = iterate_orbit(MapSpec.unicritical(2, c), 0j, n_max, escape_radius=1e6)
+    last = orbit.truncated_at
+    ps = orbit.partial_sums_abs
+    increments = [ps[k] - ps[k - 1] for k in range(1, last + 1)]
+    if not math.isfinite(increments[-1]):
+        increments[-1] = orbit.cocycle[last].reciprocal().magnitude()
+    drop = orbit.cocycle[last - window].log2_abs() - orbit.cocycle[last].log2_abs()
+    want = _tail_report(ps[last], drop, increments, window, last + 1, STABILIZATION_TOL)
+    assert repr(summability_report(orbit, window)) == repr(want)
