@@ -7,8 +7,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import PoleProximityError
-from .polynomial import ONE, Polynomial, poly_roots
+from .polynomial import ONE, Polynomial, horner_lanes, poly_roots
+from .xcomplex import _cdiv_lanes
 
 #: A rational field's pole must stay at least this fraction of the orbit
 #: diameter away from every orbit point.
@@ -86,6 +89,17 @@ class VectorFieldSpec:
                     f"field pole at {pole} lies {nearest:.3e} from the orbit "
                     f"(minimum allowed {min_allowed:.3e})"
                 )
+
+
+def _field_lanes(v: VectorFieldSpec, zr, zi):
+    """v at the lanes zr + i zi, shaped like zr, as VectorFieldSpec.__call__
+    forms it: Horner on numerator and denominator (a constant denominator
+    is its coefficient), then CPython's complex division."""
+    def value(poly):
+        return horner_lanes([(a.real, a.imag) for a in poly.coefficients], zr, zi, derivative=False)[:2]
+
+    wr, wi = _cdiv_lanes(*value(v.numerator), *value(v.denominator))
+    return np.broadcast_to(wr, np.shape(zr)), np.broadcast_to(wi, np.shape(zr))
 
 
 CONSTANT_ONE = VectorFieldSpec.constant(1.0)

@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .fields import VectorFieldSpec
+from .fields import VectorFieldSpec, _field_lanes
 from .maps import MapSpec
 from .obstruction import _fit_samples, _fit_start
 from .orbits import (
@@ -183,8 +183,6 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
     map_coeffs = [(c.real.copy(), c.imag.copy())] + [
         (a.real, a.imag) for a in template.numerator.coefficients[1:]
     ]
-    field_coeffs = [(a.real, a.imag) for a in field.numerator.coefficients]
-    field_q = field.denominator.coefficients[0]
     radius = np.asarray(radii, dtype=float)
 
     def point_terms(zr, zi, first):
@@ -194,8 +192,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
         near a critical point, has DR = 0 or lies beyond the radius."""
         _, _, dzr, dzi = horner_lanes(map_coeffs, zr, zi, derivative=True)
         dzr, dzi = _cdiv_lanes(dzr, dzi, map_q.real, map_q.imag)
-        fr, fi, _, _ = horner_lanes(field_coeffs, zr, zi, derivative=False)
-        fr, fi = (np.broadcast_to(x, zr.shape) for x in _cdiv_lanes(fr, fi, field_q.real, field_q.imag))
+        fr, fi = _field_lanes(field, zr, zi)
         ok = np.isfinite(dzr) & np.isfinite(dzi) & np.isfinite(fr) & np.isfinite(fi)
         zr, zi, dr, di = zr[first:], zi[first:], dzr[first:], dzi[first:]
         nearest = np.minimum.reduce(

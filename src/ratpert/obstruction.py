@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOrbitError
-from .fields import VectorFieldSpec
+from .fields import VectorFieldSpec, _field_lanes
 from .maps import eval_map
-from .orbits import OrbitRecord, _complex_list, _normalized_parts
-from .polynomial import horner_lanes
-from .xcomplex import XComplex, _add, _cdiv_lanes, _from_parts, _mul, _normalize
+from .orbits import OrbitRecord
+from .xcomplex import XComplex, _add, _from_parts, _mul, _normalize, _normalized_parts
 
 #: |growth exponent| below this is neither growth nor decay evidence.
 GROWTH_MARGIN = 0.05
@@ -83,7 +82,6 @@ def obstruction_sequence(
     points = orbit.points[:n]
     derivatives = orbit.derivatives or [eval_map(orbit.map, z)[1] for z in points]
     count = min(len(points), len(derivatives))
-    numerator = [(a.real, a.imag) for a in v.numerator.coefficients]
     parts: list = [None]  # b[0] = 0
     term = None
     for k0 in range(0, count, SEGMENT_ENTRIES):
@@ -93,14 +91,7 @@ def obstruction_sequence(
         with np.errstate(all="ignore"):
             zs = np.array(seg_points, dtype=complex)
             dzs = np.array(seg_dz, dtype=complex)
-            wr, wi, _, _ = horner_lanes(numerator, zs.real, zs.imag, derivative=False)
-            if v.is_polynomial:
-                q0 = v.denominator.coefficients[0]
-                wr, wi = _cdiv_lanes(wr, wi, q0.real, q0.imag)
-            else:
-                den = [(a.real, a.imag) for a in v.denominator.coefficients]
-                wr, wi = _cdiv_lanes(wr, wi, *horner_lanes(den, zs.real, zs.imag, derivative=False)[:2])
-            wr, wi = np.broadcast_to(wr, zs.shape), np.broadcast_to(wi, zs.shape)
+            wr, wi = _field_lanes(v, zs.real, zs.imag)
             finite = np.isfinite(dzs.real) & np.isfinite(dzs.imag) & np.isfinite(wr) & np.isfinite(wi)
             dz_parts = _normalized_parts(dzs.real, dzs.imag)
             w_parts = _normalized_parts(wr, wi)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .maps import MapSpec, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
 from .polynomial import Polynomial, _horner, _solve_roots, _trim, poly_roots
-from .xcomplex import XComplex, _from_parts, _mul, _normalize, normalize_lanes, reciprocal_lanes
+from .xcomplex import XComplex, _complex_list, _from_parts, _mul, _normalize, _normalized_parts, reciprocal_lanes
 
 if TYPE_CHECKING:
     from .cycles import Cycle
@@ -260,24 +260,6 @@ def _clear_errno() -> None:
     hypot on lanes that under- or overflow.  Code that runs lanes between
     scalar steps calls this before such a step."""
     abs(0j)  # a finite modulus sets errno to 0
-
-
-def _complex_list(re, im) -> list[complex]:
-    """re + i im as Python complex values, signed zeros and non-finite
-    parts kept as they are."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out.tolist()
-
-
-def _normalized_parts(re, im) -> list:
-    """_normalize(re, im, 0) of finite lanes: (mantissa, exponent) parts,
-    or None for zero."""
-    mr, mi, e = normalize_lanes(re, im, 0)
-    parts = list(zip(_complex_list(mr, mi), e.tolist()))
-    for i in np.flatnonzero((mr == 0.0) & (mi == 0.0)).tolist():
-        parts[i] = None
-    return parts
 
 
 @dataclass(frozen=True)

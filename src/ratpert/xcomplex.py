@@ -273,6 +273,24 @@ def normalize_lanes(re, im, e):
     return re * scale, im * scale, e + e0 - double
 
 
+def _complex_list(re, im) -> list[complex]:
+    """re + i im as Python complex values, signed zeros and non-finite
+    parts kept as they are."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out.tolist()
+
+
+def _normalized_parts(re, im) -> list:
+    """_normalize(re, im, 0) of finite lanes: (mantissa, exponent) parts,
+    or None for zero."""
+    mr, mi, e = normalize_lanes(re, im, 0)
+    parts = list(zip(_complex_list(mr, mi), e.tolist()))
+    for i in np.flatnonzero((mr == 0.0) & (mi == 0.0)).tolist():
+        parts[i] = None
+    return parts
+
+
 def cmul_lanes(ar, ai, br, bi):
     """Complex product as Python forms it, componentwise (numpy's complex128
     multiply may fuse, Python's does not)."""
