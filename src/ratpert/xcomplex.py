@@ -329,25 +329,26 @@ def _cdiv_lanes(ar, ai, br, bi):
     scalar; a scalar divisor takes its one branch, lanes take both and keep
     one per lane.  A zero divisor gives nan where Python raises
     ZeroDivisionError."""
-    br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
-    real_major = np.abs(br) >= np.abs(bi)  # false for a nan divisor, as in CPython
-
-    def by_real():
-        ratio = bi / br
-        denom = br + bi * ratio
-        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-
-    def by_imag():
-        ratio = br / bi
-        denom = br * ratio + bi
-        return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-
     # CPython's division overflows and underflows silently, and the branch
     # not taken may divide by zero
     with np.errstate(all="ignore"):
-        if real_major.ndim == 0:
-            return by_real() if real_major else by_imag()
-        return select_lanes(real_major, by_real(), by_imag())
+        if isinstance(br, np.ndarray) or isinstance(bi, np.ndarray):
+            real_major = np.abs(br) >= np.abs(bi)  # false for a nan divisor, as in CPython
+            return select_lanes(real_major, _cdiv_by_real(ar, ai, br, bi), _cdiv_by_imag(ar, ai, br, bi))
+        br, bi = np.float64(br), np.float64(bi)  # a zero divisor gives nan, as on lanes
+        return (_cdiv_by_real if abs(br) >= abs(bi) else _cdiv_by_imag)(ar, ai, br, bi)
+
+
+def _cdiv_by_real(ar, ai, br, bi):
+    ratio = bi / br
+    denom = br + bi * ratio
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+
+def _cdiv_by_imag(ar, ai, br, bi):
+    ratio = br / bi
+    denom = br * ratio + bi
+    return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
 
 
 def reciprocal_lanes(x):
