@@ -25,7 +25,6 @@ from .continuation import continue_cycle, motion_velocity_check
 from .cycles import (
     check_census_size,
     cycle_from_point,
-    default_cycle_seeds,
     find_cycles,
     solve_alpha_on_cycle,
 )
@@ -43,8 +42,8 @@ WORKERS_ENV = "RATPERT_WORKERS"
 # flag value can exhaust memory (exit 2, one line).
 MAX_PERIOD = 4096  # a cycle holds `period` points
 # --n-max, --terms, --orbit-length, --max-iter: an orbit keeps every step;
-# --seed-count: one Newton lane per seed; --steps x --period of continue: a
-# continuation keeps the whole cycle at every step
+# --steps x --period of continue: a continuation keeps the whole cycle at
+# every step
 MAX_TERMS = 1 << 18
 MAX_STEPS = 4096  # --steps: a continuation keeps the whole cycle at every step
 MAX_PIXELS = 1 << 20  # --resolution nx*ny: one scan row or escape count per point
@@ -292,8 +291,6 @@ COMMANDS: dict[str, dict] = {
     "cycles": {
         "help": "find periodic cycles of a given period",
         "options": [_MAP, _PERIOD,
-                    _opt("--seed-count", "positive-int", 500, "Newton seeds (non-polynomial maps only)",
-                         cap=MAX_TERMS),
                     _opt("--newton-tol", "finite-float", 1e-9, "cycle residual tolerance"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
@@ -500,17 +497,13 @@ def _orbit_from(opts, n_max_key: str = "n_max"):
     return map, iterate_orbit(map, point, n_max=opts[n_max_key], escape_radius=radius)
 
 
-def _census(map: MapSpec, period: int, seed_count: int = 500, tol: float = 1e-9):
-    """find_cycles, with a period outside the census cap of a polynomial map
-    as a usage error; seeds are made only for non-polynomial maps, the only
-    ones that use them."""
-    if map.is_polynomial:
-        try:
-            check_census_size(map.degree, period)
-        except ValueError as err:
-            raise ParseError(f"--period: {err}") from None
-        return find_cycles(map, period, tol=tol)
-    return find_cycles(map, period, default_cycle_seeds(map, count=seed_count), tol=tol)
+def _census(map: MapSpec, period: int, tol: float = 1e-9):
+    """find_cycles, with a period outside the census cap as a usage error."""
+    try:
+        check_census_size(map.degree, period)
+    except ValueError as err:
+        raise ParseError(f"--period: {err}") from None
+    return find_cycles(map, period, tol=tol)
 
 
 def _pick_cycle(map: MapSpec, opts):
@@ -575,17 +568,14 @@ def _cmd_witness(opts) -> str:
 
 
 def _cmd_obstruction(opts) -> str:
-    map = opts["map"]
-    point = _critical_point(map, None)
-    radius = _escape_radius_for(map, opts.get("escape_radius"))
-    orbit = iterate_orbit(map, point, n_max=opts["terms"], escape_radius=radius)
+    _, orbit = _orbit_from(opts, "terms")
     series = obstruction_sequence(orbit, opts["field"], min(opts["terms"], orbit.truncated_at + 1))
     return serialize.json_dumps(serialize.encode(series))
 
 
 def _cmd_cycles(opts) -> str:
     map = opts["map"]
-    cycles = _census(map, opts["period"], opts["seed_count"], opts["newton_tol"])
+    cycles = _census(map, opts["period"], opts["newton_tol"])
     return serialize.json_dumps(serialize.encode(serialize.CyclesPayload(cycles)))
 
 

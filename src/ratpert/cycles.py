@@ -1,12 +1,12 @@
 """Periodic orbits: the cycle census, and the exact solve of the linearized
 conjugacy equation v = alpha(R(z)) - DR(z) alpha(z) on a cycle.
 
-For a polynomial map the census finds every root of f^n(z) - z at once
-(Aberth-Ehrlich sweeps seeded by the backward tree of a repelling fixed
-point), then builds one cycle per group of roots; other maps run Newton
-from seeds.  Both share one period solver (one polish, one cycle builder,
-one minimal-period test and one residual gate) with cycle_from_point, the
-continuation and the classification of z**d + c.
+The census finds every root of the period equation at once (Aberth-Ehrlich
+sweeps seeded by a backward tree; for a rational map in homogeneous
+coordinates, in a chart that holds infinity), then builds one cycle per
+group of roots.  It shares one period solver (one polish, one cycle
+builder, one minimal-period test and one residual gate) with
+cycle_from_point, the continuation and the classification of z**d + c.
 
 On a period-n cycle the functional equation closes up into an n-by-n cyclic
 linear system with an explicit solution: propagate forward and divide the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ParabolicCycleError, PoleError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, eval_map, eval_map_many
-from .orbits import julia_sample
+from .orbits import _repelling_periodic_point, julia_sample
 from .polynomial import Polynomial, _repulsion, poly_roots
 
 #: |1 - multiplier| at or below this is treated as parabolic.
@@ -43,9 +44,9 @@ NEWTON_TOL = 1e-14
 #: cycle at infinity (or overflowing), not to a finite one.
 NEWTON_MAX_MODULUS = 1e8
 
-#: Largest root count d**period of a polynomial census.  d = 2 reaches
-#: period 12, where the 4,096 roots take well under a second; d = 3 reaches
-#: period 7.
+#: Largest d**period of a census (a rational map adds the root at infinity).
+#: d = 2 reaches period 12, where the 4,096 roots take well under a second;
+#: d = 3 reaches period 7.
 CENSUS_MAX_ROOTS = 4096
 
 #: The candidate nearest a point of a found cycle is that point's root when
@@ -202,8 +203,8 @@ def _newton_polish(
 
 
 def check_census_size(degree: int, period: int) -> None:
-    """Raise ValueError unless the census of a polynomial map of `degree`
-    may run at `period`: degree**period <= CENSUS_MAX_ROOTS.
+    """Raise ValueError unless the census of a map of `degree` may run at
+    `period`: degree**period <= CENSUS_MAX_ROOTS.
 
     The power is built up one factor at a time and abandoned once it
     passes the cap, so an absurd period costs nothing."""
@@ -223,16 +224,10 @@ def find_cycles(
     seeds: Sequence[complex] | None = None,
     tol: float = 1e-9,
 ) -> tuple[Cycle, ...]:
-    """The cycles of exactly `period`.
-
-    For a polynomial map (`MapSpec.is_polynomial`) this is the complete
-    census: every root of f^n(z) - z is found at once by Aberth sweeps
-    started on the backward tree of the most repelling fixed point, so a
-    hyperbolic map gets all (1/n) sum_{k|n} mu(n/k) d^k cycles, and `seeds`
-    is ignored.  Seeds apply to non-polynomial maps only, which have no
-    other path: Newton runs from each seed (`default_cycle_seeds` when None)
-    and keeps what it reaches, so a cycle no seed reaches is missing
-    without notice.
+    """The cycles of exactly `period`: every root of the period equation
+    is found at once (_period_roots), so a hyperbolic map of degree d gets
+    all (1/n) sum_{k|n} mu(n/k) d^k cycles (for a rational map d^k + 1
+    replaces d^k, less the cycles through infinity).  `seeds` is ignored.
 
     Cycles whose minimal period properly divides `period` are filtered
     out.  A cycle whose multiplier is within PARABOLIC_TOL of 1 is a
@@ -242,62 +237,13 @@ def find_cycles(
     cycles share a point.  Each cycle is rotated so its base point is the
     lexicographically smallest under (Re, Im) after rounding to 1e-8, and
     the results are sorted by that key; the output is deterministic.
-    Raises ValueError when period < 1, or for a polynomial map when
-    degree**period exceeds CENSUS_MAX_ROOTS, before anything is allocated.
+    Raises ValueError when period < 1, or when degree**period exceeds
+    CENSUS_MAX_ROOTS, before anything is allocated.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    if map.is_polynomial:
-        check_census_size(map.degree, period)
-        return _collect_cycles(map, _period_roots(map, period), period, tol)
-    if seeds is None:
-        seeds = default_cycle_seeds(map)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seed list must be nonempty")
-    converged = _newton_many(map, np.asarray(seeds, dtype=complex), period, tol)
-    # hundreds of seeds land on a handful of points; keep one per cluster
-    distinct: dict[tuple[float, float], complex] = {}
-    for p in converged:
-        distinct.setdefault((round(p.real, 6), round(p.imag, 6)), p)
-    candidates = np.array([distinct[k] for k in sorted(distinct)], dtype=complex)
-    return _collect_cycles(map, candidates, period, tol)
-
-
-def _newton_many(
-    map: MapSpec, z: np.ndarray, period: int, tol: float, max_iter: int = 80
-) -> list[complex]:
-    """The seed pass of a non-polynomial census: Newton on f^n(z) - z from
-    every seed at once, keeping the points whose residual reached tol, as
-    candidates for _collect_cycles.  Scalar _newton_polish over the raw
-    seeds is several times slower."""
-    z = z.astype(complex).copy()
-    alive = np.ones(z.shape, dtype=bool)
-    done = np.zeros(z.shape, dtype=bool)
-    # diverging seeds overflow before the masks drop them; that is expected
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
-            if not alive.any():
-                break
-            w = z.copy()
-            deriv = np.ones_like(z)
-            ok = alive.copy()
-            for _ in range(period):
-                value, dw, valid = eval_map_many(map, w)
-                ok &= valid
-                deriv = np.where(ok, deriv * dw, deriv)
-                w = np.where(ok, value, w)
-            f = w - z
-            fprime = deriv - 1.0
-            ok &= np.isfinite(f) & (np.abs(z) < NEWTON_MAX_MODULUS)
-            newly_done = ok & (np.abs(f) <= tol * np.maximum(1.0, np.abs(z)))
-            done |= newly_done
-            alive &= ok & ~newly_done
-            safe = np.abs(fprime) > 1e-14
-            step = np.where(alive & safe, f / np.where(safe, fprime, 1.0), 0.0)
-            alive &= safe
-            z = z - step
-    return [complex(v) for v in z[done]]
+    check_census_size(map.degree, period)
+    return _collect_cycles(map, _period_roots(map, period), period, tol)
 
 
 def _collect_cycles(
@@ -387,15 +333,31 @@ def _satellite_spread(points: Sequence[complex]) -> float | None:
 
 
 def _period_roots(map: MapSpec, period: int) -> np.ndarray:
-    """All d**period roots of f^n(z) - z for a polynomial map, by
-    Aberth-Ehrlich sweeps from the backward tree.
-
-    f^n and its derivative come from iterating eval_map_many.  A root stops
-    moving once its Newton correction |F/F'| is below ABERTH_TOL relative
-    (the Aberth step itself also shrinks when two roots collide, so it is no
-    stop test); the sweeps end when every root has stopped or after
-    ABERTH_MAX_SWEEPS, which only clusters around a multiple root reach."""
+    """The roots of the period equation, by Aberth-Ehrlich sweeps from the
+    backward tree: all d**period roots of f^n(z) - z for a polynomial map
+    (f^n and its derivative from iterating eval_map_many), and the finite
+    ones of the d**period + 1 fixed points of R^n on the sphere for any
+    other map (_chart_newton).  A root stops moving once its Newton
+    correction |F/F'| is below ABERTH_TOL relative (the Aberth step itself
+    also shrinks when two roots collide, so it is no stop test); the sweeps
+    end when every root has stopped or after ABERTH_MAX_SWEEPS, which only
+    clusters around a multiple root reach."""
     z = _backward_tree(map, period)
+    if map.is_polynomial:
+        def correction(za):
+            w, slope = za, np.ones_like(za)
+            for _ in range(period):
+                w, dw, _ = eval_map_many(map, w)
+                slope = slope * dw
+            return (w - za) / (slope - 1.0)
+    else:
+        # the chart z = s + rho / w, with s off the tree at its scale rho,
+        # puts the bulk of the tree at |w| ~ 1 and infinity at w = 0
+        centre = complex(np.median(z.real), np.median(z.imag))
+        rho = float(np.median(np.abs(z - centre))) or 1.0
+        s = centre + 2.0 * rho * complex(math.cos(GOLDEN_ANGLE), math.sin(GOLDEN_ANGLE))
+        z = np.append(rho / (z - s), 0j)
+        correction = partial(_chart_newton, map, period, s, rho)
     n_roots = len(z)
     # the tree is symmetric (z^d + c: rotations by d-th roots of unity) and
     # repeats whole subtrees below a critical point; an offset of a golden
@@ -407,11 +369,7 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(ABERTH_MAX_SWEEPS):
             za = z[active]
-            w, slope = za, np.ones_like(za)
-            for _ in range(period):
-                w, dw, _ = eval_map_many(map, w)
-                slope = slope * dw
-            newton = (w - za) / (slope - 1.0)
+            newton = correction(za)
             moving = ~(np.abs(newton) <= ABERTH_TOL * np.maximum(1.0, np.abs(za)))
             active, za, newton = active[moving], za[moving], newton[moving]
             if not active.size:
@@ -424,25 +382,72 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
             go = ~lost & np.isfinite(step)
             last[active[go]] = za[go]
             z[active[go]] = za[go] - step[go]
-    return z
+        if map.is_polynomial:
+            return z
+        z = s + rho / z
+    return z[np.isfinite(z)]
+
+
+def _chart_newton(map: MapSpec, period: int, s: complex, rho: float, w: np.ndarray) -> np.ndarray:
+    """The Newton correction F/F' of F(w) = x_n y_0 - y_n x_0, whose roots
+    are the fixed points of R^n in the chart z = s + rho / w, infinity
+    included (w = 0); F has full degree d**n + 1 while s is not one of them.
+
+    [x_0 : y_0] = [s w + rho : w], and [x_k : y_k] is R^k of it in
+    homogeneous coordinates, carried with its w-derivative.  A step
+    divides all four by y^d, evaluating P and Q at x/y, or by x^d,
+    evaluating the reversed P and Q at y/x when |x| > |y|; the factor is
+    the same for F and F', so F/F' is that of the polynomial F."""
+    d = map.degree
+    forms = [(p, Polynomial((p.coefficients + (0j,) * (d - p.degree))[::-1]))
+             for p in (map.numerator, map.denominator)]
+    x0 = s * w + rho
+    x, y, dx, dy = x0, w, np.full_like(w, s), np.ones_like(w)
+    for _ in range(period):
+        flip = np.abs(x) > np.abs(y)
+        a, da = np.where(flip, x, y), np.where(flip, dx, dy)
+        u = np.where(flip, y, x) / a
+        du = (np.where(flip, dy, dx) - u * da) / a
+        ratio = d * da / a
+        terms = []
+        for poly, reversed_poly in forms:
+            v, dv = np.where(flip, reversed_poly.eval_with_derivative(u), poly.eval_with_derivative(u))
+            terms += [v, ratio * v + dv * du]
+        x, dx, y, dy = terms
+    return (x * w - y * x0) / (dx * w + x - dy * x0 - y * s)
 
 
 def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
-    """The d**period period-th preimages of the fixed point with the largest
-    |R'|, a root of R(z) - z, for a polynomial map R of degree d.
+    """The d**period period-th preimages of a repelling point of the map R
+    of degree d: for a polynomial map the fixed point with the largest
+    |R'|, a root of R(z) - z, and for any other map the periodic point of
+    orbits._repelling_periodic_point.
 
-    A level of a binomial R (a_0 + a_d z^d, as z^d + c) is one vectorized
-    closed-form solve for d-th roots; any other R takes one poly_roots call
-    per node."""
+    A level of a binomial polynomial R (a_0 + a_d z^d, as z^d + c) is one
+    vectorized closed-form solve for d-th roots, and of any other
+    polynomial one poly_roots call per node.  A level of a rational map is
+    one batch of eigenvalues: those of the companion matrix of P - w Q at
+    every node w."""
+    d = map.degree
+    if not map.is_polynomial:
+        num, den = (np.array(p.coefficients + (0j,) * (d - p.degree)) for p in (map.numerator, map.denominator))
+        level = np.array([_repelling_periodic_point(map)])
+        for _ in range(period):
+            c = num - level[:, None] * den
+            matrices = np.tile(np.eye(d, k=-1, dtype=complex), (len(level), 1, 1))
+            # at w = R(infinity) one preimage is infinity: a small leading
+            # coefficient puts it far out instead
+            matrices[:, :, -1] = -c[:, :-1] / np.where(c[:, -1:] == 0, SEED_OFFSET, c[:, -1:])
+            level = np.linalg.eigvals(matrices).ravel()
+        return level
     coeffs = np.asarray(map.numerator.coefficients) / map.denominator.coefficients[0]
-    d = len(coeffs) - 1
     fixed_equation = coeffs.copy()
     fixed_equation[1] -= 1.0
     fixed = np.array(poly_roots(Polynomial(tuple(fixed_equation))))
     _, slope, _ = eval_map_many(map, fixed)
     level = fixed[np.argmax(np.abs(slope))].reshape(1)
-    turns = 2.0 * np.pi * np.arange(d) / d
     binomial = not coeffs[1:-1].any()
+    turns = 2.0 * np.pi * np.arange(d) / d
     for _ in range(period):
         if binomial:
             a = (level - coeffs[0]) / coeffs[-1]
@@ -450,9 +455,7 @@ def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
                 1j * (np.angle(a)[:, None] / d + turns[None, :])
             )
         else:
-            level = np.array(
-                [poly_roots(Polynomial((coeffs[0] - w, *coeffs[1:]))) for w in level.tolist()]
-            )
+            level = np.array([poly_roots(Polynomial((coeffs[0] - w, *coeffs[1:]))) for w in level.tolist()])
         level = level.ravel()
     return level
 
@@ -460,7 +463,8 @@ def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
 def default_cycle_seeds(
     map: MapSpec, count: int = 500, seed: int = 7
 ) -> tuple[complex, ...]:
-    """Julia-set samples plus a rectangular grid covering them with margin.
+    """Julia-set samples plus a rectangular grid covering them with margin,
+    as Newton seeds; the census does not use them.
 
     Raises ValueError when count is below 1."""
     if count < 1:

@@ -52,15 +52,16 @@ from .maps import MapSpec
 from .obstruction import _fit_samples, _fit_start
 from .orbits import (
     CYCLE_DETECT_TOL,
-    NEAR_RELATION_TOL,
     STABILIZATION_TOL,
     ParameterClass,
+    _reciprocal_sums,
     _refine_coincidence,
+    _step_tests,
     _tail_report,
     default_summability_window,
 )
 from .polynomial import horner_lanes
-from .xcomplex import _cdiv_lanes, add_lanes, cmul_lanes, mul_lanes, normalize_lanes, reciprocal_lanes
+from .xcomplex import _cdiv_lanes, add_lanes, cmul_lanes, mul_lanes, normalize_lanes
 
 #: Break-even lane count of the candidate loop: on z**2 + c and z**3 + c
 #: candidates near the boundary it was slower than the per-point chain
@@ -176,8 +177,9 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
     last = orbit_length
     window = default_summability_window(last + 1)
     fit_start = _fit_start(last + 1)
+    # DR of z**d + c does not read c, so one map serves every lane
     template = MapSpec.unicritical(d, 0j)
-    crit = [(cp.real, cp.imag, max(1.0, abs(cp))) for cp in template.critical_points]
+    crit = [(cp, max(1.0, abs(cp))) for cp in template.critical_points]
     map_q = template.denominator.coefficients[0]
     c = np.asarray(cs, dtype=complex)
     map_coeffs = [(c.real.copy(), c.imag.copy())] + [
@@ -188,21 +190,12 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
     def point_terms(zr, zi, first):
         """DR and v at the orbit points zr + i zi of a segment (a row a
         step), normalized, and which lanes pass every test there: values
-        are finite, and from row `first` on (the steps k >= 1) no point is
-        near a critical point, has DR = 0 or lies beyond the radius."""
-        _, _, dzr, dzi = horner_lanes(map_coeffs, zr, zi, derivative=True)
-        dzr, dzi = _cdiv_lanes(dzr, dzi, map_q.real, map_q.imag)
+        are finite, and from row `first` on (the steps k >= 1) the step
+        tests of iterate_orbit pass (_step_tests)."""
+        dzr, dzi, ok = _step_tests(template, zr, zi, crit, radius)
+        ok[:first] = True  # the critical point 0 itself, where DR = 0
         fr, fi = _field_lanes(field, zr, zi)
-        ok = np.isfinite(dzr) & np.isfinite(dzi) & np.isfinite(fr) & np.isfinite(fi)
-        zr, zi, dr, di = zr[first:], zi[first:], dzr[first:], dzi[first:]
-        nearest = np.minimum.reduce(
-            [np.hypot(zr - cpr, zi - cpi) / scale for cpr, cpi, scale in crit]
-        )
-        ok[first:] &= (
-            ~(nearest < NEAR_RELATION_TOL)
-            & ((dr != 0.0) | (di != 0.0))
-            & (np.hypot(zr, zi) <= radius)
-        )
+        ok &= np.isfinite(fr) & np.isfinite(fi)
         return ok.all(axis=0), normalize_lanes(dzr, dzi, 0), normalize_lanes(fr, fi, 0)
 
     zr, zi = np.zeros(lanes), np.zeros(lanes)  # points[0] = 0
@@ -247,9 +240,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
             if rows_c:
                 k_c = max(k0, 1)
                 cr, ci, ce = (np.stack(x) for x in zip(*rows_c))
-                inverse = reciprocal_lanes((cr, ci, ce))
-                terms = np.ldexp(np.hypot(inverse[0], inverse[1]), inverse[2])
-                sums = np.add.accumulate(np.concatenate([partial[None], terms]), axis=0)[1:]
+                sums = _reciprocal_sums(partial, (cr, ci, ce))
                 partial = sums[-1]
                 lo = max(k_c, first_partial)
                 if lo < k1:

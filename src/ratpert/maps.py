@@ -168,7 +168,7 @@ def eval_map(map: MapSpec, z: complex) -> tuple[complex, complex]:
     """R(z) and DR(z) by Horner and the quotient rule.
 
     Raises PoleError when |denominator(z)| falls below the pole tolerance
-    relative to the local coefficient scale.
+    relative to the local coefficient scale, or its square underflows.
     """
     z = complex(z)
     p, dp = map.numerator.eval_with_derivative(z)
@@ -177,10 +177,11 @@ def eval_map(map: MapSpec, z: complex) -> tuple[complex, complex]:
         return p / q0, dp / q0
     q, dq = map.denominator.eval_with_derivative(z)
     scale = max(map.denominator.eval_scale(z), 1e-300)
-    if abs(q) <= POLE_TOL * scale:
+    q2 = q * q  # can underflow to 0 where |q| itself passes the relative test
+    if abs(q) <= POLE_TOL * scale or q2 == 0:
         raise PoleError(f"evaluation at {z} is within pole tolerance")
     value = p / q
-    derivative = (dp * q - p * dq) / (q * q)
+    derivative = (dp * q - p * dq) / q2
     return value, derivative
 
 

@@ -156,15 +156,7 @@ def iterate_orbit(
         # (b) DR and the tests of every point, for the whole segment
         with np.errstate(all="ignore"):
             zs = np.array(segment, dtype=complex)
-            zr, zi = zs.real, zs.imag
-            dzr, dzi, regular = _derivative_lanes(map, zr, zi)
-            distances = np.array([np.hypot(zr - cp.real, zi - cp.imag) / scale for cp, scale in crit])
-            regular &= (
-                np.isfinite(distances).all(axis=0)  # else abs(z - cp) raises OverflowError
-                & (distances.min(axis=0) >= NEAR_RELATION_TOL)
-                & ((dzr != 0.0) | (dzi != 0.0))
-                & (np.hypot(zr, zi) <= escape_radius)
-            )
+            dzr, dzi, regular = _step_tests(map, zs.real, zs.imag, crit, escape_radius)
             dz_values = _complex_list(dzr, dzi)
             dz_parts = _normalized_parts(dzr, dzi)
 
@@ -234,21 +226,42 @@ def _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, relat
     )
 
 
+def _step_tests(map: MapSpec, zr, zi, crit, radius):
+    """DR at the orbit points zr + i zi (maps._derivative_lanes), and where
+    a step from there is regular: eval_map gives that DR, the distance to
+    each critical point of crit, pairs (cp, max(1, |cp|)), is finite and at
+    least NEAR_RELATION_TOL, DR != 0 and |z| <= radius.  Under np.errstate."""
+    dzr, dzi, regular = _derivative_lanes(map, zr, zi)
+    distances = np.array([np.hypot(zr - cp.real, zi - cp.imag) / scale for cp, scale in crit])
+    regular &= (
+        np.isfinite(distances).all(axis=0)  # else abs(z - cp) raises OverflowError
+        & (distances.min(axis=0) >= NEAR_RELATION_TOL)
+        & ((dzr != 0.0) | (dzi != 0.0))
+        & (np.hypot(zr, zi) <= radius)
+    )
+    return dzr, dzi, regular
+
+
+def _reciprocal_sums(first, parts):
+    """first plus the running sums along axis 0 of 1/|x| over the parts
+    (re, im, exponent), added in order as total += would; an overflowing
+    term is inf, as in _magnitude.  Under np.errstate."""
+    re, im, e = reciprocal_lanes(parts)
+    terms = np.ldexp(np.hypot(re, im), e)
+    return np.add.accumulate(np.concatenate([first[None], terms]), axis=0)[1:]
+
+
 def _extend_partial_sums(partials: list[float], cocycle: list) -> None:
     """Append the running sum of 1/|x| over the (nonzero) cocycle entries
-    that partials does not cover yet: reciprocal_lanes and the moduli over
-    all of them at once, then the sums in order, as total += would add
-    them."""
+    that partials does not cover yet (_reciprocal_sums)."""
     new = cocycle[len(partials):]
     if not new:
         return
     mantissas = np.array([x[0] for x in new], dtype=complex)
     exponents = np.array([x[1] for x in new], dtype=np.int64)
-    with np.errstate(over="ignore"):  # an overflowing term is inf, as in _magnitude
-        re, im, e = reciprocal_lanes((mantissas.real, mantissas.imag, exponents))
-        terms = np.ldexp(np.hypot(re, im), e)
-        sums = np.add.accumulate(np.concatenate([[partials[-1]], terms]))
-    partials.extend(sums[1:].tolist())
+    with np.errstate(over="ignore"):
+        sums = _reciprocal_sums(np.array(partials[-1]), (mantissas.real, mantissas.imag, exponents))
+    partials.extend(sums.tolist())
 
 
 def _clear_errno() -> None:

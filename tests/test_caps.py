@@ -40,7 +40,6 @@ CAPPED = [
     (["witness", "--map", "unicritical:2,-2+0i"], "--max-degree", MAX_DEGREE),
     (["scan", "--path=-1,0.25"], "--d", MAX_DEGREE),
     (["render", "--region=-2:0.5:-1:1", "--resolution", "4,4"], "--d", MAX_DEGREE),
-    (["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1"], "--seed-count", MAX_TERMS),
 ]
 
 
@@ -72,6 +71,18 @@ def test_zero_is_a_usage_error(base, flag, cap, capsys):
     assert main(_args(base, flag, 0)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: bad value for {flag}:") and err.count("\n") == 1
+
+
+def test_seed_count_is_an_unknown_flag(capsys, monkeypatch):
+    # the seeded search and its --seed-count cap are gone: every value,
+    # the old cap included, is a usage error before any work
+    for name in WORK:
+        monkeypatch.setattr(cli, name, _never_called)
+    for value in ("1", str(MAX_TERMS), str(MAX_TERMS + 1)):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1", "--seed-count", value])
+        assert excinfo.value.code == 2
+        assert "--seed-count" in capsys.readouterr().err
 
 
 def _rational(n_coefficients):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ratpert import ParseError
 from ratpert import cli
+from ratpert import cycles as cycles_module
 from ratpert.cli import main, parse_complex, parse_field, parse_map
 
 
@@ -262,12 +263,13 @@ class TestCommands:
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_bad_seed_count_rejected(self, count, capsys):
+        # --seed-count went with the seeded search: it is an unknown flag
         args = ["cycles", "--map", "unicritical:2,-1+0i", "--period", "2",
                 "--seed-count", count]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "--seed-count" in err
-        assert err.count("\n") == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert "--seed-count" in capsys.readouterr().err
 
     def test_unwritable_output_rejected(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "out.json"
@@ -362,7 +364,6 @@ class TestCommands:
     @pytest.mark.parametrize("period", ["13", "40", "1000000000000"])
     def test_census_period_outside_cap_rejected(self, command, period, capsys, monkeypatch):
         monkeypatch.setattr(cli, "find_cycles", _never_called)
-        monkeypatch.setattr(cli, "default_cycle_seeds", _never_called)
         args = [command, "--map", "unicritical:2,-1+0i", "--period", period]
         if command == "continue":
             args += ["--lambda-target", "0.001"]
@@ -370,10 +371,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --period:") and err.count("\n") == 1
 
-    def test_rational_census_is_not_capped(self, capsys):
-        assert main(["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "13",
-                     "--seed-count", "5"]) == 0
-        assert json.loads(capsys.readouterr().out)["type"] == "cycles"
+    def test_rational_census_period_outside_cap_rejected(self, capsys, monkeypatch):
+        # the census of a rational map needs d**period + 1 roots
+        monkeypatch.setattr(cli, "find_cycles", _never_called)
+        for command in ("cycles", "alpha", "continue", "check-motion"):
+            args = [command, "--map", "rational:0,0,1/0.3,1", "--period", "13"]
+            if command == "continue":
+                args += ["--lambda-target", "0.001"]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: --period:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("point", [[], ["--point", "0"]])
     @pytest.mark.parametrize("period", ["0", "-2"])
@@ -401,6 +408,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_point_at_an_underflowing_pole_is_one_error_line(self, capsys):
+        # q * q underflows at 1e-100 on 1 / z^2: a pole, not a traceback
+        args = ["alpha", "--map", "rational:1/0,0,1", "--period", "1", "--point", "1e-100", "--field", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_check_motion_on_a_strongly_repelling_cycle(self, capsys):
         # the census's first period-9 cycle, |multiplier| about 2e4
         args = ["check-motion", "--map", "unicritical:2,-0.5969-1.6758i", "--period", "9",
@@ -410,24 +424,17 @@ class TestCommands:
         assert result["discrepancy"] <= 1e-8 * abs(complex(*result["alpha"]))
 
     def test_polynomial_census_makes_no_seeds(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "default_cycle_seeds", _never_called)
-        assert main(["cycles", "--map", "unicritical:2,-1+0i", "--period", "2",
-                     "--seed-count", "3"]) == 0
+        monkeypatch.setattr(cycles_module, "default_cycle_seeds", _never_called)
+        assert main(["cycles", "--map", "unicritical:2,-1+0i", "--period", "2"]) == 0
         assert len(json.loads(capsys.readouterr().out)["cycles"]) == 1
         assert main(["alpha", "--map", "unicritical:2,-1+0i", "--period", "2"]) == 0
 
-    def test_rational_census_uses_the_seed_count(self, capsys, monkeypatch):
-        counts = []
-        seeds = cli.default_cycle_seeds
-
-        def recording(map, count=500, **kwargs):
-            counts.append(count)
-            return seeds(map, count=count, **kwargs)
-
-        monkeypatch.setattr(cli, "default_cycle_seeds", recording)
-        assert main(["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1",
-                     "--seed-count", "40"]) == 0
-        assert counts == [40]
+    def test_rational_census_makes_no_seeds(self, capsys, monkeypatch):
+        monkeypatch.setattr(cycles_module, "default_cycle_seeds", _never_called)
+        monkeypatch.setattr(cycles_module, "julia_sample", _never_called)
+        # z^2 / (z + 0.3): the finite fixed point 0; infinity is the other
+        assert main(["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cycles"]) == 1
 
     def test_explicit_window_used(self, capsys):
         assert main(["summability", "--map", "unicritical:2,-2+0i", "--n-max", "64",

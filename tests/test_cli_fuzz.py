@@ -41,7 +41,6 @@ VALUES = {
     "--max-degree": (["0", "1", "4"], ["-1", "x", str(MAX_DEGREE + 1)], []),
     "--moments": (["1,0.5+0.5i,2", "1"], ["", "1,nan", "1,,2", "1e400"], []),
     "--period": (["1", "2", "3"], ["0", "-3", "x", str(MAX_PERIOD + 1)], []),
-    "--seed-count": (["1", "16"], ["0", "x", str(MAX_TERMS + 1)], []),
     "--steps": (["1", "4"], ["0", "x", str(MAX_STEPS + 1)], []),
     "--point": (["0", "-1", "0.5+0.5i"], ["", "x", "1+i", "1e400"], []),
     "--lambda-target": (["0.001", "0.01+0.01i", "0"], ["", "x", "1e400"], []),

@@ -51,6 +51,16 @@ class TestEval:
         with pytest.raises(PoleError):
             eval_map(m, 1)
 
+    @pytest.mark.parametrize("z", [1e-100, 1e-100j, -3e-90 + 2e-95j])
+    def test_underflowing_square_of_the_denominator_is_a_pole(self, z):
+        # 1 / z^2: |q| = |z|^2 passes the test relative to the scale |z|^2,
+        # but q * q underflows to 0 and the quotient rule would divide by it
+        m = MapSpec.rational(Polynomial((1,)), Polynomial((0, 0, 1)))
+        with pytest.raises(PoleError):
+            eval_map(m, z)
+        # the same map away from the underflow keeps its value
+        assert eval_map(m, 1e-50) == (1e100, -2e150)
+
     def test_derivative_matches_finite_difference(self):
         # central difference at 100 random points keeping away from poles
         m = MapSpec.rational(Polynomial((1, 2, 1, 0.5)), Polynomial((2, 0, 1)))

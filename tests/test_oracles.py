@@ -53,6 +53,20 @@ at most
   (Higham, sec. 12.2) but not below.  gamma = (sqrt 5 + 2) n u.
 
 The bound is SLACK times the sum over k of |W(k, i)| delta_k / |1 - rho|.
+
+Continued cycles (``TestContinuation``).  At each accepted lambda the map
+is perturbed(R, v, lambda), its double coefficients taken as given, and the
+reference is its 40-digit Newton cycle started from the reference at the
+lambda before, so it stays on the branch of the starting cycle.  The base
+p is a Newton point of the period solver: its computed f^n(p) - p is at
+most NEWTON_TOL max(1, |p|) max(1, |rho|), and the exact value exceeds the
+computed one by at most the rounding E of computing it (each map
+evaluation's ``Tracked`` bound, carried to the end by the slopes after it,
+plus one rounding of the difference).  f^n(p) - p is (rho - 1)(p - p*) to
+first order, so e_0 = (NEWTON_TOL max(1, |p|) max(1, |rho|) + E) /
+|1 - rho|, and the next point, one evaluation of the map from the last, is
+off by at most e_{k+1} = |d_k| e_k plus that evaluation's rounding.  The
+bound is SLACK times e_k.
 """
 
 import cmath
@@ -69,13 +83,16 @@ from ratpert import (
     MapSpec,
     Polynomial,
     VectorFieldSpec,
+    continue_cycle,
     find_cycles,
     iterate_orbit,
     mu_functional,
     obstruction_sequence,
     solve_alpha_on_cycle,
 )
-from ratpert.maps import default_escape_radius
+from ratpert.cycles import NEWTON_TOL
+from ratpert.maps import default_escape_radius, perturbed
+from test_census import exact_rational_cycle
 
 DIGITS = 40
 U = mpmath.mpf(2) ** -53
@@ -267,3 +284,43 @@ class TestAlphaOnCycles:
                     _check_alpha(m, cycle, field)
                     checked += 1
         assert checked >= 3 * 4
+
+
+def _check_continued(m: MapSpec, field: VectorFieldSpec, cycle, target: complex, steps: int) -> None:
+    result = continue_cycle(m, field, cycle, target, steps=steps)
+    assert result.stopped_reason == "reached_target" and len(result.cycles) == steps + 1
+    n = cycle.period
+    with mpmath.workdps(DIGITS):
+        start = cycle.base
+        for lam, continued in zip(result.lambda_path, result.cycles):
+            mapped = perturbed(m, field, lam)
+            exact = exact_rational_cycle(mapped, start, n)
+            start = exact[0][0]
+            rho = math.prod(derivative for _, derivative, _, _ in exact)
+            evaluations = [_map(mapped, Tracked(p)) for p in continued.points]
+            rounding = 0
+            for value, derivative in evaluations:
+                rounding = abs(derivative.value) * rounding + value.err
+            rounding += U * (abs(evaluations[-1][0].value) + abs(continued.base))
+            stop = NEWTON_TOL * max(1, abs(continued.base)) * max(1, abs(rho))
+            error = (stop + rounding) / abs(1 - rho)
+            for k, (got, (want, _, _, _)) in enumerate(zip(continued.points, exact)):
+                assert abs(mpmath.mpc(got) - want) <= SLACK * error, (lam, k)
+                value, derivative = evaluations[k]
+                error = abs(derivative.value) * error + value.err
+
+
+class TestContinuation:
+    # lambda steps of powers of two: lam + dl is exact, so each cycle was
+    # solved at the recorded lambda
+    def test_polynomial_cycle(self):
+        m = MapSpec.unicritical(2, -0.12 + 0.75j)
+        cycle = max(find_cycles(m, 3), key=lambda c: abs(c.multiplier))
+        _check_continued(m, VectorFieldSpec.constant(1.0), cycle, 2.0**-7 + 2.0**-8 * 1j, 4)
+
+    def test_rational_census_cycle(self):
+        # (z^2 - 1) / (1 + 0.05 z^2), the cycle-census map, and a field of degree 1
+        m = MapSpec.rational(Polynomial((-1, 0, 1)), Polynomial((1, 0, 0.05)))
+        cycle = find_cycles(m, 3)[0]
+        field = VectorFieldSpec.from_coefficients([1.0, 0.25j])
+        _check_continued(m, field, cycle, -(2.0**-7) + 2.0**-9 * 1j, 8)

@@ -5,7 +5,8 @@ import pytest
 from ratpert import cli
 from ratpert.cli import MAX_PERIOD, main
 
-SOLVERS = ("find_cycles", "default_cycle_seeds", "cycle_from_point")
+# the census entry of the CLI, whose own cap then rejects a period of 4,096
+SOLVERS = ("_census", "find_cycles", "cycle_from_point")
 
 
 class Reached(Exception):
@@ -29,7 +30,7 @@ def _args(command: str, map_text: str, period: int, point: str | None) -> list[s
     return args
 
 
-# --point on a polynomial map, and the seeded search of a rational map
+# --point on a polynomial map, and the census of a rational map
 CASES = [
     (command, map_text, point)
     for command in ("cycles", "alpha", "continue", "check-motion")
