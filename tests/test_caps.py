@@ -42,13 +42,33 @@ CAPPED = [
     (["render", "--region=-2:0.5:-1:1", "--resolution", "4,4"], "--d", MAX_DEGREE),
 ]
 
+# flags that went with the code they sized, at their old cap: the seeded
+# search and its --seed-count are gone, so every value of the flag, the old
+# cap included, is an unknown flag and exit 2 before any work
+REMOVED = [
+    (["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1"], "--seed-count", MAX_TERMS),
+]
+
 
 def _args(base, flag, value):
     return base + [flag, str(value)]
 
 
-@pytest.mark.parametrize("base,flag,cap", CAPPED)
+def _assert_unknown_flag(base, flag, values, capsys, monkeypatch):
+    for name in WORK:
+        monkeypatch.setattr(cli, name, _never_called)
+    for value in values:
+        with pytest.raises(SystemExit) as excinfo:
+            main(_args(base, flag, value))
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base,flag,cap", CAPPED + REMOVED)
 def test_above_the_cap_rejected_before_any_work(base, flag, cap, capsys, monkeypatch):
+    if (base, flag, cap) in REMOVED:
+        _assert_unknown_flag(base, flag, (cap + 1, 10**18), capsys, monkeypatch)
+        return
     for name in WORK:
         monkeypatch.setattr(cli, name, _never_called)
     for value in (cap + 1, 10**18):
@@ -57,32 +77,26 @@ def test_above_the_cap_rejected_before_any_work(base, flag, cap, capsys, monkeyp
         assert err == f"usage error: {flag}: {value} is above the cap of {cap}\n"
 
 
-@pytest.mark.parametrize("base,flag,cap", CAPPED)
-def test_at_the_cap_reaches_the_work(base, flag, cap, monkeypatch):
+@pytest.mark.parametrize("base,flag,cap", CAPPED + REMOVED)
+def test_at_the_cap_reaches_the_work(base, flag, cap, capsys, monkeypatch):
+    if (base, flag, cap) in REMOVED:
+        _assert_unknown_flag(base, flag, (cap,), capsys, monkeypatch)
+        return
     for name in WORK:
         monkeypatch.setattr(cli, name, _reached)
     with pytest.raises(Reached):
         main(_args(base, flag, cap))
 
 
-@pytest.mark.parametrize("base,flag,cap", [case for case in CAPPED
+@pytest.mark.parametrize("base,flag,cap", [case for case in CAPPED + REMOVED
                                             if case[1] not in ("--orbit-length", "--max-degree", "--d")])
-def test_zero_is_a_usage_error(base, flag, cap, capsys):
+def test_zero_is_a_usage_error(base, flag, cap, capsys, monkeypatch):
+    if (base, flag, cap) in REMOVED:
+        _assert_unknown_flag(base, flag, (0,), capsys, monkeypatch)
+        return
     assert main(_args(base, flag, 0)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: bad value for {flag}:") and err.count("\n") == 1
-
-
-def test_seed_count_is_an_unknown_flag(capsys, monkeypatch):
-    # the seeded search and its --seed-count cap are gone: every value,
-    # the old cap included, is a usage error before any work
-    for name in WORK:
-        monkeypatch.setattr(cli, name, _never_called)
-    for value in ("1", str(MAX_TERMS), str(MAX_TERMS + 1)):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["cycles", "--map", "rational:0,0,1/0.3,1", "--period", "1", "--seed-count", value])
-        assert excinfo.value.code == 2
-        assert "--seed-count" in capsys.readouterr().err
 
 
 def _rational(n_coefficients):
