@@ -606,7 +606,7 @@ def _cmd_check_motion(opts) -> str:
     return serialize.json_dumps(serialize.encode(result))
 
 
-def _scan_config(opts, need_orbit: bool = True) -> ScanConfig:
+def _scan_config(opts) -> ScanConfig:
     workers = opts.get("workers")
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
@@ -615,7 +615,7 @@ def _scan_config(opts, need_orbit: bool = True) -> ScanConfig:
         region=None if opts.get("path") else opts.get("region"),
         resolution=None if opts.get("path") else opts.get("resolution"),
         path=opts.get("path"),
-        orbit_length=opts["orbit_length"] if need_orbit else 256,
+        orbit_length=opts["orbit_length"],
         field=opts.get("field") or VectorFieldSpec.constant(1.0),
         escape_radius=opts.get("escape_radius"),
         worker_count=workers,

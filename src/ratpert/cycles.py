@@ -53,9 +53,8 @@ CENSUS_MAX_ROOTS = 4096
 #: it is within this distance, relative to max(1, |point|).
 CLAIM_TOL = 1e-6
 
-#: Two cycle points this close, relative to max(1, |point|), are one point:
-#: an orbit back within it has closed, and a polished point within it of a
-#: point of a cycle already kept lies on that cycle.
+#: An orbit back within this of its start, relative to max(1, |point|),
+#: has closed (_minimal_period).
 SAME_POINT_TOL = 1e-7
 
 #: Reach of a double root of f^n(z) - z (a parabolic cycle of period n with
@@ -254,23 +253,19 @@ def _collect_cycles(
     Each cycle built claims the candidates it passes through: the nearest
     to each of its points, within CLAIM_TOL, and for a multiple root every
     candidate within PARABOLIC_RADIUS (twice the spread of a satellite).
-    Claimed candidates are skipped.  A cycle that would claim one already
-    claimed is a duplicate, and so is one whose polished point lies within
-    SAME_POINT_TOL of a point of a cycle kept (a seed that stopped farther
-    than CLAIM_TOL from its root claims nothing)."""
+    Claimed candidates are skipped, and a cycle that would claim one
+    already claimed is a duplicate.  The candidates are the complete root
+    set, so two distinct cycles are told apart by their roots, not by how
+    close their polished points come."""
     candidates = candidates[np.lexsort((candidates.imag, candidates.real))]
     claimed = np.zeros(len(candidates), dtype=bool)
     found: list[Cycle] = []
-    kept_points = np.empty(0, dtype=complex)
     for i, z in enumerate(candidates.tolist()):
         if claimed[i]:
             continue
         claimed[i] = True
         p = _newton_polish(map, z, period)
-        if p is None or (
-            kept_points.size
-            and np.abs(kept_points - p).min() < SAME_POINT_TOL * max(1.0, abs(p))
-        ):
+        if p is None:
             continue
         cycle = _build_cycle(map, p, period)
         reach, satellite = 0.0, None
@@ -292,7 +287,6 @@ def _collect_cycles(
         ):
             continue
         found.append(_canonical(cycle))
-        kept_points = np.append(kept_points, cycle.points)
     return tuple(sorted(found, key=lambda cycle: _point_key(cycle.base)))
 
 
@@ -300,14 +294,21 @@ def _within_tolerance(cycle: Cycle, tol: float) -> bool:
     """The one residual gate on a solved cycle: |f^n(p) - p| at the base
     point p is at most tol * max(1, |p|), or at most the rounding floor
     _newton_polish stops at, when that is larger.  A bound that overflowed
-    passes nothing."""
+    passes nothing, and neither does an orbit with a point at or beyond
+    NEWTON_MAX_MODULUS: it runs through a pole towards infinity."""
     bound = max(tol, NEWTON_TOL * abs(cycle.multiplier)) * max(1.0, abs(cycle.base))
-    return math.isfinite(bound) and cycle.residual <= bound
+    return (
+        math.isfinite(bound)
+        and cycle.residual <= bound
+        and max(abs(z) for z in cycle.points) < NEWTON_MAX_MODULUS
+    )
 
 
 def _claim(candidates: np.ndarray, points: Sequence[complex], reach: float) -> np.ndarray:
-    """The candidate nearest each point, when within CLAIM_TOL, and every
-    candidate within `reach` of a point."""
+    """The candidates the cycle through `points` passes through: the one
+    nearest each point, when within CLAIM_TOL (in the complete root set,
+    that point's own root), and every candidate within `reach` of a point
+    (the cluster around a multiple root)."""
     pts = np.asarray(points, dtype=complex)[:, None]
     dist = np.abs(candidates[None, :] - pts)
     mask = (dist <= reach).any(axis=0)
@@ -347,7 +348,7 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
         def correction(za):
             w, slope = za, np.ones_like(za)
             for _ in range(period):
-                w, dw, _ = eval_map_many(map, w)
+                w, dw = eval_map_many(map, w)
                 slope = slope * dw
             return (w - za) / (slope - 1.0)
     else:
@@ -424,29 +425,22 @@ def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
     orbits._repelling_periodic_point.
 
     A level of a binomial polynomial R (a_0 + a_d z^d, as z^d + c) is one
-    vectorized closed-form solve for d-th roots, and of any other
-    polynomial one poly_roots call per node.  A level of a rational map is
-    one batch of eigenvalues: those of the companion matrix of P - w Q at
-    every node w."""
+    vectorized closed-form solve for d-th roots.  A level of any other map
+    is one batch of eigenvalues: those of the companion matrix of P - w Q
+    at every node w."""
     d = map.degree
-    if not map.is_polynomial:
-        num, den = (np.array(p.coefficients + (0j,) * (d - p.degree)) for p in (map.numerator, map.denominator))
+    num, den = (np.array(p.coefficients + (0j,) * (d - p.degree)) for p in (map.numerator, map.denominator))
+    binomial = False
+    if map.is_polynomial:
+        coeffs = num / den[0]
+        fixed_equation = coeffs.copy()
+        fixed_equation[1] -= 1.0
+        fixed = np.array(poly_roots(Polynomial(tuple(fixed_equation))))
+        _, slope = eval_map_many(map, fixed)
+        level = fixed[np.argmax(np.abs(slope))].reshape(1)
+        binomial = not coeffs[1:-1].any()
+    else:
         level = np.array([_repelling_periodic_point(map)])
-        for _ in range(period):
-            c = num - level[:, None] * den
-            matrices = np.tile(np.eye(d, k=-1, dtype=complex), (len(level), 1, 1))
-            # at w = R(infinity) one preimage is infinity: a small leading
-            # coefficient puts it far out instead
-            matrices[:, :, -1] = -c[:, :-1] / np.where(c[:, -1:] == 0, SEED_OFFSET, c[:, -1:])
-            level = np.linalg.eigvals(matrices).ravel()
-        return level
-    coeffs = np.asarray(map.numerator.coefficients) / map.denominator.coefficients[0]
-    fixed_equation = coeffs.copy()
-    fixed_equation[1] -= 1.0
-    fixed = np.array(poly_roots(Polynomial(tuple(fixed_equation))))
-    _, slope, _ = eval_map_many(map, fixed)
-    level = fixed[np.argmax(np.abs(slope))].reshape(1)
-    binomial = not coeffs[1:-1].any()
     turns = 2.0 * np.pi * np.arange(d) / d
     for _ in range(period):
         if binomial:
@@ -455,7 +449,12 @@ def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
                 1j * (np.angle(a)[:, None] / d + turns[None, :])
             )
         else:
-            level = np.array([poly_roots(Polynomial((coeffs[0] - w, *coeffs[1:]))) for w in level.tolist()])
+            c = num - level[:, None] * den
+            matrices = np.tile(np.eye(d, k=-1, dtype=complex), (len(level), 1, 1))
+            # at w = R(infinity) one preimage is infinity: a small leading
+            # coefficient puts it far out instead
+            matrices[:, :, -1] = -c[:, :-1] / np.where(c[:, -1:] == 0, SEED_OFFSET, c[:, -1:])
+            level = np.linalg.eigvals(matrices)
         level = level.ravel()
     return level
 

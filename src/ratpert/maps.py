@@ -125,22 +125,16 @@ class MapSpec:
     def critical_points(self) -> tuple[complex, ...]:
         """Finite-plane critical points, clustered within 1e-7 and deduplicated.
 
-        A cluster of k nearby roots of R' is reported once (its centroid);
-        the multiplicities are available via :meth:`critical_points_with_multiplicity`.
+        A cluster of k nearby roots of R' is reported once (its centroid).
         """
-        return tuple(z for z, _ in self.critical_points_with_multiplicity)
-
-    @cached_property
-    def critical_points_with_multiplicity(self) -> tuple[tuple[complex, int], ...]:
         dnum = self.derivative_numerator
         if dnum.is_zero:
             raise DegenerateMapError("derivative vanishes identically")
         if dnum.degree < 1:
             return ()
         roots = poly_roots(dnum, tol=1e-12)
-        clusters = cluster_points(roots, tol=CLUSTER_TOL)
         out = []
-        for center, count in clusters:
+        for center, _ in cluster_points(roots, tol=CLUSTER_TOL):
             center = _polish_root(dnum, center)
             residual = abs(dnum(center))
             scale = max(dnum.eval_scale(center), 1e-300)
@@ -148,7 +142,7 @@ class MapSpec:
                 raise RootFindingError(
                     f"critical point candidate {center} has residual {residual:.3e}"
                 )
-            out.append((center, count))
+            out.append(center)
         return tuple(out)
 
 
@@ -209,23 +203,14 @@ def _derivative_lanes(map: MapSpec, zr, zi):
     return dr, di, regular & np.isfinite(dr) & np.isfinite(di)
 
 
-def eval_map_many(
-    map: MapSpec, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (value, derivative, valid_mask); poles are masked, not raised."""
-    z = np.asarray(z, dtype=complex)
-    p, dp = map.numerator.eval_with_derivative(z)
-    if map.is_polynomial:
-        q0 = map.denominator.coefficients[0]
-        ok = np.isfinite(p) & np.isfinite(dp)
-        return p / q0, dp / q0, ok
-    q, dq = map.denominator.eval_with_derivative(z)
-    ok = np.abs(q) > POLE_TOL * np.maximum(map.denominator.eval_scale(z), 1e-300)
-    q_safe = np.where(ok, q, 1.0)
-    value = p / q_safe
-    derivative = (dp * q_safe - p * dq) / (q_safe * q_safe)
-    ok = ok & np.isfinite(value) & np.isfinite(derivative)
-    return value, derivative, ok
+def eval_map_many(map: MapSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (value, derivative) of a polynomial map, as the census
+    iterates it.  Raises ValueError for any other map."""
+    if not map.is_polynomial:
+        raise ValueError("eval_map_many takes a polynomial map")
+    p, dp = map.numerator.eval_with_derivative(np.asarray(z, dtype=complex))
+    q0 = map.denominator.coefficients[0]
+    return p / q0, dp / q0
 
 
 def is_critical_point(map: MapSpec, z: complex) -> bool:

@@ -356,7 +356,7 @@ def render_escape(
         radius = (
             config.escape_radius
             if config.escape_radius is not None
-            else max(2.0, corner_scale ** (1.0 / (config.d - 1))) + 1.0
+            else default_escape_radius(config.d, corner_scale)
         )
     else:
         c = np.full_like(pixels, complex(julia_c))

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ratpert import (
@@ -16,7 +17,7 @@ from ratpert import (
     find_cycles,
     solve_alpha_on_cycle,
 )
-from ratpert.cycles import _within_tolerance
+from ratpert.cycles import _collect_cycles, _within_tolerance
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -114,6 +115,13 @@ class TestCycleFromPoint:
     def test_gate_rejects_an_overflowed_bound(self):
         cycle = Cycle((1e200 + 0j,), 1, complex(math.inf, 0.0), math.inf)
         assert not _within_tolerance(cycle, 1e-9)
+
+    def test_gate_rejects_an_orbit_through_a_pole(self):
+        # (z + 0.5) / z^2 sends a point near its pole 0 to about 5e31, and
+        # 5e31 back within the residual gate of that point: an image of the
+        # superattracting cycle {0, infinity}, not a period-2 cycle
+        m = MapSpec.rational(Polynomial((0.5, 1)), Polynomial((0, 0, 1)))
+        assert _collect_cycles(m, np.array([1e-16 + 1e-17j]), 2, 1e-9) == ()
 
 
 class TestSolveAlpha:

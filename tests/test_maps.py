@@ -13,6 +13,7 @@ from ratpert import (
     eval_map,
     perturbed,
 )
+from ratpert.maps import eval_map_many
 
 
 class TestCriticalPoints:
@@ -60,6 +61,13 @@ class TestEval:
             eval_map(m, z)
         # the same map away from the underflow keeps its value
         assert eval_map(m, 1e-50) == (1e100, -2e150)
+
+    def test_batched_evaluation_takes_polynomial_maps_only(self):
+        m = MapSpec.polynomial(Polynomial((0.5, 1, 2)))
+        value, deriv = eval_map_many(m, [1j])
+        assert (value[0], deriv[0]) == eval_map(m, 1j)
+        with pytest.raises(ValueError, match="polynomial"):
+            eval_map_many(MapSpec.rational(Polynomial((0, 0, 1)), Polynomial((1, 1))), [1j])
 
     def test_derivative_matches_finite_difference(self):
         # central difference at 100 random points keeping away from poles
