@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ParabolicCycleError, PoleError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, eval_map, eval_map_many
-from .orbits import _repelling_periodic_point, julia_sample
-from .polynomial import Polynomial, _repulsion, poly_roots
+from .orbits import _infinity_multiplier, _julia_point, julia_sample
+from .polynomial import Polynomial, _repulsion
 
 #: |1 - multiplier| at or below this is treated as parabolic.
 PARABOLIC_TOL = 1e-6
@@ -225,8 +225,9 @@ def find_cycles(
 ) -> tuple[Cycle, ...]:
     """The cycles of exactly `period`: every root of the period equation
     is found at once (_period_roots), so a hyperbolic map of degree d gets
-    all (1/n) sum_{k|n} mu(n/k) d^k cycles (for a rational map d^k + 1
-    replaces d^k, less the cycles through infinity).  `seeds` is ignored.
+    all (1/n) sum_{k|n} mu(n/k) d^k cycles (for a rational map d^k + 1 - m,
+    m the multiplicity of infinity as a fixed point of R^k, replaces d^k,
+    less the cycles through infinity).  `seeds` is ignored.
 
     Cycles whose minimal period properly divides `period` are filtered
     out.  A cycle whose multiplier is within PARABOLIC_TOL of 1 is a
@@ -342,7 +343,9 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
     correction |F/F'| is below ABERTH_TOL relative (the Aberth step itself
     also shrinks when two roots collide, so it is no stop test); the sweeps
     end when every root has stopped or after ABERTH_MAX_SWEEPS, which only
-    clusters around a multiple root reach."""
+    clusters around a multiple root reach.  A parabolic infinity of R^n
+    takes the roots within PARABOLIC_RADIUS of w = 0 with it: its cluster,
+    and far points where R^n(z) == z in floating point, are no cycles."""
     z = _backward_tree(map, period)
     if map.is_polynomial:
         def correction(za):
@@ -385,6 +388,9 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
             z[active[go]] = za[go] - step[go]
         if map.is_polynomial:
             return z
+        at_infinity = _infinity_multiplier(map)
+        if at_infinity is not None and abs(np.complex128(at_infinity) ** period - 1.0) <= PARABOLIC_TOL:
+            z = z[np.abs(z) > PARABOLIC_RADIUS]
         z = s + rho / z
     return z[np.isfinite(z)]
 
@@ -419,10 +425,8 @@ def _chart_newton(map: MapSpec, period: int, s: complex, rho: float, w: np.ndarr
 
 
 def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
-    """The d**period period-th preimages of a repelling point of the map R
-    of degree d: for a polynomial map the fixed point with the largest
-    |R'|, a root of R(z) - z, and for any other map the periodic point of
-    orbits._repelling_periodic_point.
+    """The d**period period-th preimages of orbits._julia_point, for the
+    map R of degree d.
 
     A level of a binomial polynomial R (a_0 + a_d z^d, as z^d + c) is one
     vectorized closed-form solve for d-th roots.  A level of any other map
@@ -430,21 +434,12 @@ def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
     at every node w."""
     d = map.degree
     num, den = (np.array(p.coefficients + (0j,) * (d - p.degree)) for p in (map.numerator, map.denominator))
-    binomial = False
-    if map.is_polynomial:
-        coeffs = num / den[0]
-        fixed_equation = coeffs.copy()
-        fixed_equation[1] -= 1.0
-        fixed = np.array(poly_roots(Polynomial(tuple(fixed_equation))))
-        _, slope = eval_map_many(map, fixed)
-        level = fixed[np.argmax(np.abs(slope))].reshape(1)
-        binomial = not coeffs[1:-1].any()
-    else:
-        level = np.array([_repelling_periodic_point(map)])
+    level = np.array([_julia_point(map)])
+    binomial = map.is_polynomial and not num[1:-1].any()
     turns = 2.0 * np.pi * np.arange(d) / d
     for _ in range(period):
         if binomial:
-            a = (level - coeffs[0]) / coeffs[-1]
+            a = (level - num[0] / den[0]) / (num[-1] / den[0])
             level = (np.abs(a) ** (1.0 / d))[:, None] * np.exp(
                 1j * (np.angle(a)[:, None] / d + turns[None, :])
             )

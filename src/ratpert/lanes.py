@@ -20,13 +20,15 @@ their moduli are again taken over the whole segment at once.
 Lane values repeat the scalar arithmetic step for step, so every lane is
 bit-identical to the scalar path: extended-range values and their
 operations are the lane versions in xcomplex.py, polynomials are evaluated
-by polynomial.horner_lanes, products are formed componentwise as Python
-forms them, quotients follow CPython's complex division, partial sums are
-added in order (np.add.accumulate), and the logarithms of the verdict and
-the fit are taken with ``math``, not numpy.  The verdict and the fit
-themselves are the scalar code's own.  ``np.hypot`` equals
-``abs(complex)``, so the relation, escape and coincidence tests compare
-with their tolerance and radius exactly, as the scalar path does.
+by polynomial.horner_lanes (the orbit step _step_lanes without Horner's
+product by 1 and sums with 0, which change at most the sign of a zero),
+products are formed componentwise as Python forms them, quotients follow
+CPython's complex division, partial sums are added in order
+(np.add.accumulate), and the logarithms of the verdict and the fit are
+taken with ``math``, not numpy.  The verdict and the fit themselves are
+the scalar code's own.  ``np.hypot`` equals ``abs(complex)``, so the
+relation, escape and coincidence tests compare with their tolerance and
+radius exactly, as the scalar path does.
 
 A candidate lane whose orbit does anything the scalar path reports or
 treats specially leaves the batch (its result is None) and the caller runs
@@ -60,8 +62,7 @@ from .orbits import (
     _tail_report,
     default_summability_window,
 )
-from .polynomial import horner_lanes
-from .xcomplex import _cdiv_lanes, add_lanes, cmul_lanes, mul_lanes, normalize_lanes
+from .xcomplex import add_lanes, cmul_lanes, mul_lanes, normalize_lanes
 
 #: Break-even lane count of the candidate loop: on z**2 + c and z**3 + c
 #: candidates near the boundary it was slower than the per-point chain
@@ -89,18 +90,25 @@ SEGMENT_ENTRIES = BLOCK_ENTRIES // 32
 _LN2 = math.log(2.0)
 
 
+def _step_lanes(zr, zi, cr, ci, d):
+    """_unicritical_step on lanes: d - 1 products as Python forms them, + c."""
+    wr, wi = zr, zi
+    for _ in range(d - 1):
+        wr, wi = cmul_lanes(wr, wi, zr, zi)
+    return wr + cr, wi + ci
+
+
 def _classify_lanes(cs: list[complex], radii: list[float], d: int, n_max: int) -> list[ParameterClass]:
     """classify_parameter(c, d, n_max, radius) for every c of z**d + c, the
     orbits run as lanes.
 
-    Each step forms _unicritical_step componentwise as Python does and
-    makes the escape and the coincidence test of every undecided lane; the
-    coincidences of a step go to _refine_coincidence in lane order, at most
-    4 per lane.  A decided lane keeps iterating but is tested no more.
+    Each step is _step_lanes, then the escape and the coincidence test of
+    every undecided lane; the coincidences of a step go to
+    _refine_coincidence in lane order, at most 4 per lane.  A decided lane
+    keeps iterating but is tested no more.
     """
     lanes = len(cs)
-    c = np.asarray(cs, dtype=complex)
-    cr, ci = c.real.copy(), c.imag.copy()
+    cr, ci = np.real(cs).copy(), np.imag(cs).copy()
     radius = np.asarray(radii, dtype=float)
     zr, zi = np.zeros(lanes), np.zeros(lanes)
     anchor_r, anchor_i, anchor_index, next_power = zr, zi, 0, 1
@@ -111,10 +119,7 @@ def _classify_lanes(cs: list[complex], radii: list[float], d: int, n_max: int) -
 
     with np.errstate(all="ignore"):
         for k in range(1, n_max + 1):
-            wr, wi = zr, zi
-            for _ in range(d - 1):
-                wr, wi = cmul_lanes(wr, wi, zr, zi)
-            zr, zi = wr + cr, wi + ci
+            zr, zi = _step_lanes(zr, zi, cr, ci, d)
             size = np.hypot(zr, zi)
             # not |z| <= radius: an overflow to nan escapes too
             escaped = undecided & ~(size <= radius)
@@ -180,11 +185,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
     # DR of z**d + c does not read c, so one map serves every lane
     template = MapSpec.unicritical(d, 0j)
     crit = [(cp, max(1.0, abs(cp))) for cp in template.critical_points]
-    map_q = template.denominator.coefficients[0]
-    c = np.asarray(cs, dtype=complex)
-    map_coeffs = [(c.real.copy(), c.imag.copy())] + [
-        (a.real, a.imag) for a in template.numerator.coefficients[1:]
-    ]
+    c_re, c_im = np.real(cs).copy(), np.imag(cs).copy()
     radius = np.asarray(radii, dtype=float)
 
     def point_terms(zr, zi, first):
@@ -220,8 +221,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
             for _ in range(k0, k1):
                 rows_r.append(zr)
                 rows_i.append(zi)
-                vr, vi, _, _ = horner_lanes(map_coeffs, zr, zi, derivative=False)
-                zr, zi = _cdiv_lanes(vr, vi, map_q.real, map_q.imag)
+                zr, zi = _step_lanes(zr, zi, c_re, c_im, d)
             # (b) everything that needs only z, for the whole segment at once
             passed, dz, fv = point_terms(np.stack(rows_r), np.stack(rows_i), 1 if k0 == 0 else 0)
             alive &= passed

@@ -13,7 +13,6 @@ first; the toolkit does not choose one automatically).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 

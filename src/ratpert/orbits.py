@@ -14,7 +14,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -486,8 +486,8 @@ def julia_sample(
     transient: int = 64,
     seed: int = 0,
 ) -> tuple[complex, ...]:
-    """Sample the Julia set by inverse iteration from a repelling periodic
-    point (a fixed point when the map has one in the finite plane).
+    """Sample the Julia set by inverse iteration from _julia_point: the
+    most repelling fixed point, or a pole when that is infinity.
 
     Each step solves R(z) = w for all preimages and picks one branch
     uniformly at random (deterministic for a given seed); the first
@@ -499,7 +499,7 @@ def julia_sample(
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
 
-    w = _repelling_periodic_point(map)
+    w = _julia_point(map)
     rng = random.Random(seed)
     num, den = map.numerator.coefficients, map.denominator.coefficients
     out: list[complex] = []
@@ -516,59 +516,25 @@ def julia_sample(
     return tuple(out)
 
 
-def _compose_into_fraction(
-    outer: Polynomial, num: Polynomial, den: Polynomial, degree: int
-) -> Polynomial:
-    """den**degree * outer(num/den).
-
-    Numerator and denominator of a map must be homogenized by the same
-    power (the map degree) so their quotient stays the composed map.
-    """
-    acc = Polynomial((0j,))
-    den_power = Polynomial((1 + 0j,))
-    powers = []
-    for _ in range(degree + 1):
-        powers.append(den_power)
-        den_power = den_power * den
-    num_power = Polynomial((1 + 0j,))
-    for k, coeff in enumerate(outer.coefficients):
-        if coeff != 0:
-            acc = acc + (num_power * powers[degree - k]).scale(coeff)
-        num_power = num_power * num
-    return acc
+def _infinity_multiplier(map: MapSpec) -> complex | None:
+    """The multiplier q_lead / p_lead of infinity if deg P = deg Q + 1, else None."""
+    num, den = map.numerator.coefficients, map.denominator.coefficients
+    return den[-1] / num[-1] if len(num) == len(den) + 1 else None
 
 
-def _repelling_periodic_point(map: MapSpec, max_period: int = 3) -> complex:
-    """A finite periodic point of the lowest period <= max_period whose
-    orbit multiplier satisfies |rho| > 1 (the strongest one found)."""
-    from .cycles import _build_cycle
-
-    num_n, den_n = Polynomial((0j, 1 + 0j)), Polynomial((1 + 0j,))
-    d = map.degree
-    for n in range(1, max_period + 1):
-        num_n, den_n = (
-            _compose_into_fraction(map.numerator, num_n, den_n, d),
-            _compose_into_fraction(map.denominator, num_n, den_n, d),
-        )
-        periodic = num_n - den_n * Polynomial((0j, 1 + 0j))
-        if periodic.degree < 1:
-            continue
+def _julia_point(map: MapSpec) -> complex:
+    """The start of every backward walk: the finite fixed point with the
+    largest |R'|, or a pole when infinity is a fixed point of larger
+    multiplier or P - zQ is constant.  By the holomorphic index formula the
+    most repelling fixed point has |R'| >= 1, so the start is in J."""
+    at_infinity = _infinity_multiplier(map)
+    best, best_slope = None, -1.0 if at_infinity is None else abs(at_infinity)
+    fixed_equation = map.numerator - map.denominator * Polynomial.monomial(1)
+    for z in poly_roots(fixed_equation, tol=1e-12) if fixed_equation.degree else ():
         try:
-            candidates = poly_roots(periodic, tol=1e-10)
-        except RootFindingError:
+            slope = abs(eval_map(map, z)[1])
+        except PoleError:
             continue
-        best: complex | None = None
-        best_mult = 1.0 + 1e-9
-        for z in candidates:
-            try:
-                cycle = _build_cycle(map, z, n)
-            except PoleError:
-                continue
-            if cycle.residual < 1e-6 * max(1.0, abs(z)) and abs(cycle.multiplier) > best_mult:
-                best = z
-                best_mult = abs(cycle.multiplier)
-        if best is not None:
-            return best
-    raise RootFindingError(
-        f"no finite repelling periodic point of period <= {max_period} found"
-    )
+        if slope > best_slope:
+            best, best_slope = z, slope
+    return poly_roots(map.denominator, tol=1e-12)[0] if best is None else best

@@ -268,7 +268,7 @@ class TestCensusCap:
         def forbidden(*args, **kwargs):
             raise AssertionError("census work started above the cap")
 
-        for name in ("_backward_tree", "_period_roots", "_repelling_periodic_point"):
+        for name in ("_backward_tree", "_period_roots", "_julia_point"):
             monkeypatch.setattr(cycles_module, name, forbidden)
         m = MapSpec.rational(Polynomial((0, 0, 1)), Polynomial((0.3, 1)))
         with pytest.raises(ValueError, match="period 13"):
@@ -319,10 +319,12 @@ class TestSeededRationalCensus:
         assert min(abs(cycle.base) for cycle in cycles) < 1e-12
 
 
-def sphere_count(n: int, d: int) -> int:
-    """Cycles of exact period n of a rational map of degree d whose cycles
-    are all simple, infinity included: R^k has d^k + 1 fixed points."""
-    return sum(moebius(n // k) * (d**k + 1) for k in range(1, n + 1) if n % k == 0) // n
+def sphere_count(n: int, d: int, at_infinity: int = 0) -> int:
+    """Cycles of exact period n of a rational map of degree d whose finite
+    cycles are all simple: R^k has d^k + 1 fixed points on the sphere, less
+    at_infinity, the multiplicity of infinity as a fixed point of every R^k
+    (0 when infinity is not fixed)."""
+    return sum(moebius(n // k) * (d**k + 1 - at_infinity) for k in range(1, n + 1) if n % k == 0) // n
 
 
 def _mp_poly(poly: Polynomial):
@@ -435,6 +437,29 @@ class TestRationalCensus:
         for n in range(1, periods + 1):
             check_rational_census(m, n, sphere_count(n, m.degree))
 
+    @pytest.mark.parametrize(
+        "numerator, denominator, periods",
+        [((1, 0, 1), (0, 1), 8), ((0.3 + 0.2j, 0.5, 1), (0.5, 1), 8),
+         ((-0.4 + 0.1j, 0.2, 0.1j, 1), (0.2, 0.1j, 1), 5)],
+    )
+    def test_every_fixed_point_at_infinity(self, numerator, denominator, periods):
+        # z + k / Q with deg Q = d - 1: P - zQ = k, so every fixed point is
+        # at infinity, of multiplier 1 and multiplicity d + 1 for every R^k,
+        # and far points where R(z) == z in floating point (|z| ~ 1e4-1e8)
+        # are no fixed points; z + 1/z has 0, 1, 2, 3, 6, 9, 18, 30 cycles
+        m = MapSpec.rational(Polynomial(numerator), Polynomial(denominator))
+        for n in range(1, periods + 1):
+            check_rational_census(m, n, sphere_count(n, m.degree, m.degree + 1))
+
+    def test_newton_map(self):
+        # Newton's map of z^32 - 1, ((d - 1) z^d + 1) / (d z^(d - 1)): its
+        # finite fixed points are the 32 superattracting roots of unity and
+        # infinity repels; the census starts at the pole 0
+        d = 32
+        m = MapSpec.rational(Polynomial((1,) + (0,) * (d - 1) + (d - 1,)),
+                             Polynomial((0,) * (d - 1) + (d,)))
+        check_rational_census(m, 1, sphere_count(1, d, 1))
+
     def test_parabolic_fixed_point_at_infinity(self):
         # z^2 / (z + 0.3) = z - 0.3 + O(1/z): infinity is a fixed point of
         # multiplier 1, a double root of the fixed-point equation of every
@@ -442,7 +467,7 @@ class TestRationalCensus:
         # double root cancels from every count of period n >= 2
         m = MapSpec.rational(Polynomial((0, 0, 1)), Polynomial((0.3, 1)))
         for n in range(1, 9):
-            check_rational_census(m, n, sphere_count(n, 2) - (2 if n == 1 else 0))
+            check_rational_census(m, n, sphere_count(n, 2, 2))
 
     def test_crowded_cycles_are_kept(self):
         # two period-11 cycles pass within 1.7e-7 of each other near -2; a
