@@ -1,8 +1,9 @@
 """Holomorphic continuation of repelling cycles along R + lambda*v.
 
 Predictor-corrector in lambda: the predictor is the exact linearization
-velocity from the cycle solve (solve_alpha_on_cycle), the corrector is
-Newton on the periodic-point equation of the perturbed map.  Because the
+velocity from the cycle solve (solve_alpha_on_cycle, on DR from the walk
+that accepted the cycle), the corrector is Newton on the periodic-point
+equation of the perturbed map, built once per step.  Because the
 predictor is the same object the continuation is meant to validate, a
 finite-difference comparison of the two (motion_velocity_check) is the
 module's keystone self-test.
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cycles import Cycle, _build_cycle, _newton_polish, _within_tolerance, solve_alpha_on_cycle
+from .cycles import Cycle, _alpha_from_derivatives, _newton_polish, _within_tolerance, solve_alpha_on_cycle
 from .errors import InvalidCycleError, ParabolicCycleError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, perturbed
@@ -55,8 +56,8 @@ def continue_cycle(
     """Track the cycle from lambda = 0 to lambda_target.
 
     At lambda = 0 and after every corrector step the cycle comes from the
-    census's period solver (`_newton_polish`, `_build_cycle` with the
-    tracked point as base) and must pass its residual gate,
+    census's period solver (`_newton_polish`, with the tracked point as
+    base) and must pass its residual gate,
     `_within_tolerance`, at max(tol, 1e-12); the gate scales with the
     multiplier.  The step is halved whenever the corrector fails or the base
     point jumps implausibly far; if the step underflows, the path so far is
@@ -70,10 +71,10 @@ def continue_cycle(
             f"cycle multiplier {cycle.multiplier} is not repelling"
         )
     tol = max(tol, 1e-12)
-    base = _newton_polish(map, cycle.base, cycle.period)
-    if base is None:
+    polished = _newton_polish(map, cycle.base, cycle.period)
+    if polished is None:
         raise InvalidCycleError("Newton fails on the cycle at lambda = 0")
-    current = _build_cycle(map, base, cycle.period)
+    current, derivs = polished
     if not _within_tolerance(current, tol):
         raise InvalidCycleError("cycle does not satisfy its equation at lambda = 0")
 
@@ -87,28 +88,28 @@ def continue_cycle(
     step = lambda_target / steps
     min_step = abs(lambda_target) * 1e-12
     reason = "reached_target"
+    alpha = None
     while lam != lambda_target:
         remaining = lambda_target - lam
         final_step = abs(step) >= abs(remaining)
         dl = remaining if final_step else step
-        try:
-            sol = solve_alpha_on_cycle(perturbed(map, v, lam), cycles[-1], v)
-        except ParabolicCycleError:
-            reason = "multiplier_degenerate"
-            break
-        predicted = cycles[-1].base + sol.alpha[0] * dl
+        if alpha is None:
+            # DR on the last accepted cycle comes from the walk that accepted
+            # it, on the map of its lambda; a rejected step keeps its alpha
+            try:
+                alpha = _alpha_from_derivatives(cycles[-1], derivs, v).alpha[0]
+            except ParabolicCycleError:
+                reason = "multiplier_degenerate"
+                break
+        predicted = cycles[-1].base + alpha * dl
         next_map = perturbed(map, v, lam + dl)
         corrected = _newton_polish(next_map, predicted, cycles[-1].period)
         accepted = None
         if corrected is not None:
-            jump = abs(corrected - cycles[-1].base)
-            allowed = 10.0 * abs(sol.alpha[0] * dl) + 1e-6 * max(
-                1.0, abs(cycles[-1].base)
-            )
-            if jump <= allowed:
-                accepted = _build_cycle(next_map, corrected, cycles[-1].period)
-                if not _within_tolerance(accepted, tol):
-                    accepted = None
+            jump = abs(corrected[0].base - cycles[-1].base)
+            allowed = 10.0 * abs(alpha * dl) + 1e-6 * max(1.0, abs(cycles[-1].base))
+            if jump <= allowed and _within_tolerance(corrected[0], tol):
+                accepted, next_derivs = corrected
         if accepted is None:
             step = step / 2.0
             if abs(step) < min_step:
@@ -122,6 +123,7 @@ def continue_cycle(
         lam = lambda_target if final_step else lam + dl
         path.append(lam)
         cycles.append(accepted)
+        derivs, alpha = next_derivs, None
 
     if len(cycles) >= 2:
         velocity = (cycles[1].base - cycles[0].base) / (path[1] - path[0])

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ParabolicCycleError, PoleError
 from .fields import VectorFieldSpec
-from .maps import MapSpec, eval_map, eval_map_many
-from .orbits import _infinity_multiplier, _julia_point, julia_sample
+from .maps import MapSpec, _infinity_multiplier, eval_map, eval_map_many
+from .orbits import julia_sample
 from .polynomial import Polynomial, _repulsion
 
 #: |1 - multiplier| at or below this is treated as parabolic.
@@ -126,20 +126,16 @@ def _point_key(z: complex) -> tuple[float, float]:
     return (re + 0.0, im + 0.0)
 
 
-def _build_cycle(map: MapSpec, p: complex, period: int) -> Cycle:
-    """Forward points, multiplier, and residual of the cycle through p, with
-    p as its base point."""
-    points = [p]
-    multiplier = 1 + 0j
-    w = p
+def _walk(map: MapSpec, z: complex, period: int) -> tuple[list[complex], list[complex], complex]:
+    """The period + 1 iterates of f from z, DR at the first period of them,
+    and the product of those from 1 + 0j."""
+    points, derivatives, product = [z], [], 1 + 0j
     for _ in range(period):
-        value, dw = eval_map(map, w)
-        multiplier *= dw
-        w = value
-        if len(points) < period:
-            points.append(w)
-    residual = abs(w - p)
-    return Cycle(tuple(points), period, multiplier, residual)
+        value, dw = eval_map(map, points[-1])
+        derivatives.append(dw)
+        product *= dw
+        points.append(value)
+    return points, derivatives, product
 
 
 def _canonical(cycle: Cycle) -> Cycle:
@@ -162,24 +158,21 @@ def _minimal_period(points: Sequence[complex]) -> int:
 
 def _newton_polish(
     map: MapSpec, z: complex, period: int, max_iter: int = 40
-) -> complex | None:
-    """Newton on f^n(z) - z from z: the point it stops at, or None on a
-    pole, a non-finite value, |z| >= NEWTON_MAX_MODULUS, or no stop within
-    max_iter steps.  Every scalar solve of f^n(z) = z runs it."""
+) -> tuple[Cycle, list[complex]] | None:
+    """Newton on f^n(z) - z from z: the cycle through the point it stops at
+    (its base) and DR at its points, from the walk of the stop test, or of
+    one more walk after a step below 1e-16 relative; None on a pole, a
+    non-finite value, |z| >= NEWTON_MAX_MODULUS, or no stop within max_iter
+    steps.  Every scalar solve of f^n(z) = z runs it."""
     for _ in range(max_iter):
         size = abs(z)
         if not size < NEWTON_MAX_MODULUS:
             return None
-        w = z
-        deriv = 1 + 0j
         try:
-            for _ in range(period):
-                value, dw = eval_map(map, w)
-                deriv *= dw
-                w = value
+            points, derivatives, deriv = _walk(map, z, period)
         except PoleError:
             return None
-        f = w - z
+        f = points[-1] - z
         # rounding in f^n(z) grows with |(f^n)'(z)|, so an unscaled test
         # sits below the floor of strongly repelling cycles; an overflowed
         # test would pass anything, and a non-finite f fails it and then
@@ -188,7 +181,7 @@ def _newton_polish(
         if not math.isfinite(stop):
             return None
         if abs(f) <= stop:
-            return z
+            return Cycle(tuple(points[:-1]), period, deriv, abs(f)), derivatives
         fprime = deriv - 1.0
         if fprime == 0 or not math.isfinite(abs(fprime)):
             return None
@@ -197,7 +190,9 @@ def _newton_polish(
             return None
         z = z - step
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            return z
+            # the cycle through z takes one more walk, whose PoleError propagates
+            points, derivatives, deriv = _walk(map, z, period)
+            return Cycle(tuple(points[:-1]), period, deriv, abs(points[-1] - z)), derivatives
     return None
 
 
@@ -265,10 +260,10 @@ def _collect_cycles(
         if claimed[i]:
             continue
         claimed[i] = True
-        p = _newton_polish(map, z, period)
-        if p is None:
+        polished = _newton_polish(map, z, period)
+        if polished is None:
             continue
-        cycle = _build_cycle(map, p, period)
+        cycle = polished[0]
         reach, satellite = 0.0, None
         if abs(1.0 - cycle.multiplier) <= PARABOLIC_TOL:
             satellite = _satellite_spread(cycle.points)
@@ -425,7 +420,7 @@ def _chart_newton(map: MapSpec, period: int, s: complex, rho: float, w: np.ndarr
 
 
 def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
-    """The d**period period-th preimages of orbits._julia_point, for the
+    """The d**period period-th preimages of MapSpec.julia_point, for the
     map R of degree d.
 
     A level of a binomial polynomial R (a_0 + a_d z^d, as z^d + c) is one
@@ -434,7 +429,7 @@ def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
     at every node w."""
     d = map.degree
     num, den = (np.array(p.coefficients + (0j,) * (d - p.degree)) for p in (map.numerator, map.denominator))
-    level = np.array([_julia_point(map)])
+    level = np.array([map.julia_point])
     binomial = map.is_polynomial and not num[1:-1].any()
     turns = 2.0 * np.pi * np.arange(d) / d
     for _ in range(period):
@@ -502,9 +497,14 @@ def solve_alpha_on_cycle(
     refinement passes push the residuals to rounding level.  Raises
     ParabolicCycleError when |1 - multiplier| <= parabolic_tol.
     """
+    return _alpha_from_derivatives(cycle, [eval_map(map, p)[1] for p in cycle.points], v, parabolic_tol)
+
+
+def _alpha_from_derivatives(
+    cycle: Cycle, derivs: list[complex], v: VectorFieldSpec, parabolic_tol: float = PARABOLIC_TOL
+) -> CycleAlphaSolution:
+    """solve_alpha_on_cycle with DR at the cycle's points given."""
     n = cycle.period
-    points = cycle.points
-    derivs = [eval_map(map, p)[1] for p in points]
     rho = 1 + 0j
     for dw in derivs:
         rho *= dw
@@ -512,7 +512,7 @@ def solve_alpha_on_cycle(
         raise ParabolicCycleError(
             f"multiplier {rho} within {parabolic_tol} of 1; linearized equation singular"
         )
-    values = [complex(v(p)) for p in points]
+    values = [complex(v(p)) for p in cycle.points]
 
     alpha = _cyclic_solve(values, derivs, rho)
     residuals = _equation_residuals(values, derivs, alpha)
@@ -564,10 +564,14 @@ def cycle_from_point(
     polished = _newton_polish(map, complex(z0), period)
     if polished is None:
         raise ValueError(f"Newton did not converge from {z0} at period {period}")
-    cycle = _build_cycle(map, polished, period)
+    cycle, derivs = polished
     actual = _minimal_period(cycle.points)
     if actual != period:
-        cycle = _build_cycle(map, polished, actual)
+        # the first `actual` steps of the same walk
+        multiplier = 1 + 0j
+        for dw in derivs[:actual]:
+            multiplier *= dw
+        cycle = Cycle(cycle.points[:actual], actual, multiplier, abs(cycle.points[actual] - cycle.base))
     if not _within_tolerance(cycle, tol):
         raise ValueError(f"no period-{period} cycle through {z0} at tolerance {tol}")
     return cycle

@@ -2,7 +2,8 @@
 
 A MapSpec is a quotient of two coprime polynomials.  Evaluation returns the
 value and the derivative together (Horner plus quotient rule), and the
-finite-plane critical points are computed once and cached.
+finite-plane critical points and the start of the backward walks into J
+are computed once and cached.
 
 A map with J(R) = the whole sphere is outside this toolkit's scope; callers
 are expected to supply maps with infinity in the Fatou set (for a rational
@@ -143,6 +144,30 @@ class MapSpec:
                 )
             out.append(center)
         return tuple(out)
+
+    @cached_property
+    def julia_point(self) -> complex:
+        """The start of every backward walk: the finite fixed point with the
+        largest |R'|, or a pole when infinity is a fixed point of larger
+        multiplier or P - zQ is constant.  By the holomorphic index formula
+        the most repelling fixed point has |R'| >= 1, so the start is in J."""
+        at_infinity = _infinity_multiplier(self)
+        best, best_slope = None, -1.0 if at_infinity is None else abs(at_infinity)
+        fixed_equation = self.numerator - self.denominator * Polynomial.monomial(1)
+        for z in poly_roots(fixed_equation, tol=1e-12) if fixed_equation.degree else ():
+            try:
+                slope = abs(eval_map(self, z)[1])
+            except PoleError:
+                continue
+            if slope > best_slope:
+                best, best_slope = z, slope
+        return poly_roots(self.denominator, tol=1e-12)[0] if best is None else best
+
+
+def _infinity_multiplier(map: MapSpec) -> complex | None:
+    """The multiplier q_lead / p_lead of infinity if deg P = deg Q + 1, else None."""
+    num, den = map.numerator.coefficients, map.denominator.coefficients
+    return den[-1] / num[-1] if len(num) == len(den) + 1 else None
 
 
 def _polish_root(p: Polynomial, z: complex, iterations: int = 3) -> complex:

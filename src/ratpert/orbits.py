@@ -18,14 +18,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    CriticalRelationError,
-    InvalidOrbitError,
-    PoleError,
-    RootFindingError,
-)
+from .errors import CriticalRelationError, InvalidOrbitError, RootFindingError
 from .maps import MapSpec, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
-from .polynomial import Polynomial, _horner, _solve_roots, _trim, poly_roots
+from .polynomial import _horner, _solve_roots, _trim
 from .xcomplex import XComplex, _complex_list, _from_parts, _mul, _normalize, _normalized_parts, reciprocal_lanes
 
 if TYPE_CHECKING:
@@ -486,8 +481,8 @@ def julia_sample(
     transient: int = 64,
     seed: int = 0,
 ) -> tuple[complex, ...]:
-    """Sample the Julia set by inverse iteration from _julia_point: the
-    most repelling fixed point, or a pole when that is infinity.
+    """Sample the Julia set by inverse iteration from MapSpec.julia_point:
+    the most repelling fixed point, or a pole when that is infinity.
 
     Each step solves R(z) = w for all preimages and picks one branch
     uniformly at random (deterministic for a given seed); the first
@@ -499,7 +494,7 @@ def julia_sample(
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
 
-    w = _julia_point(map)
+    w = map.julia_point
     rng = random.Random(seed)
     num, den = map.numerator.coefficients, map.denominator.coefficients
     out: list[complex] = []
@@ -514,27 +509,3 @@ def julia_sample(
         if step >= transient:
             out.append(w)
     return tuple(out)
-
-
-def _infinity_multiplier(map: MapSpec) -> complex | None:
-    """The multiplier q_lead / p_lead of infinity if deg P = deg Q + 1, else None."""
-    num, den = map.numerator.coefficients, map.denominator.coefficients
-    return den[-1] / num[-1] if len(num) == len(den) + 1 else None
-
-
-def _julia_point(map: MapSpec) -> complex:
-    """The start of every backward walk: the finite fixed point with the
-    largest |R'|, or a pole when infinity is a fixed point of larger
-    multiplier or P - zQ is constant.  By the holomorphic index formula the
-    most repelling fixed point has |R'| >= 1, so the start is in J."""
-    at_infinity = _infinity_multiplier(map)
-    best, best_slope = None, -1.0 if at_infinity is None else abs(at_infinity)
-    fixed_equation = map.numerator - map.denominator * Polynomial.monomial(1)
-    for z in poly_roots(fixed_equation, tol=1e-12) if fixed_equation.degree else ():
-        try:
-            slope = abs(eval_map(map, z)[1])
-        except PoleError:
-            continue
-        if slope > best_slope:
-            best, best_slope = z, slope
-    return poly_roots(map.denominator, tol=1e-12)[0] if best is None else best

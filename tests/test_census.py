@@ -268,8 +268,9 @@ class TestCensusCap:
         def forbidden(*args, **kwargs):
             raise AssertionError("census work started above the cap")
 
-        for name in ("_backward_tree", "_period_roots", "_julia_point"):
+        for name in ("_backward_tree", "_period_roots"):
             monkeypatch.setattr(cycles_module, name, forbidden)
+        monkeypatch.setattr(MapSpec, "julia_point", property(forbidden))
         m = MapSpec.rational(Polynomial((0, 0, 1)), Polynomial((0.3, 1)))
         with pytest.raises(ValueError, match="period 13"):
             find_cycles(m, 13, seeds=[0.5 + 0.5j, -0.9 + 0.1j, 1.2 - 0.3j])

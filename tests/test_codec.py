@@ -99,6 +99,17 @@ def test_output_is_strict_json_that_round_trips(command, capsysbinary):
         # test_census.TestRationalCensus
         ("cycles --map rational:-1,0,1/1,0,0.05 --period 3",
          "b3012f6adf24a9380924b2709fc134106b564dfa79091809ec5dc35af24235c1"),
+        # the continuation, pinned while each step still rebuilt R + lambda v
+        # for its predictor and walked f^n again after the corrector; the
+        # third halves its one step twice (lambda 0, 2, 3, 4)
+        ("continue --map unicritical:2,-0.12+0.75i --period 3 --field 1 --lambda-target 0.001 --steps 64",
+         "387c6cac7187cbef01773ef9136e1839c5558f5959108e3bd4d886fe33058b64"),
+        ("continue --map rational:-1,0,1/1,0,0.05 --period 3 --field 1+0.3*z --lambda-target 0.05+0.02i --steps 8",
+         "dce9d244611eaa2f89e3e9e39c90fa2552be68831b33b4074fb96c376e074619"),
+        ("continue --map rational:-1,0,1/1,0,0.05 --period 3 --field 1 --lambda-target 4 --steps 1",
+         "27bab942b488ea6708ca9d5804605bbb9237564640d9c2666a6eb112a1b57bd8"),
+        ("check-motion --map rational:-1,0,1/1,0,0.05 --period 3 --field 1 --h 1e-5",
+         "f0f10b773c66fe426c03b9a011e0907ae94c7b272737e13c120d89128b456ce4"),
     ],
 )
 def test_finite_outputs_keep_their_bytes(command, digest, capsysbinary):

@@ -5,6 +5,7 @@ import pytest
 from ratpert import (
     InvalidCycleError,
     MapSpec,
+    ParabolicCycleError,
     Polynomial,
     VectorFieldSpec,
     continue_cycle,
@@ -15,6 +16,9 @@ from ratpert import (
     perturbed,
     solve_alpha_on_cycle,
 )
+from ratpert.cli import parse_map
+from ratpert.continuation import DEGENERACY_MARGIN, ContinuationResult
+from ratpert.cycles import Cycle, _newton_polish, _within_tolerance
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 ONE_FIELD = VectorFieldSpec.constant(1)
@@ -178,3 +182,115 @@ class TestRationalMapContinuation:
         for _ in range(moved.period):
             w, _ = eval_map(shifted, w)
         assert abs(w - moved.base) < 1e-9
+
+
+def reference_build_cycle(map, p, period):
+    """The cycle through p from a walk of its own, as continue_cycle built
+    it after Newton had stopped there."""
+    points = [p]
+    multiplier = 1 + 0j
+    w = p
+    for _ in range(period):
+        value, dw = eval_map(map, w)
+        multiplier *= dw
+        w = value
+        if len(points) < period:
+            points.append(w)
+    return Cycle(tuple(points), period, multiplier, abs(w - p))
+
+
+def reference_continue_cycle(map, v, cycle, lambda_target, steps=16, degeneracy_margin=DEGENERACY_MARGIN, tol=1e-12):
+    """continue_cycle as it was while every step built R + lam v twice,
+    solved alpha on the first through solve_alpha_on_cycle, and walked f^n
+    once more (reference_build_cycle) at the point the corrector stopped at."""
+    tol = max(tol, 1e-12)
+    base = _newton_polish(map, cycle.base, cycle.period)[0].base
+    current = reference_build_cycle(map, base, cycle.period)
+    assert _within_tolerance(current, tol)
+    lambda_target = complex(lambda_target)
+    path, cycles = [0j], [current]
+    lam = 0j
+    step = lambda_target / steps
+    min_step = abs(lambda_target) * 1e-12
+    reason = "reached_target"
+    while lam != lambda_target:
+        remaining = lambda_target - lam
+        final_step = abs(step) >= abs(remaining)
+        dl = remaining if final_step else step
+        try:
+            sol = solve_alpha_on_cycle(perturbed(map, v, lam), cycles[-1], v)
+        except ParabolicCycleError:
+            reason = "multiplier_degenerate"
+            break
+        predicted = cycles[-1].base + sol.alpha[0] * dl
+        next_map = perturbed(map, v, lam + dl)
+        corrected = _newton_polish(next_map, predicted, cycles[-1].period)
+        accepted = None
+        if corrected is not None:
+            corrected = corrected[0].base
+            jump = abs(corrected - cycles[-1].base)
+            allowed = 10.0 * abs(sol.alpha[0] * dl) + 1e-6 * max(1.0, abs(cycles[-1].base))
+            if jump <= allowed:
+                accepted = reference_build_cycle(next_map, corrected, cycles[-1].period)
+                if not _within_tolerance(accepted, tol):
+                    accepted = None
+        if accepted is None:
+            step = step / 2.0
+            if abs(step) < min_step:
+                reason = "newton_failure"
+                break
+            continue
+        if abs(accepted.multiplier) <= 1.0 + degeneracy_margin:
+            reason = "multiplier_degenerate"
+            break
+        lam = lambda_target if final_step else lam + dl
+        path.append(lam)
+        cycles.append(accepted)
+    velocity = (cycles[1].base - cycles[0].base) / (path[1] - path[0]) if len(cycles) >= 2 else 0j
+    return ContinuationResult(tuple(path), tuple(cycles), velocity, reason)
+
+
+REFERENCE_MAPS = ["unicritical:2,-0.12+0.75i", "unicritical:2,-1.7", "unicritical:3,0.3+0.5i",
+                  "rational:0,-3,0,4/1", "rational:-1,0,1/1,0,0.05", "rational:0.1,-1,0.5,1/1,0.2"]
+REFERENCE_FIELDS = [ONE_FIELD, VectorFieldSpec.from_coefficients([0.3, 0, -0.7]),
+                    VectorFieldSpec.rational(Polynomial((1,)), Polynomial((3, 1)))]
+# (lambda target, steps): small targets in many steps, and large one-step
+# targets whose corrector fails until the step has been halved
+REFERENCE_TARGETS = [(1e-3, 8), (0.05 + 0.02j, 4), (-0.2, 2), (0.5, 1), (3, 1), (2j, 1)]
+
+
+class TestReferenceLoop:
+    """continue_cycle reuses the predictor's map and DR from the step that
+    accepted the cycle, and the corrector's walk as the cycle; its results
+    are those of the loop that recomputed each, repr for repr."""
+
+    @pytest.mark.parametrize("text", REFERENCE_MAPS)
+    def test_corpus_matches_the_reference(self, text):
+        m = parse_map(text)
+        reasons = set()
+        for period in (1, 2, 3):
+            for cyc in find_cycles(m, period):
+                if not cyc.is_repelling:
+                    continue
+                for v in REFERENCE_FIELDS:
+                    for target, steps in REFERENCE_TARGETS:
+                        result = continue_cycle(m, v, cyc, target, steps=steps)
+                        assert repr(result) == repr(reference_continue_cycle(m, v, cyc, target, steps))
+                        reasons.add(result.stopped_reason)
+        assert "reached_target" in reasons
+
+    def test_halving_path(self):
+        # a one-step target of 4 is halved twice: 0, 2, 3, 4
+        m = parse_map("rational:-1,0,1/1,0,0.05")
+        cyc = find_cycles(m, 3)[0]
+        result = continue_cycle(m, ONE_FIELD, cyc, 4, steps=1)
+        assert result.lambda_path == (0j, 2, 3, 4)
+        assert result.stopped_reason == "reached_target"
+        assert repr(result) == repr(reference_continue_cycle(m, ONE_FIELD, cyc, 4, steps=1))
+
+    def test_degenerate_stop(self):
+        m = parse_map("unicritical:2,-1.7")
+        for cyc in find_cycles(m, 2):
+            result = continue_cycle(m, ONE_FIELD, cyc, 0.5, steps=1)
+            assert result.stopped_reason == "multiplier_degenerate"
+            assert repr(result) == repr(reference_continue_cycle(m, ONE_FIELD, cyc, 0.5, steps=1))

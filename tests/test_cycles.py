@@ -96,6 +96,25 @@ class TestCycleFromPoint:
         assert cyc.period == 1
         assert abs(cyc.base - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "c,z0,period",
+        [(-0.12 + 0.75j, 1.2767277683299132 - 0.4828568012787036j, 3),
+         (-1.3, -1.2415198487095662, 4)],
+    )
+    def test_reduced_cycle_is_the_walk_at_its_period(self, c, z0, period):
+        # the cycle at the minimal period is the start of the walk at the
+        # requested one: bit for bit what a walk of its own period gives
+        m = MapSpec.unicritical(2, c)
+        cyc = cycle_from_point(m, z0, period)
+        assert cyc.period < period
+        points, multiplier = [cyc.base], 1 + 0j
+        for _ in range(cyc.period):
+            value, dw = eval_map(m, points[-1])
+            multiplier *= dw
+            points.append(value)
+        assert cyc == Cycle(tuple(points[:-1]), cyc.period, multiplier, abs(points[-1] - cyc.base))
+        assert cyc.residual > 0
+
     def test_no_cycle_raises(self, squaring_map):
         with pytest.raises(ValueError):
             cycle_from_point(squaring_map, 0.5 + 0.5j, 1, tol=1e-15)

@@ -27,7 +27,6 @@ from ratpert.orbits import (
     NEAR_RELATION_TOL,
     RELATION_TOL,
     NearCriticalRelationWarning,
-    _julia_point,
 )
 from ratpert.polynomial import poly_roots
 
@@ -275,13 +274,13 @@ class TestJuliaSample:
     ],
 )
 def test_julia_point(text, start, tol):
-    assert abs(_julia_point(parse_map(text)) - start) <= tol
+    assert abs(parse_map(text).julia_point - start) <= tol
 
 
 def reference_julia_sample(map, n_points, transient, seed):
     """julia_sample as it was when each step built its preimage equation as
     a Polynomial and called poly_roots."""
-    w = _julia_point(map)
+    w = map.julia_point
     rng = random.Random(seed)
     out = []
     for step in range(transient + n_points):
@@ -309,7 +308,7 @@ def test_julia_sample_matches_the_polynomial_reference(text, seed):
 # the first 16 hex digits of sha256(repr(...)) of default_cycle_seeds(m) and
 # of julia_sample(m, 200, transient=32, seed=1), pinned while each inverse-
 # iteration step still built its preimage equation as a Polynomial; the
-# last two re-pinned when the walk began at _julia_point: z^2 / (z + 0.3)
+# last two re-pinned when the walk began at MapSpec.julia_point: z^2 / (z + 0.3)
 # now starts at its pole -0.3 (infinity, of multiplier 1, outranks the
 # superattracting 0), and the other map's fixed point is solved at 1e-12
 @pytest.mark.parametrize(
