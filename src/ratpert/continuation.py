@@ -24,6 +24,9 @@ from .maps import MapSpec, perturbed
 #: cycle is about to stop being repelling and the tracked branch degenerates.
 DEGENERACY_MARGIN = 1e-3
 
+#: The residual gate of every continued cycle (cycles._within_tolerance).
+CONTINUATION_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ContinuationResult:
@@ -50,19 +53,17 @@ def continue_cycle(
     cycle: Cycle,
     lambda_target: complex,
     steps: int = 16,
-    degeneracy_margin: float = DEGENERACY_MARGIN,
-    tol: float = 1e-12,
 ) -> ContinuationResult:
     """Track the cycle from lambda = 0 to lambda_target.
 
     At lambda = 0 and after every corrector step the cycle comes from the
     census's period solver (`_newton_polish`, with the tracked point as
     base) and must pass its residual gate,
-    `_within_tolerance`, at max(tol, 1e-12); the gate scales with the
+    `_within_tolerance`, at CONTINUATION_TOL; the gate scales with the
     multiplier.  The step is halved whenever the corrector fails or the base
     point jumps implausibly far; if the step underflows, the path so far is
     returned with stopped_reason "newton_failure".  Crossing down through
-    |multiplier| = 1 + degeneracy_margin stops with "multiplier_degenerate".
+    |multiplier| = 1 + DEGENERACY_MARGIN stops with "multiplier_degenerate".
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -70,12 +71,11 @@ def continue_cycle(
         raise InvalidCycleError(
             f"cycle multiplier {cycle.multiplier} is not repelling"
         )
-    tol = max(tol, 1e-12)
     polished = _newton_polish(map, cycle.base, cycle.period)
     if polished is None:
         raise InvalidCycleError("Newton fails on the cycle at lambda = 0")
     current, derivs = polished
-    if not _within_tolerance(current, tol):
+    if not _within_tolerance(current, CONTINUATION_TOL):
         raise InvalidCycleError("cycle does not satisfy its equation at lambda = 0")
 
     lambda_target = complex(lambda_target)
@@ -108,7 +108,7 @@ def continue_cycle(
         if corrected is not None:
             jump = abs(corrected[0].base - cycles[-1].base)
             allowed = 10.0 * abs(alpha * dl) + 1e-6 * max(1.0, abs(cycles[-1].base))
-            if jump <= allowed and _within_tolerance(corrected[0], tol):
+            if jump <= allowed and _within_tolerance(corrected[0], CONTINUATION_TOL):
                 accepted, next_derivs = corrected
         if accepted is None:
             step = step / 2.0
@@ -116,7 +116,7 @@ def continue_cycle(
                 reason = "newton_failure"
                 break
             continue
-        if abs(accepted.multiplier) <= 1.0 + degeneracy_margin:
+        if abs(accepted.multiplier) <= 1.0 + DEGENERACY_MARGIN:
             reason = "multiplier_degenerate"
             break
         # land exactly on the target; lam + dl can round past it

@@ -44,6 +44,9 @@ NEWTON_TOL = 1e-14
 #: cycle at infinity (or overflowing), not to a finite one.
 NEWTON_MAX_MODULUS = 1e8
 
+#: _newton_polish gives up after this many steps without a stop.
+NEWTON_MAX_STEPS = 40
+
 #: Largest d**period of a census (a rational map adds the root at infinity).
 #: d = 2 reaches period 12, where the 4,096 roots take well under a second;
 #: d = 3 reaches period 7.
@@ -156,15 +159,12 @@ def _minimal_period(points: Sequence[complex]) -> int:
     return period
 
 
-def _newton_polish(
-    map: MapSpec, z: complex, period: int, max_iter: int = 40
-) -> tuple[Cycle, list[complex]] | None:
+def _newton_polish(map: MapSpec, z: complex, period: int) -> tuple[Cycle, list[complex]] | None:
     """Newton on f^n(z) - z from z: the cycle through the point it stops at
-    (its base) and DR at its points, from the walk of the stop test, or of
-    one more walk after a step below 1e-16 relative; None on a pole, a
-    non-finite value, |z| >= NEWTON_MAX_MODULUS, or no stop within max_iter
-    steps.  Every scalar solve of f^n(z) = z runs it."""
-    for _ in range(max_iter):
+    (its base) and DR at its points, from the walk of the stop test; None
+    on a pole, a non-finite value, |z| >= NEWTON_MAX_MODULUS, or no stop in
+    NEWTON_MAX_STEPS steps.  Every scalar solve of f^n(z) = z runs it."""
+    for _ in range(NEWTON_MAX_STEPS):
         size = abs(z)
         if not size < NEWTON_MAX_MODULUS:
             return None
@@ -189,10 +189,6 @@ def _newton_polish(
         if not math.isfinite(abs(step)):
             return None
         z = z - step
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            # the cycle through z takes one more walk, whose PoleError propagates
-            points, derivatives, deriv = _walk(map, z, period)
-            return Cycle(tuple(points[:-1]), period, deriv, abs(points[-1] - z)), derivatives
     return None
 
 
@@ -383,11 +379,20 @@ def _period_roots(map: MapSpec, period: int) -> np.ndarray:
             z[active[go]] = za[go] - step[go]
         if map.is_polynomial:
             return z
-        at_infinity = _infinity_multiplier(map)
-        if at_infinity is not None and abs(np.complex128(at_infinity) ** period - 1.0) <= PARABOLIC_TOL:
+        if _parabolic_at_infinity(map, period):
             z = z[np.abs(z) > PARABOLIC_RADIUS]
         z = s + rho / z
     return z[np.isfinite(z)]
+
+
+def _parabolic_at_infinity(map: MapSpec, period: int) -> bool:
+    """Is infinity a fixed point of R^period with multiplier within
+    PARABOLIC_TOL of 1?  A power that overflows is inf, and not."""
+    at_infinity = _infinity_multiplier(map)
+    if at_infinity is None:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return abs(np.complex128(at_infinity) ** period - 1.0) <= PARABOLIC_TOL
 
 
 def _chart_newton(map: MapSpec, period: int, s: complex, rho: float, w: np.ndarray) -> np.ndarray:
@@ -484,33 +489,26 @@ class CycleAlphaSolution:
         return max(self.residuals)
 
 
-def solve_alpha_on_cycle(
-    map: MapSpec,
-    cycle: Cycle,
-    v: VectorFieldSpec,
-    parabolic_tol: float = PARABOLIC_TOL,
-) -> CycleAlphaSolution:
+def solve_alpha_on_cycle(map: MapSpec, cycle: Cycle, v: VectorFieldSpec) -> CycleAlphaSolution:
     """Exact solve of v(p_i) = alpha[i+1] - DR(p_i) alpha[i] around the cycle.
 
     alpha at the base point is the weighted wrap-around sum divided by
     (1 - multiplier); the remaining values propagate forward.  One or two
     refinement passes push the residuals to rounding level.  Raises
-    ParabolicCycleError when |1 - multiplier| <= parabolic_tol.
+    ParabolicCycleError when |1 - multiplier| <= PARABOLIC_TOL.
     """
-    return _alpha_from_derivatives(cycle, [eval_map(map, p)[1] for p in cycle.points], v, parabolic_tol)
+    return _alpha_from_derivatives(cycle, [eval_map(map, p)[1] for p in cycle.points], v)
 
 
-def _alpha_from_derivatives(
-    cycle: Cycle, derivs: list[complex], v: VectorFieldSpec, parabolic_tol: float = PARABOLIC_TOL
-) -> CycleAlphaSolution:
+def _alpha_from_derivatives(cycle: Cycle, derivs: list[complex], v: VectorFieldSpec) -> CycleAlphaSolution:
     """solve_alpha_on_cycle with DR at the cycle's points given."""
     n = cycle.period
     rho = 1 + 0j
     for dw in derivs:
         rho *= dw
-    if abs(1.0 - rho) <= parabolic_tol:
+    if abs(1.0 - rho) <= PARABOLIC_TOL:
         raise ParabolicCycleError(
-            f"multiplier {rho} within {parabolic_tol} of 1; linearized equation singular"
+            f"multiplier {rho} within {PARABOLIC_TOL} of 1; linearized equation singular"
         )
     values = [complex(v(p)) for p in cycle.points]
 
@@ -560,7 +558,11 @@ def cycle_from_point(
     point (no canonical rotation), so the caller controls which cycle point
     the result tracks.  If the converged orbit has a smaller minimal period,
     the cycle is returned at that period.  Raises ValueError when Newton
-    fails (see _newton_polish) or the cycle fails _within_tolerance."""
+    fails (see _newton_polish) or the cycle fails _within_tolerance, and,
+    where infinity is a parabolic fixed point of R^n, when the Newton
+    correction at the stop, residual / |multiplier - 1|, exceeds
+    SAME_POINT_TOL * max(1, |base|): near such an infinity R^n(z) - z is
+    small only because z is far out, and Newton walks on towards it."""
     polished = _newton_polish(map, complex(z0), period)
     if polished is None:
         raise ValueError(f"Newton did not converge from {z0} at period {period}")
@@ -572,6 +574,9 @@ def cycle_from_point(
         for dw in derivs[:actual]:
             multiplier *= dw
         cycle = Cycle(cycle.points[:actual], actual, multiplier, abs(cycle.points[actual] - cycle.base))
-    if not _within_tolerance(cycle, tol):
+    if not _within_tolerance(cycle, tol) or (
+        _parabolic_at_infinity(map, cycle.period)
+        and cycle.residual > SAME_POINT_TOL * max(1.0, abs(cycle.base)) * abs(cycle.multiplier - 1.0)
+    ):
         raise ValueError(f"no period-{period} cycle through {z0} at tolerance {tol}")
     return cycle

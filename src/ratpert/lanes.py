@@ -51,7 +51,7 @@ import numpy as np
 
 from .fields import VectorFieldSpec, _field_lanes
 from .maps import MapSpec
-from .obstruction import _fit_samples, _fit_start
+from .obstruction import _fit_moduli, _fit_start
 from .orbits import (
     CYCLE_DETECT_TOL,
     STABILIZATION_TOL,
@@ -86,8 +86,6 @@ BLOCK_ENTRIES = 1 << 16
 #: with 2,048 to 4,096 entries a segment and 10% slower with 1,024, and the
 #: scan raised peak RSS by 1.3 MB at 2,048 and by 1.6-1.8 MB at 4,096.
 SEGMENT_ENTRIES = BLOCK_ENTRIES // 32
-
-_LN2 = math.log(2.0)
 
 
 def _step_lanes(zr, zi, cr, ci, d):
@@ -270,11 +268,6 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
         if report.classification == "summable-evidence":
             out.append(None)
             continue
-        samples = [
-            (fit_start + j, math.log(a) + e * _LN2)
-            for j, (a, e) in enumerate(zip(b_abs[:, i].tolist(), b_exp[:, i].tolist()))
-            if a != 0.0
-        ]
-        growth, evidence = _fit_samples(samples)
+        growth, evidence = _fit_moduli(fit_start, b_abs[:, i].tolist(), b_exp[:, i].tolist())
         out.append((report.classification, growth, evidence))
     return out

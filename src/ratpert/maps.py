@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMapError, PoleError, RootFindingError
-from .polynomial import ONE, CLUSTER_TOL, Polynomial, cluster_points, horner_lanes, poly_roots
+from .polynomial import ONE, CLUSTER_TOL, Polynomial, _horner_scale, cluster_points, horner_lanes, poly_roots
 from .xcomplex import _cdiv_lanes, cmul_lanes
 
 #: Relative tolerance below which the denominator counts as a pole.
@@ -80,11 +80,7 @@ class MapSpec:
         return MapSpec(Polynomial(tuple(coeffs)), ONE)
 
     @staticmethod
-    def rational(
-        numerator: Polynomial,
-        denominator: Polynomial,
-        coprimality_tol: float = COPRIMALITY_TOL,
-    ) -> "MapSpec":
+    def rational(numerator: Polynomial, denominator: Polynomial) -> "MapSpec":
         """Validated rational map; raises DegenerateMapError on a shared root."""
         if denominator.is_constant:
             if denominator.coefficients[0] == 0:
@@ -96,7 +92,7 @@ class MapSpec:
             den_roots = poly_roots(denominator, tol=1e-10)
             for a in num_roots:
                 for b in den_roots:
-                    if abs(a - b) <= coprimality_tol * max(1.0, abs(a), abs(b)):
+                    if abs(a - b) <= COPRIMALITY_TOL * max(1.0, abs(a), abs(b)):
                         raise DegenerateMapError(
                             f"numerator and denominator share a root near {a}"
                         )
@@ -216,9 +212,7 @@ def _derivative_lanes(map: MapSpec, zr, zi):
         return dr, di, np.isfinite(dr) & np.isfinite(di)
     den = [(a.real, a.imag) for a in map.denominator.coefficients]
     qr, qi, dqr, dqi = horner_lanes(den, zr, zi, derivative=True)
-    az, scale = np.hypot(zr, zi), 0.0
-    for a in reversed(map.denominator.coefficients):  # Polynomial.eval_scale
-        scale = scale * az + abs(a)
+    scale = _horner_scale(map.denominator.coefficients, np.hypot(zr, zi))
     q_abs = np.hypot(qr, qi)
     ar, ai = cmul_lanes(dpr, dpi, qr, qi)
     br, bi = cmul_lanes(pr, pi, dqr, dqi)

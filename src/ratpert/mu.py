@@ -72,34 +72,44 @@ def mu_functional(
     if limit < 1:
         raise ValueError("n_max must allow at least one term")
 
-    series = _SeriesSum(report.tail_ratio, tol)
-    partial: list[complex] = []
-    for k in range(limit):
-        term_x = XComplex.from_complex(complex(v(orbit.points[k]))) / orbit.cocycle[k]
-        done = series.add(_collapse(term_x))
-        partial.append(series.value)
-        if done:
-            break
+    return _orbit_series(orbit, [v], report.tail_ratio, tol, limit)[0]
 
-    return MuResult(
-        value=series.value,
-        partial=tuple(partial),
-        tail_bound=series.tail_bound if math.isfinite(series.tail_bound) else math.inf,
-        converged=series.converged,
-        terms_used=series.terms_used,
-    )
+
+def _orbit_series(
+    orbit: OrbitRecord, fields: Sequence[VectorFieldSpec], ratio: float, tol: float, limit: int
+) -> list[MuResult]:
+    """The orbit series of every field over the first `limit` orbit terms,
+    in one pass: each term is v(points[k]) * cocycle[k].reciprocal() (which
+    is v(points[k]) / cocycle[k] bit for bit), the reciprocal shared by the
+    fields, and each field stops under its own _SeriesSum rule."""
+    sums = [_SeriesSum(ratio, tol) for _ in fields]
+    active = list(range(len(fields)))
+    for point, cocycle in zip(orbit.points[:limit], orbit.cocycle):
+        if not active:
+            break
+        inverse = cocycle.reciprocal()
+        active = [
+            j for j in active
+            if not sums[j].add(_collapse(XComplex.from_complex(complex(fields[j](point))) * inverse))
+        ]
+    return [
+        MuResult(value=s.value, partial=tuple(s.partial), converged=s.converged, terms_used=s.terms_used,
+                 tail_bound=s.tail_bound if math.isfinite(s.tail_bound) else math.inf)
+        for s in sums
+    ]
 
 
 class _SeriesSum:
-    """Running sum of the orbit series of one field, with the stopping rule
-    of mu_functional: the largest of the last three terms over (1 - ratio)
-    bounds the tail, and the sum stops once that clears tol after at least
-    MIN_TERMS terms."""
+    """Running sum of the orbit series of one field, with its partial sums
+    and the stopping rule of mu_functional: the largest of the last three
+    terms over (1 - ratio) bounds the tail, and the sum stops once that
+    clears tol after at least MIN_TERMS terms."""
 
     def __init__(self, ratio: float, tol: float):
         self.ratio = ratio
         self.tol = tol
         self.value = 0j
+        self.partial: list[complex] = []
         self.tail_bound = math.inf
         self.converged = False
         self.terms_used = 0
@@ -108,6 +118,7 @@ class _SeriesSum:
     def add(self, term: complex) -> bool:
         """Add the next term; True once the sum has converged."""
         self.value += term
+        self.partial.append(self.value)
         self.terms_used += 1
         self._recent.append(abs(term))
         if len(self._recent) > 3:
@@ -167,20 +178,8 @@ def moment_vector(
             f"moment vector needs summable evidence, got {report.classification}"
         )
     fields = [VectorFieldSpec.monomial(j) for j in range(max_degree + 1)]
-    sums = [_SeriesSum(report.tail_ratio, tol) for _ in fields]
-    active = list(range(max_degree + 1))
-    for point, cocycle in zip(orbit.points, orbit.cocycle):
-        if not active:
-            break
-        # x / cocycle is x * cocycle.reciprocal(); the reciprocal is shared
-        inverse = cocycle.reciprocal()
-        active = [
-            j for j in active
-            if not sums[j].add(
-                _collapse(XComplex.from_complex(complex(fields[j](point))) * inverse)
-            )
-        ]
-    return tuple(series.value for series in sums)
+    results = _orbit_series(orbit, fields, report.tail_ratio, tol, len(orbit.points))
+    return tuple(result.value for result in results)
 
 
 class WitnessResult(NamedTuple):
@@ -203,9 +202,11 @@ def find_witness_field(
     if not moments:
         raise ValueError("moments must be nonempty")
     # scaled by a power of two (exact) so that squares of large or tiny
-    # moments neither overflow nor underflow
+    # moments neither overflow nor underflow; x * x is correctly rounded,
+    # x ** 2 (libm pow) need not be, and its bits change with the scaling
     _, exponent = math.frexp(max(abs(m) for m in moments))
-    norm = math.ldexp(math.sqrt(sum(math.ldexp(abs(m), -exponent) ** 2 for m in moments)), exponent)
+    scaled = [math.ldexp(abs(m), -exponent) for m in moments]
+    norm = math.ldexp(math.sqrt(sum(x * x for x in scaled)), exponent)
     if norm < threshold:
         raise NoWitnessError(
             f"moment norm {norm:.3e} below threshold {threshold:.3e}"

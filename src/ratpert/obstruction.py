@@ -35,6 +35,8 @@ GROWTH_MARGIN = 0.05
 #: many samples when available.
 MIN_FIT_SAMPLES = 32
 
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class ObstructionSeries:
@@ -112,11 +114,10 @@ def obstruction_sequence(
 
 
 def _fit_growth(b: list[XComplex]) -> tuple[float, str]:
-    n = len(b) - 1
-    samples = [
-        (k, b[k].log_abs()) for k in range(_fit_start(n), n + 1) if not b[k].is_zero
-    ]
-    return _fit_samples(samples)
+    """The growth fit of b[0..n] over its trailing fit window."""
+    start = _fit_start(len(b) - 1)
+    window = b[start:]
+    return _fit_moduli(start, [abs(x.mantissa) for x in window], [x.exponent for x in window])
 
 
 def _fit_start(n: int) -> int:
@@ -124,9 +125,13 @@ def _fit_start(n: int) -> int:
     return max(1, n - max(n // 2, min(MIN_FIT_SAMPLES, n - 1)))
 
 
-def _fit_samples(samples: list[tuple[int, float]]) -> tuple[float, str]:
+def _fit_moduli(start: int, moduli: list[float], exponents: list[int]) -> tuple[float, str]:
     """Least-squares slope of (k, log|b[k]|) over the nonzero entries of
-    the fit window, with its bounded/unbounded verdict."""
+    the fit window b[start:], given as |mantissa| and exponent (log|b[k]|
+    is then XComplex.log_abs), with its bounded/unbounded verdict."""
+    samples = [
+        (start + j, math.log(a) + e * _LN2) for j, (a, e) in enumerate(zip(moduli, exponents)) if a != 0.0
+    ]
     if not samples:
         return -math.inf, "bounded"
     if len(samples) < 2:

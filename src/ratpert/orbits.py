@@ -287,11 +287,7 @@ class SummabilityReport:
     n_terms: int
 
 
-def summability_report(
-    orbit: OrbitRecord,
-    window: int,
-    stabilization_tol: float = STABILIZATION_TOL,
-) -> SummabilityReport:
+def summability_report(orbit: OrbitRecord, window: int) -> SummabilityReport:
     """Classify the partial sums of 1/|cocycle| as summable/divergent evidence.
 
     Summable evidence needs a tail ratio below 1 - margin and a stabilized
@@ -315,8 +311,7 @@ def summability_report(
     if not math.isfinite(increments[-1]):  # inf - inf once the partial sums overflow
         increments[-1] = orbit.cocycle[last].reciprocal().magnitude()
     return _tail_report(
-        orbit.partial_sums_abs[last], log2_drop, increments, window, last + 1,
-        stabilization_tol,
+        orbit.partial_sums_abs[last], log2_drop, increments, window, last + 1, STABILIZATION_TOL
     )
 
 

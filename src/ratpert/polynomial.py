@@ -25,6 +25,9 @@ CLUSTER_TOL = 1e-7
 #: Entries of the Aberth pairwise sum held at once (256 KiB of complex128).
 ABERTH_BLOCK = 1 << 14
 
+#: Sweep cap of the Aberth-Ehrlich iteration of poly_roots.
+ABERTH_MAX_ITER = 400
+
 
 def _trim(coeffs):
     """coeffs without its trailing zeros, keeping at least one entry."""
@@ -177,9 +180,7 @@ def horner_lanes(coefficients, zr, zi, derivative: bool):
     return pr, pi, dr, di
 
 
-def poly_roots(
-    p: Polynomial, tol: float = 1e-12, max_iter: int = 400
-) -> tuple[complex, ...]:
+def poly_roots(p: Polynomial, tol: float = 1e-12) -> tuple[complex, ...]:
     """All complex roots of p, with multiplicity: _solve_roots on its coefficients.
 
     A binomial a_0 + a_n z^n (every coefficient strictly between the
@@ -193,10 +194,10 @@ def poly_roots(
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
-    return tuple(_solve_roots(p.coefficients, tol, max_iter))
+    return tuple(_solve_roots(p.coefficients, tol))
 
 
-def _solve_roots(coeffs, tol: float = 1e-12, max_iter: int = 400) -> list[complex]:
+def _solve_roots(coeffs, tol: float = 1e-12) -> list[complex]:
     """poly_roots on trimmed coefficients (constant first, degree >= 1), as a sorted list."""
     # exact roots at the origin are factored out: Aberth needs a nonzero constant term
     n_zero = 0
@@ -210,7 +211,7 @@ def _solve_roots(coeffs, tol: float = 1e-12, max_iter: int = 400) -> list[comple
     elif n > 1:
         closed = None if any(rest[1:-1]) else _binomial_roots(rest[0], rest[-1], n)
         if closed is None or not all(abs(_horner(coeffs, r)) < tol * _horner_scale(coeffs, r) for r in closed):
-            closed = _aberth(np.asarray(rest, dtype=complex), tol, max_iter)
+            closed = _aberth(np.asarray(rest, dtype=complex), tol, ABERTH_MAX_ITER)
         roots.extend(closed)
     return sorted(roots, key=attrgetter("real", "imag"))
 

@@ -152,6 +152,16 @@ class TestCommands:
         assert data == b.read_bytes()
         assert data.startswith(b"P6\n12 10\n255\n")
 
+    def test_scan_ppm_is_the_heatmap(self, tmp_path):
+        # one pixel a parameter, in grid order
+        out = tmp_path / "scan.ppm"
+        args = ["scan", "--region=-1.05:-0.95:0.18:0.28", "--resolution", "8,6",
+                "--format", "ppm", "--output", str(out)]
+        assert main(args) == 0
+        data = out.read_bytes()
+        assert data.startswith(b"P6\n8 6\n255\n")
+        assert len(data) == len(b"P6\n8 6\n255\n") + 3 * 8 * 6
+
     def test_alpha_fixed_point(self, tmp_path):
         out = tmp_path / "alpha.json"
         code = main(
@@ -253,6 +263,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidOrbitError: orbit overflowed at index 2") and err.count("\n") == 1
         assert "escape radius 1e+" in err
+
+    def test_parabolic_infinity_is_no_cycle(self, capsys):
+        # z + 1/z: Newton from 3e6 walks towards the parabolic fixed point
+        # at infinity, which is no finite cycle (and so no ParabolicCycleError)
+        args = ["alpha", "--map", "rational:1,0,1/0,1", "--period", "1",
+                "--point", "3e6", "--field", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "no period-1 cycle" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["0,2", "2,0", "-1,-1"])
     def test_resolution_below_one_rejected_with_path(self, value, capsys, monkeypatch):

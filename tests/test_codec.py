@@ -110,6 +110,18 @@ def test_output_is_strict_json_that_round_trips(command, capsysbinary):
          "27bab942b488ea6708ca9d5804605bbb9237564640d9c2666a6eb112a1b57bd8"),
         ("check-motion --map rational:-1,0,1/1,0,0.05 --period 3 --field 1 --h 1e-5",
          "f0f10b773c66fe426c03b9a011e0907ae94c7b272737e13c120d89128b456ce4"),
+        # the orbit series of mu and the moments, the growth fit and the
+        # scan's lanes, pinned while each of them still had two copies
+        ("mu --map unicritical:2,-2+0i",
+         "7bc2e226da7c71323b2523555387a520a5a77efe7ff9b14f87eb07f67f6b9b6a"),
+        ("mu --map rational:-2,0,1/1,0,0.001 --field 1+0.3*z",
+         "bf19694ef49d062abdbaddc90d74aa8a695c2730c22cbb3ba55c5e0d8c5c64fe"),
+        ("witness --map unicritical:2,-2+0i",
+         "2999ccfda0a5f94ac7433211b87d8e23e062ae557a800e18e06106a92e2e73fd"),
+        ("obstruction --map unicritical:2,-0.12+0.75i --field z^2 --terms 100",
+         "597882be0f8fda4f999ef7dbb01938691c67ce3327779b2b49cf8e6b89e5c091"),
+        ("scan --region=-1.05:-0.95:0.18:0.28 --resolution 8,8 --format ppm",
+         "fe2d4172f5fd5b320d249822c651530b361d632d5f00fe5fb2f12449b4d7e2a5"),
     ],
 )
 def test_finite_outputs_keep_their_bytes(command, digest, capsysbinary):

@@ -87,6 +87,18 @@ class TestFixedPointContinuation:
         assert all(abs(c.multiplier) > 1 for c in result.cycles)
         assert max(l.real for l in result.lambda_path) < 0.25
 
+    def test_nearly_parabolic_start_stops_degenerate(self):
+        # z^2 + c with the fixed point z0 = (1 + 1e-7)/2 has multiplier
+        # 2 z0 = 1 + 1e-7: repelling, but within PARABOLIC_TOL of 1, so the
+        # predictor's alpha cannot be solved and no step is taken
+        z0 = (1 + 1e-7) / 2
+        m = MapSpec.unicritical(2, z0 - z0 * z0)
+        cyc = cycle_from_point(m, z0, 1)
+        assert 1 < abs(cyc.multiplier) < 1 + 1e-6
+        result = continue_cycle(m, ONE_FIELD, cyc, 0.01, steps=4)
+        assert result.stopped_reason == "multiplier_degenerate"
+        assert result.lambda_path == (0j,)
+
     def test_non_repelling_rejected(self, squaring_map):
         attracting = cycle_from_point(squaring_map, 0j, 1)
         with pytest.raises(InvalidCycleError):

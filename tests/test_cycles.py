@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ratpert import (
     find_cycles,
     solve_alpha_on_cycle,
 )
-from ratpert.cycles import _collect_cycles, _within_tolerance
+from ratpert.cycles import _collect_cycles, _parabolic_at_infinity, _within_tolerance
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -130,6 +131,38 @@ class TestCycleFromPoint:
         m = MapSpec.rational(Polynomial((0, 0, 1)), Polynomial((0.3, 1)))
         with pytest.raises(ValueError):
             cycle_from_point(m, 5, 1)
+
+    def test_parabolic_infinity_is_no_fixed_point(self):
+        # z + 1/z fixes infinity with multiplier 1: Newton from 3e6 doubles z
+        # out to about 1.2e7, where R(z) - z = 1/z passes the relative gate,
+        # but its correction there (residual / |multiplier - 1| = z) is no
+        # small step
+        m = MapSpec.rational(Polynomial((1, 0, 1)), Polynomial((0, 1)))
+        with pytest.raises(ValueError, match="no period-1 cycle"):
+            cycle_from_point(m, 3e6, 1)
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [((1, 0, 1), (0, 1)), ((0.3 + 0.2j, 0.5, 1), (0.5, 1))],
+    )
+    def test_census_cycles_solve_under_a_parabolic_infinity(self, num, den):
+        # both maps fix infinity with multiplier 1; every census cycle of
+        # periods 1-6 still comes back at its base
+        m = MapSpec.rational(Polynomial(num), Polynomial(den))
+        cycles = [c for period in range(1, 7) for c in find_cycles(m, period)]
+        assert len(cycles) == 21
+        for cycle in cycles:
+            solved = cycle_from_point(m, cycle.base, cycle.period)
+            assert solved.period == cycle.period
+            assert abs(solved.base - cycle.base) <= 1e-9 * max(1.0, abs(cycle.base))
+
+    def test_parabolic_test_of_infinity_takes_an_overflow(self):
+        # 1e10 ** 40 overflows: infinity is then no parabolic point, and
+        # numpy's overflow warning must not reach the caller
+        m = MapSpec.rational(Polynomial((0, 1, 1e-10)), Polynomial((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _parabolic_at_infinity(m, 40)
 
     def test_gate_rejects_an_overflowed_bound(self):
         cycle = Cycle((1e200 + 0j,), 1, complex(math.inf, 0.0), math.inf)
