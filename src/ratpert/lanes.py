@@ -34,8 +34,9 @@ A candidate lane whose orbit does anything the scalar path reports or
 treats specially leaves the batch (its result is None) and the caller runs
 the scalar path for it: a critical or near-critical relation, a vanishing
 derivative, escape, a non-finite value, and summable evidence (whose
-constant-field functional needs the whole orbit).  With a rational field
-every lane leaves.
+constant-field functional needs the whole orbit).  The field is evaluated
+as the scalar path evaluates it (fields._field_lanes), a rational one
+included.
 
 A step of the candidate loop costs about as much as a step of the per-point
 chain for MIN_LANES candidates, and a step of the classifier about as much
@@ -160,10 +161,9 @@ def candidate_lanes(
     the whole orbit give, when they give it without incident.  Lanes run in
     equal blocks of block to 2 * block - 1 candidates (all of them if there
     are fewer), where block is BLOCK_ENTRIES / (fit window) but at least
-    MIN_LANES.  With a rational field every lane leaves.
+    MIN_LANES.  A rational field runs as lanes too: where it is not
+    finite (a pole on the orbit) the lane leaves.
     """
-    if not field.is_polynomial:
-        return [None] * len(cs)
     n = orbit_length + 1
     block = max(MIN_LANES, BLOCK_ENTRIES // (n - _fit_start(n) + 1))
     count = max(1, len(cs) // block)

@@ -200,25 +200,24 @@ def eval_map(map: MapSpec, z: complex) -> tuple[complex, complex]:
 
 
 def _derivative_lanes(map: MapSpec, zr, zi):
-    """DR at the lanes zr + i zi as eval_map forms it, bit for bit, and the
-    lanes where eval_map returns exactly that: no pole, and the scale, |q|
-    and DR finite, so that nothing there overflows or divides by zero.
-    Elsewhere eval_map itself says what happens."""
+    """DR at the lanes zr + i zi as eval_map forms it, and the lanes where
+    eval_map raises PoleError instead.  Elsewhere DR is finite where
+    eval_map's is, and then it is eval_map's bit for bit."""
     num = [(a.real, a.imag) for a in map.numerator.coefficients]
     pr, pi, dpr, dpi = horner_lanes(num, zr, zi, derivative=True)
     if map.is_polynomial:
         q0 = map.denominator.coefficients[0]
         dr, di = _cdiv_lanes(dpr, dpi, q0.real, q0.imag)
-        return dr, di, np.isfinite(dr) & np.isfinite(di)
+        return dr, di, np.zeros(np.shape(dr), dtype=bool)
     den = [(a.real, a.imag) for a in map.denominator.coefficients]
     qr, qi, dqr, dqi = horner_lanes(den, zr, zi, derivative=True)
     scale = _horner_scale(map.denominator.coefficients, np.hypot(zr, zi))
-    q_abs = np.hypot(qr, qi)
     ar, ai = cmul_lanes(dpr, dpi, qr, qi)
     br, bi = cmul_lanes(pr, pi, dqr, dqi)
-    dr, di = _cdiv_lanes(ar - br, ai - bi, *cmul_lanes(qr, qi, qr, qi))
-    regular = (q_abs > POLE_TOL * np.maximum(scale, 1e-300)) & np.isfinite(scale) & np.isfinite(q_abs)
-    return dr, di, regular & np.isfinite(dr) & np.isfinite(di)
+    q2r, q2i = cmul_lanes(qr, qi, qr, qi)
+    dr, di = _cdiv_lanes(ar - br, ai - bi, q2r, q2i)
+    pole = (np.hypot(qr, qi) <= POLE_TOL * np.maximum(scale, 1e-300)) | ((q2r == 0.0) & (q2i == 0.0))
+    return dr, di, pole
 
 
 def eval_map_many(map: MapSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

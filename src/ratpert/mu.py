@@ -90,7 +90,7 @@ def _orbit_series(
         inverse = cocycle.reciprocal()
         active = [
             j for j in active
-            if not sums[j].add(_collapse(XComplex.from_complex(complex(fields[j](point))) * inverse))
+            if not sums[j].add(_term(complex(fields[j](point)), inverse))
         ]
     return [
         MuResult(value=s.value, partial=tuple(s.partial), converged=s.converged, terms_used=s.terms_used,
@@ -132,10 +132,14 @@ class _SeriesSum:
         return self.converged
 
 
-def _collapse(x: XComplex) -> complex:
-    """XComplex to complex; swallows underflow (tiny tail terms) to 0."""
+def _term(value: complex, inverse: XComplex) -> complex:
+    """value * inverse as a complex, a tiny tail term underflowing to 0.  A
+    term that is not finite (the field overflows on the orbit) or that
+    overflows double range leaves the series without a value."""
     try:
-        return x.to_complex()
+        return (XComplex.from_complex(value) * inverse).to_complex()
+    except ValueError:
+        raise NotSummableError(f"the field is not finite on the orbit: v = {value}") from None
     except OverflowError:
         raise NotSummableError("a series term overflows double range") from None
 

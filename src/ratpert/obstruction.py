@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOrbitError
+from .errors import InvalidOrbitError, PoleError
 from .fields import VectorFieldSpec, _field_lanes
-from .maps import eval_map
+from .maps import _derivative_lanes
 from .orbits import OrbitRecord
-from .xcomplex import XComplex, _add, _from_parts, _mul, _normalize, _normalized_parts
+from .xcomplex import XComplex, _add, _from_parts, _mul, _normalized_parts
 
 #: |growth exponent| below this is neither growth nor decay evidence.
 GROWTH_MARGIN = 0.05
@@ -63,12 +63,12 @@ def obstruction_sequence(
 ) -> ObstructionSeries:
     """Generate b[0..n] by the forward recurrence in XComplex arithmetic.
 
-    DR along the orbit comes from orbit.derivatives; a record without them
-    (built by hand, or decoded from JSON) has them evaluated again here.
-    The sequence runs in segments of lanes.SEGMENT_ENTRIES steps: v and
-    the normalized DR and v over a whole segment at once, then the
-    recurrence alone on XComplex parts.  A step with a non-finite DR or v
-    is taken on its own, so errors are those of a step-by-step loop.
+    The sequence runs in segments of lanes.SEGMENT_ENTRIES steps: DR
+    (maps._derivative_lanes, eval_map's bits), v and their normalized parts
+    over a whole segment at once, then the recurrence alone on XComplex
+    parts.  Fresh, decoded and hand-built records take this one path.  At
+    the first orbit point where eval_map raises PoleError this raises it
+    too; at the first where DR or v is not finite, InvalidOrbitError.
     """
     from .lanes import SEGMENT_ENTRIES
 
@@ -82,30 +82,28 @@ def obstruction_sequence(
         )
 
     points = orbit.points[:n]
-    derivatives = orbit.derivatives or [eval_map(orbit.map, z)[1] for z in points]
-    count = min(len(points), len(derivatives))
     parts: list = [None]  # b[0] = 0
     term = None
-    for k0 in range(0, count, SEGMENT_ENTRIES):
-        k1 = min(k0 + SEGMENT_ENTRIES, count)
-        seg_points, seg_dz = points[k0:k1], derivatives[k0:k1]
-        # v and the normalized DR and v of the whole segment
+    for k0 in range(0, n, SEGMENT_ENTRIES):
+        seg_points = points[k0 : k0 + SEGMENT_ENTRIES]
+        # DR and v of the whole segment, and their normalized parts
         with np.errstate(all="ignore"):
             zs = np.array(seg_points, dtype=complex)
-            dzs = np.array(seg_dz, dtype=complex)
+            dr, di, pole = _derivative_lanes(orbit.map, zs.real, zs.imag)
             wr, wi = _field_lanes(v, zs.real, zs.imag)
-            finite = np.isfinite(dzs.real) & np.isfinite(dzs.imag) & np.isfinite(wr) & np.isfinite(wi)
-            dz_parts = _normalized_parts(dzs.real, dzs.imag)
+            dz_finite = np.isfinite(dr) & np.isfinite(di)
+            bad = pole | ~(dz_finite & np.isfinite(wr) & np.isfinite(wi))
+            if bad.any():
+                s = int(np.argmax(bad))
+                if pole[s]:
+                    raise PoleError(f"evaluation at {seg_points[s]} is within pole tolerance")
+                what = "v" if dz_finite[s] else "DR"
+                raise InvalidOrbitError(f"{what} is not finite at orbit index {k0 + s}")
+            dz_parts = _normalized_parts(dr, di)
             w_parts = _normalized_parts(wr, wi)
-        # the recurrence alone; a non-finite step raises as _normalize does
-        for s, ok in enumerate(finite.tolist()):
-            if ok:
-                term = _add(_mul(dz_parts[s], term), w_parts[s])
-            else:
-                dz = seg_dz[s]
-                product = _mul(_normalize(dz.real, dz.imag, 0), term)
-                w = complex(v(seg_points[s]))
-                term = _add(product, _normalize(w.real, w.imag, 0))
+        # the recurrence alone
+        for dz, w in zip(dz_parts, w_parts):
+            term = _add(_mul(dz, term), w)
             parts.append(term)
 
     b = [_from_parts(x) for x in parts]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CriticalRelationError, InvalidOrbitError, RootFindingError
 from .maps import MapSpec, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
 from .polynomial import _horner, _solve_roots, _trim
-from .xcomplex import XComplex, _complex_list, _from_parts, _mul, _normalize, _normalized_parts, reciprocal_lanes
+from .xcomplex import XComplex, _from_parts, _mul, _normalize, _normalized_parts, reciprocal_lanes
 
 if TYPE_CHECKING:
     from .cycles import Cycle
@@ -57,10 +57,6 @@ class OrbitRecord:
     derivative of the k-th iterate at the critical value R(c), so
     cocycle[0] = 1 and cocycle[k+1] = cocycle[k] * DR(points[k+1]).
     partial_sums_abs[k] accumulates 1/|cocycle[j]| for j <= k.
-    derivatives[k] is DR(points[k]), kept by iterate_orbit for the
-    obstruction recurrence; it is None on records built otherwise (by hand,
-    or decoded from JSON, which does not carry it), and it takes no part in
-    comparisons.
     """
 
     map: MapSpec
@@ -70,7 +66,6 @@ class OrbitRecord:
     escaped_at: int | None
     truncated_at: int
     critical_relation_at: int | None = None
-    derivatives: tuple[complex, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def start(self) -> complex:
@@ -108,7 +103,8 @@ def iterate_orbit(
     XComplex values once, in the record.  A step whose tests do not all
     pass (an escape, a relation, a warning, a pole, a non-finite value) is
     taken on its own with eval_map, in order, so records, exceptions and
-    warnings are those of a step-by-step loop.
+    warnings are those of a step-by-step loop.  The record keeps no DR:
+    obstruction_sequence forms it again from the points, by the same lanes.
     """
     from .lanes import SEGMENT_ENTRIES  # lanes imports this module
 
@@ -125,8 +121,7 @@ def iterate_orbit(
     den = None if map.is_polynomial else map.denominator.coefficients
     q0 = map.denominator.coefficients[0]
     points: list[complex] = [c]
-    value, dz = eval_map(map, c)
-    derivatives: list[complex] = [dz]
+    value = eval_map(map, c)[0]
     entry = (1 + 0j, 0)  # the parts of XComplex.one()
     cocycle: list = [entry]
     partials: list[float] = [1.0]
@@ -152,7 +147,6 @@ def iterate_orbit(
         with np.errstate(all="ignore"):
             zs = np.array(segment, dtype=complex)
             dzr, dzi, regular = _step_tests(map, zs.real, zs.imag, crit, escape_radius)
-            dz_values = _complex_list(dzr, dzi)
             dz_parts = _normalized_parts(dzr, dzi)
 
         # (c) the cocycle product alone; an irregular step on its own
@@ -162,7 +156,6 @@ def iterate_orbit(
                 entry = _mul(entry, m)
                 cocycle.append(entry)
             points.extend(segment[start:stop])
-            derivatives.extend(dz_values[start:stop])
             index += stop - start
             if stop == len(segment):
                 break
@@ -172,13 +165,12 @@ def iterate_orbit(
             _clear_errno()
             nearest = min(abs(z - cp) / scale for cp, scale in crit)
             dz = eval_map(map, z)[1]
-            derivatives.append(dz)
             try:
                 if nearest < RELATION_TOL or dz == 0:
                     _extend_partial_sums(partials, cocycle)
                     cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
                     partials.append(math.inf)
-                    record = _orbit_record(map, points, cocycle, partials, derivatives, None, index)
+                    record = _orbit_record(map, points, cocycle, partials, None, index)
                     raise CriticalRelationError(
                         f"orbit landed on a critical point at index {index}",
                         index=index,
@@ -204,10 +196,10 @@ def iterate_orbit(
             start = stop + 1
         _extend_partial_sums(partials, cocycle)
 
-    return _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, None)
+    return _orbit_record(map, points, cocycle, partials, escaped_at, None)
 
 
-def _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, relation_at):
+def _orbit_record(map, points, cocycle, partials, escaped_at, relation_at):
     """The OrbitRecord of iterate_orbit's lists, its cocycle as XComplex."""
     return OrbitRecord(
         map=map,
@@ -217,19 +209,22 @@ def _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, relat
         escaped_at=escaped_at,
         truncated_at=len(points) - 1,
         critical_relation_at=relation_at,
-        derivatives=tuple(derivatives),
     )
 
 
 def _step_tests(map: MapSpec, zr, zi, crit, radius):
     """DR at the orbit points zr + i zi (maps._derivative_lanes), and where
-    a step from there is regular: eval_map gives that DR, the distance to
-    each critical point of crit, pairs (cp, max(1, |cp|)), is finite and at
-    least NEAR_RELATION_TOL, DR != 0 and |z| <= radius.  Under np.errstate."""
-    dzr, dzi, regular = _derivative_lanes(map, zr, zi)
+    a step from there is regular: eval_map gives that DR (no pole, DR
+    finite), the distance to each critical point of crit, pairs
+    (cp, max(1, |cp|)), is finite and at least NEAR_RELATION_TOL, DR != 0
+    and |z| <= radius.  Under np.errstate."""
+    dzr, dzi, pole = _derivative_lanes(map, zr, zi)
     distances = np.array([np.hypot(zr - cp.real, zi - cp.imag) / scale for cp, scale in crit])
-    regular &= (
-        np.isfinite(distances).all(axis=0)  # else abs(z - cp) raises OverflowError
+    regular = (
+        ~pole
+        & np.isfinite(dzr)
+        & np.isfinite(dzi)
+        & np.isfinite(distances).all(axis=0)  # else abs(z - cp) raises OverflowError
         & (distances.min(axis=0) >= NEAR_RELATION_TOL)
         & ((dzr != 0.0) | (dzi != 0.0))
         & (np.hypot(zr, zi) <= radius)

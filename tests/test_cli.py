@@ -264,6 +264,24 @@ class TestCommands:
         assert err.startswith("error: InvalidOrbitError: orbit overflowed at index 2") and err.count("\n") == 1
         assert "escape radius 1e+" in err
 
+    # z^1024 overflows at the orbit point -2: the field has no value there
+    @pytest.mark.parametrize("args,error", [
+        (["obstruction", "--field", "z^1024", "--terms", "50"],
+         "InvalidOrbitError: v is not finite at orbit index 1"),
+        (["mu", "--field", "z^1024"], "NotSummableError: the field is not finite on the orbit"),
+        (["moments", "--max-degree", "1024"], "NotSummableError: the field is not finite on the orbit"),
+    ])
+    def test_field_overflow_is_one_error_line(self, args, error, capsys):
+        assert main([args[0], "--map", "unicritical:2,-2+0i", *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+    def test_field_overflow_flags_the_scan_row(self, capsys):
+        assert main(["scan", "--path=-2+0i", "--field", "z^1024", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["growth_exponent"] is None
+        assert row["flags"] == ["obstruction-error:v is not finite at orbit index 1"]
+
     def test_parabolic_infinity_is_no_cycle(self, capsys):
         # z + 1/z: Newton from 3e6 walks towards the parabolic fixed point
         # at infinity, which is no finite cycle (and so no ParabolicCycleError)

@@ -1,6 +1,7 @@
-import dataclasses
 import hashlib
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ratpert import (
     MapSpec,
     ObstructionSeries,
     OrbitRecord,
+    PoleError,
     Polynomial,
     VectorFieldSpec,
     XComplex,
@@ -22,7 +24,6 @@ from ratpert import (
     obstruction_direct,
     obstruction_sequence,
 )
-from ratpert import obstruction
 from ratpert.cli import main
 from ratpert.obstruction import _fit_growth
 from ratpert.orbits import NearCriticalRelationWarning
@@ -120,6 +121,29 @@ class TestInvariants:
         direct = obstruction_direct(orbit, VectorFieldSpec.constant(1), 50)
         assert direct.to_complex() == pytest.approx(50.0)
 
+    @pytest.mark.parametrize("m,bad,error,message", [
+        # -1 is a pole of 1/(z^2 - 1): the error eval_map raises there
+        (MapSpec.rational(Polynomial((1,)), Polynomial((-1, 0, 1))), -1 + 0j, PoleError, None),
+        # DR = 4z^3 overflows at 1e120
+        (MapSpec.unicritical(4, 0), 1e120 + 0j, InvalidOrbitError, "DR is not finite at orbit index 2"),
+    ])
+    def test_unusable_point_of_a_hand_built_orbit(self, m, bad, error, message):
+        orbit = OrbitRecord(
+            map=m,
+            points=(0j, 0.5 + 0j, bad, 0.25 + 0j),
+            cocycle=(XComplex.one(),) * 4,
+            partial_sums_abs=(1.0, 2.0, 3.0, 4.0),
+            escaped_at=None,
+            truncated_at=3,
+        )
+        assert len(obstruction_sequence(orbit, VectorFieldSpec.constant(1), 2)) == 3
+        if message is None:
+            with pytest.raises(PoleError) as want:
+                eval_map(m, bad)
+            message = str(want.value)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            obstruction_sequence(orbit, VectorFieldSpec.constant(1), 4)
+
     def test_orbit_too_short_rejected(self, chebyshev_orbit):
         with pytest.raises(InvalidOrbitError):
             obstruction_sequence(chebyshev_orbit, VectorFieldSpec.constant(1), 1000)
@@ -146,7 +170,7 @@ class TestLongRange:
 
 
 # The XComplex loop obstruction_sequence ran before the recurrence moved to
-# raw parts and stored derivatives, kept as the reference it must match.
+# raw parts and lanes, kept as the reference it must match.
 def reference_obstruction_sequence(orbit, v, n):
     b = [XComplex.zero()]
     for k in range(n):
@@ -213,25 +237,26 @@ class TestPartsCoreMatchesXComplexLoop:
             orbit = iterate_orbit(MapSpec.unicritical(2, -1 + 1e-8), 0j, 64)
         assert_same_series(orbit, FIELDS[1], 65)
 
-    def test_stored_derivatives_replace_map_evaluation(self, monkeypatch):
-        orbit = iterate_orbit(MapSpec.unicritical(2, 1j), 0j, 200)
-        ref = reference_obstruction_sequence(orbit, FIELDS[1], 201)
-
-        def no_eval(*args):
-            raise AssertionError("eval_map called although the orbit has derivatives")
-
-        monkeypatch.setattr(obstruction, "eval_map", no_eval)
-        assert obstruction_sequence(orbit, FIELDS[1], 201) == ref
-
-    def test_records_without_derivatives(self):
+    def test_decoded_record_skips_eval_map(self):
+        # DR comes from the points by one path, whatever built the record
         m = MapSpec.rational(Polynomial((-2, 0, 1)), Polynomial((1, 0, 0.001)))
         orbit = iterate_orbit(m, 0j, 500)
-        series = obstruction_sequence(orbit, FIELDS[1], 501)
         decoded = decode(json_loads(json_dumps(encode(orbit))))
-        hand_built = dataclasses.replace(orbit, derivatives=None)
-        assert decoded.derivatives is None and decoded == orbit
-        assert obstruction_sequence(decoded, FIELDS[1], 501).b == series.b
-        assert obstruction_sequence(hand_built, FIELDS[1], 501).b == series.b
+        assert decoded == orbit
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is eval_map.__code__:
+                calls.append(frame.f_locals["z"])
+
+        for v in FIELDS:
+            sys.setprofile(profile)
+            try:
+                fresh, again = (obstruction_sequence(record, v, 501) for record in (orbit, decoded))
+            finally:
+                sys.setprofile(None)
+            assert calls == []
+            assert repr(again) == repr(fresh) == repr(reference_obstruction_sequence(orbit, v, 501))
 
 
 def test_obstruction_cli_output_pinned(capsysbinary):

@@ -1,6 +1,7 @@
 """iterate_orbit and obstruction_sequence in segments against their
 step-by-step loops: records, series, exceptions and warnings, bit for bit."""
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -24,6 +25,7 @@ from ratpert import (
     summability_report,
 )
 from ratpert import lanes
+from ratpert.maps import _derivative_lanes
 from ratpert.obstruction import ObstructionSeries, _fit_growth
 from ratpert.orbits import (
     NEAR_RELATION_TOL,
@@ -47,15 +49,16 @@ from ratpert.xcomplex import (
 
 # The step-by-step loops iterate_orbit and obstruction_sequence ran before
 # they moved to segments, kept as the reference they must match bit for
-# bit (the escape_radius check came with the segments).
+# bit (the escape_radius check came with the segments, and the
+# InvalidOrbitError for a DR or v that is not finite replaced the
+# ValueError and ZeroDivisionError of the scalar steps later).
 def per_step_iterate_orbit(map, c, n_max, escape_radius=1e6):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     c = complex(c)
     crit = [(cp, max(1.0, abs(cp))) for cp in map.critical_points]
     points = [c]
-    value, dz = eval_map(map, c)
-    derivatives = [dz]
+    value = eval_map(map, c)[0]
     entry = (1 + 0j, 0)
     cocycle = [entry]
     total = 1.0
@@ -68,12 +71,11 @@ def per_step_iterate_orbit(map, c, n_max, escape_radius=1e6):
             points.append(z)
             nearest = min(abs(z - cp) / scale for cp, scale in crit)
             value, dz = eval_map(map, z)
-            derivatives.append(dz)
 
             if nearest < RELATION_TOL or dz == 0:
                 cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
                 partials.append(math.inf)
-                record = _orbit_record(map, points, cocycle, partials, derivatives, None, index)
+                record = _orbit_record(map, points, cocycle, partials, None, index)
                 raise CriticalRelationError(
                     f"orbit landed on a critical point at index {index}",
                     index=index,
@@ -99,7 +101,7 @@ def per_step_iterate_orbit(map, c, n_max, escape_radius=1e6):
             f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
         ) from None
 
-    return _orbit_record(map, points, cocycle, partials, derivatives, escaped_at, None)
+    return _orbit_record(map, points, cocycle, partials, escaped_at, None)
 
 
 def per_step_obstruction_sequence(orbit, v, n):
@@ -112,12 +114,19 @@ def per_step_obstruction_sequence(orbit, v, n):
             f"orbit has {orbit.truncated_at + 1} points; n = {n} needs {n} points"
         )
 
-    derivatives = orbit.derivatives or [eval_map(orbit.map, z)[1] for z in orbit.points[:n]]
     parts = [None]
     term = None
-    for point, dz in zip(orbit.points[:n], derivatives):
+    for k, point in enumerate(orbit.points[:n]):
+        dz = eval_map(orbit.map, point)[1]
+        try:
+            w = complex(v(point))
+        except ZeroDivisionError:  # a pole of v on the orbit
+            w = complex(math.nan)
+        if not cmath.isfinite(dz):
+            raise InvalidOrbitError(f"DR is not finite at orbit index {k}")
+        if not cmath.isfinite(w):
+            raise InvalidOrbitError(f"v is not finite at orbit index {k}")
         product = _mul(_normalize(dz.real, dz.imag, 0), term)
-        w = complex(v(point))
         term = _add(product, _normalize(w.real, w.imag, 0))
         parts.append(term)
 
@@ -127,9 +136,9 @@ def per_step_obstruction_sequence(orbit, v, n):
 
 
 def _record_key(record):
-    """Every field of an OrbitRecord, derivatives included, as text: repr
-    tells signed zeros and every float bit apart."""
-    return repr((dataclasses.astuple(record)[1:], record.derivatives))
+    """Every field of an OrbitRecord but the map, as text: repr tells
+    signed zeros and every float bit apart."""
+    return repr(dataclasses.astuple(record)[1:])
 
 
 def _error_key(err):
@@ -162,7 +171,6 @@ def assert_same_orbit(m, c, n_max, escape_radius):
     else:
         assert not isinstance(got, Exception), got
         assert _record_key(got) == _record_key(want)
-        assert got.derivatives == tuple(eval_map(m, z)[1] for z in got.points)
     return got, got_warnings
 
 
@@ -274,7 +282,7 @@ def test_derivative_exactly_zero_beats_the_escape():
     m = _even_rational(1e79, 0.001)
     got, _ = assert_same_orbit(m, 0j, 10, 1e6)
     assert isinstance(got, CriticalRelationError) and got.index == 1
-    assert got.orbit.derivatives[1] == 0 and got.orbit.cocycle[1].is_zero
+    assert eval_map(m, got.orbit.points[1])[1] == 0 and got.orbit.cocycle[1].is_zero
     assert got.orbit.partial_sums_abs == (1.0, math.inf)
 
 
@@ -324,7 +332,7 @@ def test_decoded_record_over_several_segments(v):
     m = _even_rational(-2.0, 0.001)
     orbit = iterate_orbit(m, 0j, 5000)
     decoded = decode(json_loads(json_dumps(encode(orbit))))
-    assert decoded.derivatives is None
+    assert decoded == orbit
     series = assert_same_series(decoded, v, 5001)
     stored = _run(obstruction_sequence, orbit, v, 5001)[0]
     assert repr(series) == repr(stored)
@@ -369,6 +377,37 @@ def test_lane_division_by_one_value(q):
     re, im = _cdiv_lanes(a.real, a.imag, q.real, q.imag)
     got = [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
     assert _bits(got) == _bits([x / q for x in a.tolist()])
+
+
+# -- DR on lanes: eval_map's bits, and its PoleError -------------------------
+
+
+@pytest.mark.parametrize("m", [
+    _even_rational(-2.0, 0.001),
+    MapSpec.rational(Polynomial((1,)), Polynomial((-1, 0, 1))),  # poles +-1
+    MapSpec(Polynomial((1e-170,)), Polynomial((1e-170, 0, 1e-170))),  # q^2 underflows to 0
+    CHEBYSHEV_CUBIC,
+    MapSpec.unicritical(4, 1e150),
+])
+def test_derivative_lanes_are_eval_map(m):
+    rng = np.random.default_rng(11)
+    points = (rng.uniform(-4, 4, 300) + 1j * rng.uniform(-4, 4, 300)).tolist()
+    points += [p + e for p in (1, -1, 1j, -1j, 1e-100) for e in (0, 1e-12, 1e-9, 3e-8j)]
+    points += [1e80, 1e155j, 1e160 - 1e160j, 1e200, 1e300 + 1e300j, complex(math.inf, 0), complex(0, math.nan)]
+    zs = np.array(points)
+    with np.errstate(all="ignore"):
+        dr, di, pole = _derivative_lanes(m, zs.real, zs.imag)
+    for z, re, im, at_pole in zip(points, dr.tolist(), di.tolist(), pole.tolist()):
+        try:
+            want = eval_map(m, z)[1]
+        except PoleError:
+            assert at_pole, z
+            continue
+        assert not at_pole, z
+        if math.isfinite(re) and math.isfinite(im):
+            assert repr(complex(re, im)) == repr(want), z
+        else:
+            assert not cmath.isfinite(want), z
 
 
 # -- summability_report reads only the last 2*window increments -------------

@@ -65,6 +65,20 @@ LANE_CASES = {
 }
 
 
+# v = 1/(z+3), (z^2+0.5)/(z^3+2) and (1+2z)/(z^2+0.25)
+RATIONAL_FIELDS = [
+    VectorFieldSpec.rational(Polynomial((1,)), Polynomial((3, 1))),
+    VectorFieldSpec.rational(Polynomial((0.5, 0, 1)), Polynomial((2, 0, 0, 1))),
+    VectorFieldSpec.rational(Polynomial((1, 2)), Polynomial((0.25, 0, 1))),
+]
+
+RATIONAL_FIELD_SCANS = [
+    LANE_CASES["boundary"],
+    ScanConfig(d=2, region=Rectangle(-2.0, 0.5, -1.2, 1.2), resolution=(24, 24)),
+    ScanConfig(d=3, region=Rectangle(-1.0, 1.0, -1.0, 1.0), resolution=(20, 20)),
+]
+
+
 def _csv(config):
     return scan_rows_to_csv(scan_parameters(config))
 
@@ -297,8 +311,30 @@ class TestLanePath:
         )
         assert results[:3] == [None, None, None]
         assert results[3] is not None
+        # a rational field stays in the batch, unless it has a pole on the
+        # orbit: 1/z at the critical point 0
         rational = VectorFieldSpec.rational(Polynomial((1,)), Polynomial((5, 1)))
-        assert candidate_lanes([1j], [3.0], 2, 16, rational) == [None]
+        assert candidate_lanes([1j], [3.0], 2, 16, rational) != [None]
+        pole = VectorFieldSpec.rational(Polynomial((1,)), Polynomial((0, 1)))
+        assert candidate_lanes([1j], [3.0], 2, 16, pole) == [None]
+
+    @pytest.mark.parametrize("field", RATIONAL_FIELDS)
+    @pytest.mark.parametrize("config", RATIONAL_FIELD_SCANS)
+    def test_rational_fields_match_the_per_point_chain(self, config, field, monkeypatch):
+        config = dataclasses.replace(config, field=field)
+        expected = _per_point_csv(config, monkeypatch)
+        assert _lane_csv(config, monkeypatch) == expected
+        assert _csv(config) == expected
+
+    def test_field_pole_on_the_orbit_flags_every_candidate(self):
+        # v = 1/z has its pole at the critical point 0, where every orbit starts
+        pole = VectorFieldSpec.rational(Polynomial((1,)), Polynomial((0, 1)))
+        rows = scan_parameters(dataclasses.replace(LANE_CASES["boundary"], field=pole))
+        candidates = [r for r in rows if r.kind == "candidate"]
+        assert len(candidates) > MIN_LANES
+        for row in candidates:
+            assert row.growth_exponent is None
+            assert "obstruction-error:v is not finite at orbit index 0" in row.flags
 
     def test_summable_row_gets_mu(self):
         rows = scan_parameters(LANE_CASES["summable-path"])
