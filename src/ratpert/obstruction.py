@@ -150,7 +150,8 @@ def obstruction_direct(orbit: OrbitRecord, v: VectorFieldSpec, n: int) -> XCompl
     """b[n] by the displayed product-times-sum form, in XComplex arithmetic.
 
     Numerically unstable for large n (catastrophic cancellation against a
-    huge cocycle); intended as an independent cross-check at small n.
+    huge cocycle); intended as an independent cross-check at small n.  Where
+    v is not finite on the orbit this raises InvalidOrbitError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -158,6 +159,9 @@ def obstruction_direct(orbit: OrbitRecord, v: VectorFieldSpec, n: int) -> XCompl
         raise InvalidOrbitError(f"orbit too short for n = {n}")
     total = XComplex.zero()
     for k in range(n):
-        term = XComplex.from_complex(complex(v(orbit.points[k]))) / orbit.cocycle[k]
-        total = total + term
+        try:
+            value = XComplex.from_complex(complex(v(orbit.points[k])))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidOrbitError(f"v is not finite at orbit index {k}") from None
+        total = total + value / orbit.cocycle[k]
     return orbit.cocycle[n - 1] * total

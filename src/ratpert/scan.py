@@ -283,35 +283,69 @@ def growth_heatmap(rows: tuple[ScanRow, ...], config: ScanConfig) -> HeatmapGrid
 
 
 #: Pixels per block of the escape loop.  A block runs every iteration to
-#: completion, so its few working arrays stay in cache; 16,384 pixels was
-#: the fastest of 4,096 to 65,536 on 256x256 renders.
+#: completion, so its few working arrays stay in cache.  Median ms per
+#: 256x256 scan-boundary render at window 16 (2-CPU x86-64 box, numpy 2.4):
+#: 40.7 at 4,096 pixels, 33.7 at 8,192 (40.1 against 41.1 here in a rerun),
+#: 35.8 here, 38.8 at 32,768, 62.3 at 65,536.
 ESCAPE_BLOCK = 16_384
+
+#: Steps of a block between two escape tests.  Same renders: 41.9 ms at 4,
+#: 38.6 at 8, 35.8 here, 35.6 at 32, 35.2 at 64; the replay grows with it.
+ESCAPE_WINDOW = 16
+
+
+def _escape_step(z: np.ndarray, c: np.ndarray, w: np.ndarray, d: int, out: np.ndarray) -> None:
+    """out <- z**d + c: z*z, d - 2 more multiplications by z, plus c."""
+    np.multiply(z, z, out=w)
+    for _ in range(d - 2):
+        np.multiply(w, z, out=w)
+    np.add(w, c, out=out)
 
 
 def _escape_counts(z: np.ndarray, c: np.ndarray, radius: float, max_iter: int, d: int) -> np.ndarray:
     """Escape counts of z -> z**d + c for flat complex arrays z (start) and
     c, block by block with in-place ufuncs in the order of the plain mask
-    loop, so the counts are bit-identical to it.  An escaped pixel is parked
-    at z = c = 0, a fixed point inside any positive radius; a block drops its
-    parked pixels once fewer than half of them are live."""
+    loop, so the counts are bit-identical to it.  A block tests |z| <=
+    radius once per ESCAPE_WINDOW steps; the window's first step writes to
+    a second buffer, which keeps the start z.  Pixels that fail the test
+    are replayed from there one step at a time for their first k with not
+    |z_k| <= radius.  That is exact when the radius traps (radius >= 2 and
+    every |c| <= (radius**d - radius)/2): a pixel with |z| > radius stays
+    out, and a non-finite one non-finite.  Other radii take windows of one
+    step.  An escaped pixel is parked at z = c = 0, a fixed point inside
+    any positive radius; a block drops its parked pixels once fewer than
+    half of them are live."""
     counts = np.full(z.size, max_iter, dtype=np.int32)
     with np.errstate(over="ignore", invalid="ignore"):
+        # the trap as radius**(d - 1) >= 2|c|/radius + 1: the left side may
+        # overflow to inf, the right side cannot
+        cmax = np.abs(c).max(initial=0.0)
+        traps = radius >= 2 and 2 * (cmax / radius) + 1 <= np.float64(radius) ** (d - 1)
+        window = ESCAPE_WINDOW if traps else 1
         for start in range(0, z.size, ESCAPE_BLOCK):
             ids = np.arange(start, min(start + ESCAPE_BLOCK, z.size))
             zb, cb, live = z[ids], c[ids], ids.size
-            w, size, inside = np.empty_like(zb), np.empty(live), np.empty(live, bool)
-            for k in range(1, max_iter + 1):
-                np.multiply(zb, zb, out=w)
-                for _ in range(d - 2):
-                    np.multiply(w, zb, out=w)
-                np.add(w, cb, out=zb)
+            w, z0, size, inside = np.empty_like(zb), np.empty_like(zb), np.empty(live), np.empty(live, bool)
+            for k in range(0, max_iter, window):
+                steps = min(window, max_iter - k)
+                # the first step writes to the other buffer: z0 keeps the window's start
+                zb, z0 = z0, zb
+                _escape_step(z0, cb, w, d, zb)
+                for _ in range(steps - 1):
+                    _escape_step(zb, cb, w, d, zb)
                 np.abs(zb, out=size)
                 # not (|z| <= radius): an overflow to nan escapes too
                 np.less_equal(size, radius, out=inside)
                 if inside.all():
                     continue
                 out = np.flatnonzero(~inside)
-                counts[ids[out]] = k
+                # a trapped pixel that left stays out, and it is out after the
+                # last step: its count is k + 1 plus the earlier steps it stayed in
+                zr, cr, stayed = z0[out], cb[out], np.zeros(out.size, np.int32)
+                for _ in range(steps - 1):
+                    _escape_step(zr, cr, w[: out.size], d, zr)
+                    stayed += np.abs(zr) <= radius
+                counts[ids[out]] = k + 1 + stayed
                 zb[out] = cb[out] = 0
                 ids[out] = -1
                 live -= out.size
@@ -320,7 +354,7 @@ def _escape_counts(z: np.ndarray, c: np.ndarray, radius: float, max_iter: int, d
                 if 2 * live < ids.size:
                     keep = ids >= 0
                     zb, cb, ids = zb[keep], cb[keep], ids[keep]
-                    w, size, inside = w[:live], size[:live], inside[:live]
+                    w, z0, size, inside = w[:live], z0[:live], size[:live], inside[:live]
     return counts
 
 
@@ -350,22 +384,12 @@ def render_escape(
     pixels = (xs[None, :] + 1j * ys[:, None]).ravel()
 
     if julia_c is None:
-        c = pixels
-        z = np.zeros_like(pixels)
-        corner_scale = max(abs(r.re_min), abs(r.re_max)) + max(
-            abs(r.im_min), abs(r.im_max)
-        )
-        radius = (
-            config.escape_radius
-            if config.escape_radius is not None
-            else default_escape_radius(config.d, corner_scale)
-        )
+        # the corner scale bounds every pixel's |c|
+        z, c = np.zeros_like(pixels), pixels
+        scale = max(abs(r.re_min), abs(r.re_max)) + max(abs(r.im_min), abs(r.im_max))
     else:
-        c = np.full_like(pixels, complex(julia_c))
-        z = pixels
-        radius = (
-            config.escape_radius
-            if config.escape_radius is not None
-            else default_escape_radius(config.d, julia_c)
-        )
+        z, c, scale = pixels, np.full_like(pixels, complex(julia_c)), julia_c
+    radius = config.escape_radius
+    if radius is None:
+        radius = default_escape_radius(config.d, scale)
     return _escape_counts(z, c, radius, max_iter, config.d).reshape(ny, nx)

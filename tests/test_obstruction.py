@@ -121,6 +121,21 @@ class TestInvariants:
         direct = obstruction_direct(orbit, VectorFieldSpec.constant(1), 50)
         assert direct.to_complex() == pytest.approx(50.0)
 
+    @pytest.mark.parametrize("v,index", [
+        # (-2)^1024 overflows at the orbit point -2
+        (VectorFieldSpec.monomial(1024), 1),
+        # 1/(z - 2) divides by zero at the orbit point 2
+        (VectorFieldSpec.rational(Polynomial((1,)), Polynomial((-2, 1))), 2),
+    ])
+    def test_direct_formula_rejects_a_field_not_finite_on_the_orbit(self, v, index):
+        # the orbit of z^2 - 2 is 0, -2, 2, 2, ...; the recurrence names the same index
+        orbit = iterate_orbit(MapSpec.unicritical(2, -2), 0j, 10)
+        message = f"^v is not finite at orbit index {index}$"
+        with pytest.raises(InvalidOrbitError, match=message):
+            obstruction_direct(orbit, v, 5)
+        with pytest.raises(InvalidOrbitError, match=message):
+            obstruction_sequence(orbit, v, 5)
+
     @pytest.mark.parametrize("m,bad,error,message", [
         # -1 is a pole of 1/(z^2 - 1): the error eval_map raises there
         (MapSpec.rational(Polynomial((1,)), Polynomial((-1, 0, 1))), -1 + 0j, PoleError, None),

@@ -679,6 +679,17 @@ RENDER_CASES = {
                    resolution=(256, 256)),
         256, -0.9992002637577773 + 0.23283619914586212j),
 }
+# radius 0.9 does not trap here: orbits leave the disk and come back
+# (0, -1, 0, ...), so a pixel that failed one test may pass the next
+RENDER_CASES["radius-0.9"] = (
+    ScanConfig(d=2, region=Rectangle(-1.2, -0.8, -0.2, 0.2), resolution=(40, 40), escape_radius=0.9), 64, None)
+# 100 is no multiple of the escape window: escapes at every step offset of
+# a window, and in the last, short window
+for _name, _julia_c in (("max-iter-100", None), ("max-iter-100-julia", -0.75 + 0.1j)):
+    RENDER_CASES[_name] = (ScanConfig(d=2, region=Rectangle(-2.2, 0.8, -1.2, 1.2), resolution=(120, 80)), 100, _julia_c)
+# radius**(d - 1) overflows in the trapping test; no iterate overflows to nan
+RENDER_CASES["d1024"] = (ScanConfig(d=1024, region=Rectangle(-0.9, 1.5, -0.9, 0.9), resolution=(90, 70)), 64, None)
+RENDER_CASES["d1024-julia-1e308"] = (ScanConfig(d=1024, region=Rectangle(-1.0, 1.0, -1.0, 1.0), resolution=(40, 40)), 64, 1e308)
 for _d in (2, 3, 5):
     for _radius in (None, 7.5):
         _config = ScanConfig(d=_d, region=WIDE, resolution=(90, 70), escape_radius=_radius)
@@ -693,6 +704,24 @@ def test_render_matches_mask_loop_byte_for_byte(case):
     expected = _mask_loop_render(config, max_iter, julia_c=julia_c)
     assert counts.dtype == np.int32 and counts.shape == expected.shape
     assert counts.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["max-iter-100", "max-iter-100-julia"])
+def test_off_window_cases_escape_at_every_window_offset(case):
+    config, max_iter, julia_c = RENDER_CASES[case]
+    assert max_iter % scan_module.ESCAPE_WINDOW
+    counts = render_escape(config, max_iter, julia_c=julia_c)
+    escaped = counts[counts < max_iter]
+    assert set(((escaped - 1) % scan_module.ESCAPE_WINDOW).tolist()) == set(range(scan_module.ESCAPE_WINDOW))
+    assert escaped.max() > max_iter - max_iter % scan_module.ESCAPE_WINDOW
+
+
+@pytest.mark.parametrize("case", ["d1024", "d1024-julia-1e308"])
+def test_degree_1024_render_warns_nothing(case):
+    config, max_iter, julia_c = RENDER_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_escape(config, max_iter, julia_c=julia_c)
 
 
 @pytest.mark.parametrize("d", [4, 5])
