@@ -26,7 +26,7 @@ from .errors import InvalidOrbitError, PoleError
 from .fields import VectorFieldSpec, _field_lanes
 from .maps import _derivative_lanes
 from .orbits import OrbitRecord
-from .xcomplex import XComplex, _add, _from_parts, _mul, _normalized_parts
+from .xcomplex import XComplex, _add, _collector_paused, _from_parts, _mul, _normalized_parts
 
 #: |growth exponent| below this is neither growth nor decay evidence.
 GROWTH_MARGIN = 0.05
@@ -81,34 +81,35 @@ def obstruction_sequence(
             f"orbit has {orbit.truncated_at + 1} points; n = {n} needs {n} points"
         )
 
-    points = orbit.points[:n]
-    parts: list = [None]  # b[0] = 0
-    term = None
-    for k0 in range(0, n, SEGMENT_ENTRIES):
-        seg_points = points[k0 : k0 + SEGMENT_ENTRIES]
-        # DR and v of the whole segment, and their normalized parts
-        with np.errstate(all="ignore"):
-            zs = np.array(seg_points, dtype=complex)
-            dr, di, pole = _derivative_lanes(orbit.map, zs.real, zs.imag)
-            wr, wi = _field_lanes(v, zs.real, zs.imag)
-            dz_finite = np.isfinite(dr) & np.isfinite(di)
-            bad = pole | ~(dz_finite & np.isfinite(wr) & np.isfinite(wi))
-            if bad.any():
-                s = int(np.argmax(bad))
-                if pole[s]:
-                    raise PoleError(f"evaluation at {seg_points[s]} is within pole tolerance")
-                what = "v" if dz_finite[s] else "DR"
-                raise InvalidOrbitError(f"{what} is not finite at orbit index {k0 + s}")
-            dz_parts = _normalized_parts(dr, di)
-            w_parts = _normalized_parts(wr, wi)
-        # the recurrence alone
-        for dz, w in zip(dz_parts, w_parts):
-            term = _add(_mul(dz, term), w)
-            parts.append(term)
+    with _collector_paused():
+        points = orbit.points[:n]
+        parts: list = [None]  # b[0] = 0
+        term = None
+        for k0 in range(0, n, SEGMENT_ENTRIES):
+            seg_points = points[k0 : k0 + SEGMENT_ENTRIES]
+            # DR and v of the whole segment, and their normalized parts
+            with np.errstate(all="ignore"):
+                zs = np.array(seg_points, dtype=complex)
+                dr, di, pole = _derivative_lanes(orbit.map, zs.real, zs.imag)
+                wr, wi = _field_lanes(v, zs.real, zs.imag)
+                dz_finite = np.isfinite(dr) & np.isfinite(di)
+                bad = pole | ~(dz_finite & np.isfinite(wr) & np.isfinite(wi))
+                if bad.any():
+                    s = int(np.argmax(bad))
+                    if pole[s]:
+                        raise PoleError(f"evaluation at {seg_points[s]} is within pole tolerance")
+                    what = "v" if dz_finite[s] else "DR"
+                    raise InvalidOrbitError(f"{what} is not finite at orbit index {k0 + s}")
+                dz_parts = _normalized_parts(dr, di)
+                w_parts = _normalized_parts(wr, wi)
+            # the recurrence alone
+            for dz, w in zip(dz_parts, w_parts):
+                term = _add(_mul(dz, term), w)
+                parts.append(term)
 
-    b = [_from_parts(x) for x in parts]
-    exponent, evidence = _fit_growth(b)
-    return ObstructionSeries(tuple(b), exponent, evidence)
+        b = [_from_parts(x) for x in parts]
+        exponent, evidence = _fit_growth(b)
+        return ObstructionSeries(tuple(b), exponent, evidence)
 
 
 def _fit_growth(b: list[XComplex]) -> tuple[float, str]:

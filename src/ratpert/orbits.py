@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CriticalRelationError, InvalidOrbitError, RootFindingError
 from .maps import MapSpec, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
 from .polynomial import _horner, _solve_roots, _trim
-from .xcomplex import XComplex, _from_parts, _mul, _normalize, _normalized_parts, reciprocal_lanes
+from .xcomplex import XComplex, _collector_paused, _from_parts, _mul, _normalize, _normalized_parts, reciprocal_lanes
 
 if TYPE_CHECKING:
     from .cycles import Cycle
@@ -116,87 +116,88 @@ def iterate_orbit(
     if not is_critical_point(map, c):
         raise ValueError(f"{c} is not a critical point of the map (residual check)")
 
-    crit = [(cp, max(1.0, abs(cp))) for cp in map.critical_points]
-    num = map.numerator.coefficients
-    den = None if map.is_polynomial else map.denominator.coefficients
-    q0 = map.denominator.coefficients[0]
-    points: list[complex] = [c]
-    value = eval_map(map, c)[0]
-    entry = (1 + 0j, 0)  # the parts of XComplex.one()
-    cocycle: list = [entry]
-    partials: list[float] = [1.0]
-    escaped_at: int | None = None
-    index = 0  # the last step taken
+    with _collector_paused():
+        crit = [(cp, max(1.0, abs(cp))) for cp in map.critical_points]
+        num = map.numerator.coefficients
+        den = None if map.is_polynomial else map.denominator.coefficients
+        q0 = map.denominator.coefficients[0]
+        points: list[complex] = [c]
+        value = eval_map(map, c)[0]
+        entry = (1 + 0j, 0)  # the parts of XComplex.one()
+        cocycle: list = [entry]
+        partials: list[float] = [1.0]
+        escaped_at: int | None = None
+        index = 0  # the last step taken
 
-    while index < n_max and escaped_at is None:
-        # (a) the orbit alone, up to a point that leaves the radius or
-        # whose image cannot be formed: the step there stops the orbit
-        segment: list[complex] = []
-        try:
-            for _ in range(min(SEGMENT_ENTRIES, n_max - index)):
-                z = value
-                segment.append(z)
-                if not abs(z) <= escape_radius:
-                    break
-                p = _horner(num, z)
-                value = p / q0 if den is None else p / _horner(den, z)
-        except (OverflowError, ZeroDivisionError):
-            pass
-
-        # (b) DR and the tests of every point, for the whole segment
-        with np.errstate(all="ignore"):
-            zs = np.array(segment, dtype=complex)
-            dzr, dzi, regular = _step_tests(map, zs.real, zs.imag, crit, escape_radius)
-            dz_parts = _normalized_parts(dzr, dzi)
-
-        # (c) the cocycle product alone; an irregular step on its own
-        start = 0
-        for stop in np.flatnonzero(~regular).tolist() + [len(segment)]:
-            for m in dz_parts[start:stop]:
-                entry = _mul(entry, m)
-                cocycle.append(entry)
-            points.extend(segment[start:stop])
-            index += stop - start
-            if stop == len(segment):
-                break
-            index += 1
-            z = segment[stop]
-            points.append(z)
-            _clear_errno()
-            nearest = min(abs(z - cp) / scale for cp, scale in crit)
-            dz = eval_map(map, z)[1]
+        while index < n_max and escaped_at is None:
+            # (a) the orbit alone, up to a point that leaves the radius or
+            # whose image cannot be formed: the step there stops the orbit
+            segment: list[complex] = []
             try:
-                if nearest < RELATION_TOL or dz == 0:
-                    _extend_partial_sums(partials, cocycle)
-                    cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
-                    partials.append(math.inf)
-                    record = _orbit_record(map, points, cocycle, partials, None, index)
-                    raise CriticalRelationError(
-                        f"orbit landed on a critical point at index {index}",
-                        index=index,
-                        orbit=record,
-                    )
-                if nearest < NEAR_RELATION_TOL:
-                    warnings.warn(
-                        f"orbit within {nearest:.2e} of a critical point at index {index}",
-                        NearCriticalRelationWarning,
-                        stacklevel=2,
-                    )
-                entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
-            except ValueError:
-                # an iterate overflowed to inf/nan before |z| passed the
-                # radius; _normalize rejects the non-finite derivative
-                raise InvalidOrbitError(
-                    f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
-                ) from None
-            cocycle.append(entry)
-            if abs(z) > escape_radius:
-                escaped_at = index
-                break
-            start = stop + 1
-        _extend_partial_sums(partials, cocycle)
+                for _ in range(min(SEGMENT_ENTRIES, n_max - index)):
+                    z = value
+                    segment.append(z)
+                    if not abs(z) <= escape_radius:
+                        break
+                    p = _horner(num, z)
+                    value = p / q0 if den is None else p / _horner(den, z)
+            except (OverflowError, ZeroDivisionError):
+                pass
 
-    return _orbit_record(map, points, cocycle, partials, escaped_at, None)
+            # (b) DR and the tests of every point, for the whole segment
+            with np.errstate(all="ignore"):
+                zs = np.array(segment, dtype=complex)
+                dzr, dzi, regular = _step_tests(map, zs.real, zs.imag, crit, escape_radius)
+                dz_parts = _normalized_parts(dzr, dzi)
+
+            # (c) the cocycle product alone; an irregular step on its own
+            start = 0
+            for stop in np.flatnonzero(~regular).tolist() + [len(segment)]:
+                for m in dz_parts[start:stop]:
+                    entry = _mul(entry, m)
+                    cocycle.append(entry)
+                points.extend(segment[start:stop])
+                index += stop - start
+                if stop == len(segment):
+                    break
+                index += 1
+                z = segment[stop]
+                points.append(z)
+                _clear_errno()
+                nearest = min(abs(z - cp) / scale for cp, scale in crit)
+                dz = eval_map(map, z)[1]
+                try:
+                    if nearest < RELATION_TOL or dz == 0:
+                        _extend_partial_sums(partials, cocycle)
+                        cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
+                        partials.append(math.inf)
+                        record = _orbit_record(map, points, cocycle, partials, None, index)
+                        raise CriticalRelationError(
+                            f"orbit landed on a critical point at index {index}",
+                            index=index,
+                            orbit=record,
+                        )
+                    if nearest < NEAR_RELATION_TOL:
+                        warnings.warn(
+                            f"orbit within {nearest:.2e} of a critical point at index {index}",
+                            NearCriticalRelationWarning,
+                            stacklevel=2,
+                        )
+                    entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
+                except ValueError:
+                    # an iterate overflowed to inf/nan before |z| passed the
+                    # radius; _normalize rejects the non-finite derivative
+                    raise InvalidOrbitError(
+                        f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
+                    ) from None
+                cocycle.append(entry)
+                if abs(z) > escape_radius:
+                    escaped_at = index
+                    break
+                start = stop + 1
+            _extend_partial_sums(partials, cocycle)
+
+        return _orbit_record(map, points, cocycle, partials, escaped_at, None)
 
 
 def _orbit_record(map, points, cocycle, partials, escaped_at, relation_at):

@@ -37,7 +37,7 @@ from .obstruction import ObstructionSeries
 from .orbits import OrbitRecord, ParameterClass, SummabilityReport
 from .polynomial import Polynomial
 from .scan import HeatmapGrid, ScanConfig, ScanRow, growth_heatmap
-from .xcomplex import XComplex
+from .xcomplex import XComplex, _collector_paused, _from_parts
 
 # ---------------------------------------------------------------------------
 # JSON
@@ -66,7 +66,11 @@ def _xcomplex(x: XComplex) -> dict:
 
 
 def _unxcomplex(obj) -> XComplex:
-    return XComplex(_uncomplex(obj["mantissa"]), int(obj["exponent"]))
+    mantissa, exponent = _uncomplex(obj["mantissa"]), obj["exponent"]
+    modulus = math.hypot(mantissa.real, mantissa.imag)  # as _normalize measures it
+    if type(exponent) is not int or not (1 <= modulus < 2 or modulus == 0 == exponent):
+        raise ValueError(f"no encoder writes the XComplex {obj!r}")
+    return _from_parts((mantissa, exponent))
 
 
 def _fraction(cls: type) -> tuple[Callable, Callable]:
@@ -149,8 +153,9 @@ def encode(obj: Any) -> dict:
     if entry is None:
         raise TypeError(f"no JSON encoding for {type(obj).__name__}")
     payload = {"type": entry.tag}
-    for name, key, to_json, _ in entry.fields:
-        payload[key] = to_json(getattr(obj, name))
+    with _collector_paused():
+        for name, key, to_json, _ in entry.fields:
+            payload[key] = to_json(getattr(obj, name))
     return payload
 
 
@@ -159,7 +164,8 @@ def decode(payload: dict) -> Any:
     entry = _BY_TAG.get(payload["type"])
     if entry is None:
         raise ValueError(f"unknown payload type {payload['type']!r}")
-    return entry.build(**{name: dec(payload[key]) for name, key, _, dec in entry.fields if dec})
+    with _collector_paused():
+        return entry.build(**{name: dec(payload[key]) for name, key, _, dec in entry.fields if dec})
 
 
 # The CLI's composite payloads.  decode() returns what they hold: a tuple, a
@@ -223,7 +229,7 @@ def _key(k: Any) -> str:
 
 
 def _pair_columns(items: list) -> list | None:
-    # not zip(*items): its live iterator per item sets off the garbage collector
+    # not zip(*items), which makes an iterator per item: slower, also with the collector paused
     ok = {*map(type, items)} <= {list, tuple} and {*map(len, items)} == {2}
     return [[p[0] for p in items], [p[1] for p in items]] if ok else None
 
@@ -267,11 +273,13 @@ def json_dumps(payload: Any) -> str:
     allow_nan=False) plus a newline, written without the stdlib's pure-Python
     indent encoder.  encode() writes non-finite floats as strings; a bare one
     raises ValueError here, and a value json.dumps cannot write TypeError."""
-    return _write(payload, 0) + "\n"
+    with _collector_paused():
+        return _write(payload, 0) + "\n"
 
 
 def json_loads(text: str) -> Any:
-    return json.loads(text)
+    with _collector_paused():
+        return json.loads(text)
 
 
 # ---------------------------------------------------------------------------

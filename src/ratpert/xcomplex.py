@@ -25,7 +25,9 @@ each other.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import frexp, hypot, isfinite, ldexp
 
@@ -229,6 +231,24 @@ def _from_parts(a) -> XComplex:
 
 _ZERO = XComplex(0j, 0)
 _ONE = XComplex(1 + 0j, 0)
+
+
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, and turn it on
+    again in finally, also when the body raises.  For the calls that build
+    one container or more per orbit term: their results are acyclic, so
+    reference counting frees them, and the collections their allocations
+    would set off only walk the heap.  A collector already off (a nested
+    call, a caller's gc.disable()) stays off.  The switch is process-wide:
+    while one thread is in a paused call, no thread's allocations collect."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def mantissa_ulp_gap(a: XComplex, b: XComplex) -> float:

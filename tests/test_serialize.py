@@ -1,12 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ratpert import (
     MapSpec,
     Rectangle,
     ScanConfig,
+    ObstructionSeries,
     VectorFieldSpec,
     continue_cycle,
     cycle_from_point,
@@ -32,6 +35,7 @@ from ratpert.serialize import (
     scan_rows_to_csv,
     scan_heatmap_ppm,
 )
+from ratpert.xcomplex import HYPOT_TIE, XComplex, _from_parts, _normalize, _normalized_parts
 
 ONE = VectorFieldSpec.constant(1)
 
@@ -101,6 +105,43 @@ class TestJsonRoundTrip:
         render = {"type": "render", "max_iter": 3, "counts": [[1, 2], [3, 3]]}
         grid = decode(render)
         assert grid.dtype == np.int32 and grid[1, 0] == 3
+
+
+# moduli within a few HYPOT_TIE of 1 and of 2, at any angle and binary scale
+_near_ties = st.builds(
+    lambda r, t, k: (math.ldexp(r * math.cos(t), k), math.ldexp(r * math.sin(t), k)),
+    st.sampled_from([1.0, 2.0]).flatmap(lambda a: st.floats(a - 8 * HYPOT_TIE, a + 8 * HYPOT_TIE)),
+    st.floats(0.0, 2 * math.pi),
+    st.integers(-1070, 1020),
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestXComplexPayload:
+    """decode() takes an extended-range value only in a form encode() writes."""
+
+    @pytest.mark.parametrize("value", [
+        {"mantissa": [1.5, 0.0], "exponent": 1.5},  # int() would truncate it to 2**1
+        {"mantissa": [1.5, 0.0], "exponent": True},  # a bool, read as 2**1
+        {"mantissa": [1.5, 0.0], "exponent": "7"},  # a string, read as 2**7
+        {"mantissa": [0.0, 0.0], "exponent": 5},  # a zero that is not XComplex.zero()
+        {"mantissa": [4.0, 0.0], "exponent": 0},  # 4 * 2**0, whose mantissa is 1 * 2**2
+        {"mantissa": [0.5, 0.0], "exponent": 1},
+        {"mantissa": [1.5, "NaN"], "exponent": 0},
+    ])
+    def test_unwritten_forms_are_rejected(self, chebyshev_orbit, value):
+        payload = encode(chebyshev_orbit)
+        payload["cocycle"][3] = value
+        with pytest.raises(ValueError, match="no encoder writes"):
+            decode(payload)
+
+    @given(st.one_of(st.tuples(_finite, _finite), _near_ties))
+    def test_every_normalized_value_decodes_to_itself(self, parts):
+        re, im = parts
+        lane = _normalized_parts(np.array([re]), np.array([im]))[0]
+        for x in (_from_parts(_normalize(re, im, 0)), _from_parts(lane)):
+            back = decode(json_loads(json_dumps(encode(ObstructionSeries((x,), 0.0, "bounded")))))
+            assert back.b == (x,) and isinstance(back.b[0], XComplex)
 
 
 class TestCsv:
