@@ -74,7 +74,7 @@ def parse_complex(text: str, offset: int = 0) -> complex:
         )
     re_part = float(m.group(1))
     im = 0.0 if m.group(2) is None else float(m.group(3))
-    if not (math.isfinite(re_part) and math.isfinite(im)):
+    if not math.isfinite(math.hypot(re_part, im)):  # a part, or the modulus, overflows
         raise ParseError(f"complex number {text!r} is out of range", position=offset)
     return complex(re_part, -im if m.group(2) == "-" else im)
 

@@ -182,7 +182,6 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
     fit_start = _fit_start(last + 1)
     # DR of z**d + c does not read c, so one map serves every lane
     template = MapSpec.unicritical(d, 0j)
-    crit = [(cp, max(1.0, abs(cp))) for cp in template.critical_points]
     c_re, c_im = np.real(cs).copy(), np.imag(cs).copy()
     radius = np.asarray(radii, dtype=float)
 
@@ -191,7 +190,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
         step), normalized, and which lanes pass every test there: values
         are finite, and from row `first` on (the steps k >= 1) the step
         tests of iterate_orbit pass (_step_tests)."""
-        dzr, dzi, ok = _step_tests(template, zr, zi, crit, radius)
+        dzr, dzi, _, _, _, ok = _step_tests(template, zr, zi, radius)
         ok[:first] = True  # the critical point 0 itself, where DR = 0
         fr, fi = _field_lanes(field, zr, zi)
         ok &= np.isfinite(fr) & np.isfinite(fi)

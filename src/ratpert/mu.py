@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidOrbitError, NoWitnessError, NotSummableError
+from .errors import NoWitnessError, NotSummableError
 from .fields import VectorFieldSpec
 from .maps import MapSpec, default_escape_radius
 from .orbits import (
@@ -59,9 +59,7 @@ def mu_functional(
     PoleProximityError if v has a pole near the orbit.  On inconclusive
     orbits the sum is still formed but can only come back converged=False.
     """
-    if orbit.has_critical_relation:
-        raise InvalidOrbitError("orbit carries a critical relation")
-    report = default_summability_report(orbit)
+    report = default_summability_report(orbit)  # rejects a critical relation
     if report.classification == "divergent-evidence":
         raise NotSummableError(
             f"orbit shows divergent evidence (tail ratio {report.tail_ratio:.4g})"

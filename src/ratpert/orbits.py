@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CriticalRelationError, InvalidOrbitError, RootFindingError
+from .errors import CriticalRelationError, InvalidOrbitError, PoleError, RootFindingError
 from .maps import MapSpec, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
 from .polynomial import _horner, _solve_roots, _trim
-from .xcomplex import XComplex, _collector_paused, _from_parts, _mul, _normalize, _normalized_parts, reciprocal_lanes
+from .xcomplex import XComplex, _collector_paused, _from_parts, _mul, _normalized_parts, reciprocal_lanes
 
 if TYPE_CHECKING:
     from .cycles import Cycle
@@ -93,18 +93,19 @@ def iterate_orbit(
     Stops early on escape (|z| > escape_radius, the escaping point is
     recorded) and raises CriticalRelationError if the orbit returns to a
     critical point within tolerance; the exception carries the marked
-    prefix orbit.  PoleError propagates for rational maps.  An iterate that
-    overflows before it passes escape_radius raises InvalidOrbitError.
+    prefix orbit.  A pole on the orbit raises eval_map's PoleError, and a
+    point whose DR is not finite (an iterate that overflowed before it
+    passed escape_radius) raises InvalidOrbitError.
 
     The orbit runs in segments of lanes.SEGMENT_ENTRIES steps, each in three
     passes: the orbit points alone; DR and every test on the points, over
-    the whole segment at once (maps._derivative_lanes); and the cocycle
-    product alone, on XComplex parts (see xcomplex.py), which become
-    XComplex values once, in the record.  A step whose tests do not all
-    pass (an escape, a relation, a warning, a pole, a non-finite value) is
-    taken on its own with eval_map, in order, so records, exceptions and
-    warnings are those of a step-by-step loop.  The record keeps no DR:
-    obstruction_sequence forms it again from the points, by the same lanes.
+    the whole segment at once (_step_tests); and the cocycle product alone,
+    on XComplex parts (see xcomplex.py), which become XComplex values once,
+    in the record.  A near relation only warns, so the third pass runs up
+    to the first step that ends the orbit, and that step reads the same
+    tests: records, exceptions and warnings are those of a step-by-step
+    loop.  The record keeps no DR: obstruction_sequence forms it again
+    from the points, by the same lanes.
     """
     from .lanes import SEGMENT_ENTRIES  # lanes imports this module
 
@@ -117,7 +118,6 @@ def iterate_orbit(
         raise ValueError(f"{c} is not a critical point of the map (residual check)")
 
     with _collector_paused():
-        crit = [(cp, max(1.0, abs(cp))) for cp in map.critical_points]
         num = map.numerator.coefficients
         den = None if map.is_polynomial else map.denominator.coefficients
         q0 = map.denominator.coefficients[0]
@@ -131,7 +131,7 @@ def iterate_orbit(
 
         while index < n_max and escaped_at is None:
             # (a) the orbit alone, up to a point that leaves the radius or
-            # whose image cannot be formed: the step there stops the orbit
+            # whose image cannot be formed: the step there ends the orbit
             segment: list[complex] = []
             try:
                 for _ in range(min(SEGMENT_ENTRIES, n_max - index)):
@@ -147,54 +147,45 @@ def iterate_orbit(
             # (b) DR and the tests of every point, for the whole segment
             with np.errstate(all="ignore"):
                 zs = np.array(segment, dtype=complex)
-                dzr, dzi, regular = _step_tests(map, zs.real, zs.imag, crit, escape_radius)
+                dzr, dzi, pole, nearest, size, _ = _step_tests(map, zs.real, zs.imag, escape_radius)
                 dz_parts = _normalized_parts(dzr, dzi)
+                finite = np.isfinite(dzr) & np.isfinite(dzi)
+                relation = (nearest < RELATION_TOL) | ((dzr == 0.0) & (dzi == 0.0))
+                ends = pole | relation | ~finite | ~(size <= escape_radius)
+                near = (nearest < NEAR_RELATION_TOL) & ~pole & ~relation
+            cut = int(ends.argmax()) if ends.any() else len(segment)
 
-            # (c) the cocycle product alone; an irregular step on its own
-            start = 0
-            for stop in np.flatnonzero(~regular).tolist() + [len(segment)]:
-                for m in dz_parts[start:stop]:
-                    entry = _mul(entry, m)
-                    cocycle.append(entry)
-                points.extend(segment[start:stop])
-                index += stop - start
-                if stop == len(segment):
-                    break
-                index += 1
-                z = segment[stop]
-                points.append(z)
-                _clear_errno()
-                nearest = min(abs(z - cp) / scale for cp, scale in crit)
-                dz = eval_map(map, z)[1]
-                try:
-                    if nearest < RELATION_TOL or dz == 0:
-                        _extend_partial_sums(partials, cocycle)
-                        cocycle.append(_mul(entry, _normalize(dz.real, dz.imag, 0)))
-                        partials.append(math.inf)
-                        record = _orbit_record(map, points, cocycle, partials, None, index)
-                        raise CriticalRelationError(
-                            f"orbit landed on a critical point at index {index}",
-                            index=index,
-                            orbit=record,
-                        )
-                    if nearest < NEAR_RELATION_TOL:
-                        warnings.warn(
-                            f"orbit within {nearest:.2e} of a critical point at index {index}",
-                            NearCriticalRelationWarning,
-                            stacklevel=2,
-                        )
-                    entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
-                except ValueError:
-                    # an iterate overflowed to inf/nan before |z| passed the
-                    # radius; _normalize rejects the non-finite derivative
+            # (c) the cocycle product alone, up to the step that ends the orbit
+            for k in np.flatnonzero(near[: cut + 1]).tolist():
+                warnings.warn(
+                    f"orbit within {float(nearest[k]):.2e} of a critical point at index {index + 1 + k}",
+                    NearCriticalRelationWarning,
+                    stacklevel=2,
+                )
+            for m in dz_parts[:cut]:
+                entry = _mul(entry, m)
+                cocycle.append(entry)
+            points.extend(segment[: cut + 1])
+            index = len(points) - 1
+            if cut < len(segment):
+                if pole[cut]:  # eval_map's error
+                    raise PoleError(f"evaluation at {segment[cut]} is within pole tolerance")
+                if not finite[cut]:
                     raise InvalidOrbitError(
                         f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
-                    ) from None
+                    )
+                entry = _mul(entry, dz_parts[cut])
+                if relation[cut]:
+                    _extend_partial_sums(partials, cocycle)
+                    cocycle.append(entry)
+                    partials.append(math.inf)
+                    raise CriticalRelationError(
+                        f"orbit landed on a critical point at index {index}",
+                        index=index,
+                        orbit=_orbit_record(map, points, cocycle, partials, None, index),
+                    )
                 cocycle.append(entry)
-                if abs(z) > escape_radius:
-                    escaped_at = index
-                    break
-                start = stop + 1
+                escaped_at = index
             _extend_partial_sums(partials, cocycle)
 
         return _orbit_record(map, points, cocycle, partials, escaped_at, None)
@@ -213,24 +204,22 @@ def _orbit_record(map, points, cocycle, partials, escaped_at, relation_at):
     )
 
 
-def _step_tests(map: MapSpec, zr, zi, crit, radius):
-    """DR at the orbit points zr + i zi (maps._derivative_lanes), and where
-    a step from there is regular: eval_map gives that DR (no pole, DR
-    finite), the distance to each critical point of crit, pairs
-    (cp, max(1, |cp|)), is finite and at least NEAR_RELATION_TOL, DR != 0
-    and |z| <= radius.  Under np.errstate."""
+def _step_tests(map: MapSpec, zr, zi, radius):
+    """What a step measures at the orbit points zr + i zi: DR
+    (maps._derivative_lanes), where eval_map raises PoleError, the distance
+    to the nearest critical point relative to max(1, |cp|), |z|, and where
+    the step is regular: no pole, DR finite and nonzero, that distance at
+    least NEAR_RELATION_TOL and |z| <= radius.  np.hypot is abs(complex)
+    bit for bit, but gives inf where abs raises OverflowError.  Under
+    np.errstate."""
     dzr, dzi, pole = _derivative_lanes(map, zr, zi)
-    distances = np.array([np.hypot(zr - cp.real, zi - cp.imag) / scale for cp, scale in crit])
-    regular = (
-        ~pole
-        & np.isfinite(dzr)
-        & np.isfinite(dzi)
-        & np.isfinite(distances).all(axis=0)  # else abs(z - cp) raises OverflowError
-        & (distances.min(axis=0) >= NEAR_RELATION_TOL)
-        & ((dzr != 0.0) | (dzi != 0.0))
-        & (np.hypot(zr, zi) <= radius)
+    nearest = np.min(
+        [np.hypot(zr - cp.real, zi - cp.imag) / max(1.0, abs(cp)) for cp in map.critical_points], axis=0
     )
-    return dzr, dzi, regular
+    size = np.hypot(zr, zi)
+    regular = ~pole & np.isfinite(dzr) & np.isfinite(dzi) & ((dzr != 0.0) | (dzi != 0.0))
+    regular &= (nearest >= NEAR_RELATION_TOL) & (size <= radius)
+    return dzr, dzi, pole, nearest, size, regular
 
 
 def _reciprocal_sums(first, parts):
@@ -253,17 +242,6 @@ def _extend_partial_sums(partials: list[float], cocycle: list) -> None:
     with np.errstate(over="ignore"):
         sums = _reciprocal_sums(np.array(partials[-1]), (mantissas.real, mantissas.imag, exponents))
     partials.extend(sums.tolist())
-
-
-def _clear_errno() -> None:
-    """Leave C errno at 0, as a step-by-step loop has it between steps.
-
-    CPython's abs() of a complex with a nan part and no infinite one
-    returns nan without setting errno, so it raises OverflowError if errno
-    still holds an ERANGE from an earlier C call, such as numpy's ldexp or
-    hypot on lanes that under- or overflow.  Code that runs lanes between
-    scalar steps calls this before such a step."""
-    abs(0j)  # a finite modulus sets errno to 0
 
 
 @dataclass(frozen=True)
@@ -415,10 +393,11 @@ def classify_parameter(
     """Classify c for the family z**d + c by iterating the critical orbit.
 
     Escape is decided by radius crossing (not |z| <= radius, so an iterate
-    that overflows to nan escapes); attraction by Brent-style cycle
-    detection, then the census's period solver on the coincidence
-    (`cycles.cycle_from_point`: its Newton, minimal period and residual
-    gate `_within_tolerance` at CYCLE_DETECT_TOL) and |multiplier| < 1.
+    that overflows to nan, or whose modulus overflows, escapes); attraction
+    by Brent-style cycle detection, then the census's period solver on the
+    coincidence (`cycles.cycle_from_point`: its Newton, minimal period and
+    residual gate `_within_tolerance` at CYCLE_DETECT_TOL) and
+    |multiplier| < 1.  A coincidence distance that overflows is none.
     Anything else is undecided within the budget.
     """
     if d < 2:
@@ -434,12 +413,13 @@ def classify_parameter(
 
     for k in range(1, n_max + 1):
         z = _unicritical_step(z, c, d)
-        if not abs(z) <= radius:  # an overflow to nan escapes too
+        size = _modulus(z)
+        if not size <= radius:  # an overflow to nan escapes too
             return ParameterClass("escaping", None, None, k)
         if (
             refinement_attempts < 4
             and k > anchor_index
-            and abs(z - anchor) < CYCLE_DETECT_TOL * max(1.0, abs(z))
+            and _modulus(z - anchor) < CYCLE_DETECT_TOL * max(1.0, size)
         ):
             refinement_attempts += 1
             cycle = _refine_coincidence(c, d, z, k - anchor_index)
@@ -451,6 +431,15 @@ def classify_parameter(
             next_power *= 2
 
     return ParameterClass("undecided", None, None, n_max)
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where abs raises OverflowError (finite parts whose
+    modulus passes the largest float), as np.hypot gives it on lanes."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _refine_coincidence(c: complex, d: int, z: complex, m: int) -> Cycle | None:

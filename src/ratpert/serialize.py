@@ -86,11 +86,19 @@ def _same(x):
     return x
 
 
+def _exact(cls: type, x):
+    """A JSON value read back as a field of type cls: only that exact type
+    (a bool is no int, 9.5 no int)."""
+    if type(x) is not cls:
+        raise ValueError(f"no encoder writes the {cls.__name__} {x!r}")
+    return x
+
+
 # (to_json, from_json) of the field types that are not built from parts
 _LEAVES: dict[Any, tuple[Callable, Callable]] = {
-    int: (_same, _same),
-    str: (_same, _same),
-    bool: (_same, _same),
+    int: (_same, partial(_exact, int)),
+    str: (_same, partial(_exact, str)),
+    bool: (_same, partial(_exact, bool)),
     float: (_float, float),
     complex: (_complex, _uncomplex),
     XComplex: (_xcomplex, _unxcomplex),

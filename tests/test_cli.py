@@ -12,6 +12,10 @@ from ratpert import cycles as cycles_module
 from ratpert.cli import main, parse_complex, parse_field, parse_map
 
 
+# z_2 = c^2 + c has finite parts, and |z_2| overflows
+MODULUS_OVERFLOW_MAP = "unicritical:2,1.2528e154+5.189e153i"
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("the command ran although its options were rejected")
 
@@ -254,15 +258,23 @@ class TestCommands:
         assert err.startswith("error: InvalidOrbitError: orbit has") and err.count("\n") == 1
 
     # an iterate that overflows before it passes the escape radius: a domain
-    # error naming the index and the radius, not a traceback
+    # error naming the index and the radius, not a traceback (the last map's
+    # z_2 has finite parts, but its modulus overflows)
     @pytest.mark.parametrize("flags", [["--map", "unicritical:2,1e300"],
                                        ["--map", "rational:1e300,0,1/1"],
-                                       ["--map", "unicritical:2,1e200", "--escape-radius", "1e250"]])
+                                       ["--map", "unicritical:2,1e200", "--escape-radius", "1e250"],
+                                       ["--map", MODULUS_OVERFLOW_MAP, "--escape-radius", "1e300"]])
     def test_overflow_before_escape_is_one_error_line(self, flags, capsys):
         assert main(["orbit", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidOrbitError: orbit overflowed at index 2") and err.count("\n") == 1
         assert "escape radius 1e+" in err
+
+    def test_modulus_overflow_escapes_in_the_scan(self, capsys):
+        c = MODULUS_OVERFLOW_MAP.partition(",")[2]
+        assert main(["scan", f"--path={c}", "--escape-radius", "1e300", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["class"] == "escaping"
 
     # z^1024 overflows at the orbit point -2: the field has no value there
     @pytest.mark.parametrize("args,error", [
@@ -395,6 +407,23 @@ class TestCommands:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "out of range" in err
+        assert err.count("\n") == 1
+
+    # finite parts whose modulus overflows: abs() of the value would raise
+    @pytest.mark.parametrize("args", [
+        ["mu", "--map", "unicritical:2,1.3e308+1.3e308i"],
+        ["scan", "--path=1.3e308+1.3e308i"],
+        ["render", "--region=-2:2:-2:2", "--resolution", "4,4", "--julia", "1.3e308+1.3e308i"],
+        ["witness", "--moments", "1.3e308+1.3e308i"],
+        ["continue", "--map", "unicritical:2,-0.12+0.75i", "--period", "3", "--field", "1",
+         "--lambda-target", "1.3e308+1.3e308i"],
+        ["alpha", "--map", "unicritical:2,-1", "--period", "2", "--point", "1.3e308+1.3e308i"],
+        ["orbit", "--map", "unicritical:2,-1", "--point", "1.3e308+1.3e308i"],
+    ], ids=lambda args: args[0])
+    def test_overflowing_modulus_rejected(self, args, capsys):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "'1.3e308+1.3e308i' is out of range" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["cycles", "alpha", "continue", "check-motion"])

@@ -9,7 +9,9 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
-from ratpert import MapSpec, VectorFieldSpec, iterate_orbit, mu_functional, obstruction_sequence
+from ratpert import (
+    MapSpec, VectorFieldSpec, classify_parameter, iterate_orbit, mu_functional, obstruction_sequence,
+)
 from ratpert import serialize
 from ratpert.cli import main
 from ratpert.continuation import MotionCheck
@@ -193,6 +195,27 @@ def test_duplicate_registration_raises():
         serialize._register("other", serialize.MomentsPayload)
     with pytest.raises(TypeError):
         encode(Other(1.0))
+
+
+def _tags(value) -> set:
+    """The payload tags in a JSON value, nested payloads included."""
+    if isinstance(value, list):
+        return set().union(*map(_tags, value))
+    if isinstance(value, dict):
+        return set().union({value.get("type")} - {None}, *map(_tags, value.values()))
+    return set()
+
+
+def test_every_registered_payload_round_trips(capsysbinary):
+    # the invocations, which test_output_is_strict_json_that_round_trips
+    # round-trips, write every payload but parameter_class
+    seen = {"parameter_class"}
+    for command in INVOCATIONS:
+        seen |= _tags(json.loads(_run(capsysbinary, command.split())))
+    assert seen == set(serialize._BY_TAG)
+    for c in (-1, 0.1, -2, 10):
+        result = classify_parameter(c, 2)
+        assert decode(json_loads(json_dumps(encode(result)))) == result
 
 
 def test_overflowed_summability_report_round_trips():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ratpert import (
+    CriticalRelationError,
+    InvalidOrbitError,
     MapSpec,
     NoWitnessError,
     NotSummableError,
@@ -155,6 +157,19 @@ class TestMoments:
         orbit = iterate_orbit(MapSpec.unicritical(2, 0.1), 0j, 300)
         with pytest.raises(NotSummableError):
             moment_vector(orbit, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda orbit: mu_functional(orbit, VectorFieldSpec.constant(1)),
+    lambda orbit: moment_vector(orbit, 2),
+], ids=["mu_functional", "moment_vector"])
+def test_relation_prefix_rejected(call):
+    # the prefix record of c = -1 (0, -1, 0) is too short for any window,
+    # yet the relation is what both report
+    with pytest.raises(CriticalRelationError) as info:
+        iterate_orbit(MapSpec.unicritical(2, -1), 0j, 300)
+    with pytest.raises(InvalidOrbitError, match="^orbit carries a critical relation$"):
+        call(info.value.orbit)
 
 
 class TestWitness:

@@ -4,6 +4,7 @@ step-by-step loops: records, series, exceptions and warnings, bit for bit."""
 import cmath
 import dataclasses
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -293,6 +294,52 @@ def test_derivative_overflow_beats_the_escape():
     got, _ = assert_same_orbit(m, 0j, 10, default_escape_radius(4, 1e150))
     assert isinstance(got, InvalidOrbitError)
     assert str(got).startswith("orbit overflowed at index 1 before passing")
+
+
+def test_modulus_overflow_is_an_invalid_orbit():
+    # z_2 = c^2 + c has finite parts and |z_2| overflows: the step-by-step
+    # loop's abs(z - cp) raises OverflowError there, while the segments read
+    # np.hypot's inf and DR(z_2) = 2 z_2, which is not finite
+    m = MapSpec.unicritical(2, 1.2528e154 + 5.189e153j)
+    with pytest.raises(OverflowError):
+        per_step_iterate_orbit(m, 0j, 50, 1e300)
+    with pytest.raises(InvalidOrbitError, match="^orbit overflowed at index 2 before passing"):
+        iterate_orbit(m, 0j, 50, 1e300)
+
+
+# z^3 - 3z + 1 + 1e-7, critical points +-1: z_1 = -1 + 1e-7 passes near -1,
+# then z_2 is about 3
+NEAR_THEN_ESCAPE = MapSpec.polynomial(Polynomial((1 + 1e-7, -3, 0, 1)))
+
+
+@pytest.mark.parametrize("m,start,radius,ending", [
+    (MapSpec.unicritical(2, 1), 0j, 3.0, "escape"),
+    (MapSpec.rational(Polynomial((1,)), Polynomial((-1, 0, 1))), 0j, 1e6, PoleError),
+    (MapSpec.unicritical(2, -1), 0j, 3.0, CriticalRelationError),
+    (NEAR_THEN_ESCAPE, 1 + 0j, 2.5, "escape"),
+    (MapSpec.unicritical(2, 1e300), 0j, 1e300, InvalidOrbitError),
+])
+def test_eval_map_only_at_the_start(m, start, radius, ending):
+    # every orbit point is measured by the segment's lanes, the one that
+    # ends the orbit included; eval_map gives only the first image
+    got, caught = assert_same_orbit(m, start, 50, radius)
+    if ending == "escape":
+        assert got.escaped_at == got.truncated_at < 50
+    else:
+        assert type(got) is ending
+    assert bool(caught) == (m is NEAR_THEN_ESCAPE)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is eval_map.__code__:
+            calls.append(frame.f_locals["z"])
+
+    sys.setprofile(profile)
+    try:
+        _run(iterate_orbit, m, start, 50, radius)
+    finally:
+        sys.setprofile(None)
+    assert calls == [start]
 
 
 def _drift_radius(n):

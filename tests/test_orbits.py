@@ -11,6 +11,7 @@ from ratpert import (
     InvalidOrbitError,
     MapSpec,
     OrbitRecord,
+    ParameterClass,
     Polynomial,
     XComplex,
     classify_parameter,
@@ -23,6 +24,7 @@ from ratpert import (
     summability_report,
 )
 from ratpert.cli import main, parse_map
+from ratpert.lanes import _classify_lanes
 from ratpert.orbits import (
     NEAR_RELATION_TOL,
     RELATION_TOL,
@@ -173,6 +175,14 @@ class TestClassifyParameter:
         assert (got.kind, got.iterations_used) == ("escaping", 6)
         with pytest.raises(InvalidOrbitError, match="overflowed at index 5"):
             iterate_orbit(MapSpec.unicritical(4, 1.875 + 1.875j), 0j, 256, escape_radius=1e300)
+
+    def test_modulus_overflow_escapes_as_in_the_lanes(self):
+        # z_2 = c^2 + c has finite parts, and abs(z_2) raises OverflowError
+        # where np.hypot gives inf: both paths see the escape at k = 2
+        c = 1.2528e154 + 5.189e153j
+        escaping = ParameterClass("escaping", None, None, 2)
+        assert classify_parameter(c, 2, escape_radius=1e300) == escaping
+        assert _classify_lanes([c] * 20, [1e300] * 20, 2, 2048) == [escaping] * 20
 
     def test_outside_disk_escapes(self):
         import random

@@ -144,6 +144,24 @@ class TestXComplexPayload:
             assert back.b == (x,) and isinstance(back.b[0], XComplex)
 
 
+class TestLeafPayload:
+    """decode() takes an int, str or bool field only as that exact JSON
+    type: anything else would decode to an object != the one encoded."""
+
+    @pytest.mark.parametrize("build,key,value", [
+        (lambda m, orbit: orbit, "truncated_at", 9.5),
+        (lambda m, orbit: orbit, "escaped_at", "3"),
+        (lambda m, orbit: cycle_from_point(m, 2.0, 1), "period", True),
+        (lambda m, orbit: summability_report(orbit, 32), "classification", 1),
+        (lambda m, orbit: mu_functional(orbit, ONE), "converged", 1),
+    ], ids=["float-int", "str-int", "bool-int", "int-str", "int-bool"])
+    def test_other_json_types_are_rejected(self, chebyshev_map, chebyshev_orbit, build, key, value):
+        payload = encode(build(chebyshev_map, chebyshev_orbit))
+        payload[key] = value
+        with pytest.raises(ValueError, match="no encoder writes"):
+            decode(payload)
+
+
 class TestCsv:
     def test_fixed_column_order(self):
         assert SCAN_CSV_COLUMNS == (
