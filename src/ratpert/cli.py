@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from . import serialize
 from .continuation import continue_cycle, motion_velocity_check
@@ -216,6 +216,184 @@ def _parse_z_power(text: str, offset: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Command implementations
+# ---------------------------------------------------------------------------
+
+
+def _unicritical_parts(map: MapSpec) -> tuple[int, complex] | None:
+    if not map.is_polynomial:
+        return None
+    coeffs = map.numerator.coefficients
+    d = len(coeffs) - 1
+    if d >= 2 and coeffs[-1] == 1 and all(a == 0 for a in coeffs[1:-1]):
+        return d, coeffs[0]
+    return None
+
+
+def _escape_radius_for(map: MapSpec, explicit: float | None) -> float:
+    if explicit is not None:
+        return explicit
+    parts = _unicritical_parts(map)
+    if parts is not None:
+        return default_escape_radius(*parts)
+    return 1e6
+
+
+def _critical_point(map: MapSpec, requested: complex | None) -> complex:
+    if requested is not None:
+        if not is_critical_point(map, requested):
+            raise ParseError(f"--point {requested} is not a critical point of the map")
+        return requested
+    points = map.critical_points
+    if not points:
+        raise RatpertError("map has no finite critical points")
+    return points[0]
+
+
+def _orbit_from(opts, n_max_key: str = "n_max"):
+    map = opts["map"]
+    point = _critical_point(map, opts.get("point"))
+    radius = _escape_radius_for(map, opts.get("escape_radius"))
+    return iterate_orbit(map, point, n_max=opts[n_max_key], escape_radius=radius)
+
+
+def _census(map: MapSpec, period: int, tol: float = 1e-9):
+    """find_cycles, with a period outside the census cap as a usage error."""
+    try:
+        check_census_size(map.degree, period)
+    except ValueError as err:
+        raise ParseError(f"--period: {err}") from None
+    return find_cycles(map, period, tol=tol)
+
+
+def _pick_cycle(opts):
+    map, period = opts["map"], opts["period"]
+    if opts.get("point") is not None:
+        try:
+            return cycle_from_point(map, opts["point"], period)
+        except ValueError as err:
+            raise RatpertError(str(err)) from None
+    cycles = _census(map, period)
+    if not cycles:
+        raise RatpertError(f"no period-{period} cycles found")
+    return cycles[0]
+
+
+# Each command returns what it computes: main writes a str or bytes (csv,
+# ppm) as it is and encodes anything else as JSON.
+
+
+def _cmd_orbit(opts):
+    return _orbit_from(opts)
+
+
+def _cmd_summability(opts):
+    orbit = _orbit_from(opts)
+    window = opts["window"]
+    if window is None:
+        return default_summability_report(orbit)
+    if len(orbit.points) < 2 * window:
+        raise ParseError(
+            f"--window {window} needs an orbit of at least {2 * window} entries; "
+            f"it has {len(orbit.points)}",
+            0,
+        )
+    return summability_report(orbit, window)
+
+
+def _cmd_mu(opts):
+    return mu_functional(_orbit_from(opts), opts["field"], tol=opts["tol"])
+
+
+def _cmd_moments(opts):
+    return serialize.MomentsPayload(moment_vector(_orbit_from(opts), opts["max_degree"], tol=opts["tol"]))
+
+
+def _cmd_witness(opts):
+    if opts.get("moments") is not None:
+        try:
+            moments = _parse_complex_list(opts["moments"], 0)
+        except ParseError as err:
+            raise ParseError(f"--moments: {err}", err.position) from None
+    elif opts.get("map") is None:
+        raise ParseError("witness needs --moments or --map", 0)
+    else:
+        moments = list(moment_vector(_orbit_from(opts), opts["max_degree"], tol=opts["tol"]))
+    return find_witness_field(moments)
+
+
+def _cmd_obstruction(opts):
+    orbit = _orbit_from(opts, "terms")
+    return obstruction_sequence(orbit, opts["field"], min(opts["terms"], orbit.truncated_at + 1))
+
+
+def _cmd_cycles(opts):
+    return serialize.CyclesPayload(_census(opts["map"], opts["period"], opts["newton_tol"]))
+
+
+def _cmd_alpha(opts):
+    cycle = _pick_cycle(opts)
+    return serialize.CycleAlphaPayload(cycle, solve_alpha_on_cycle(opts["map"], cycle, opts["field"]))
+
+
+def _cmd_continue(opts):
+    # a continuation keeps the whole cycle at every step
+    points = opts["steps"] * opts["period"]
+    if points > MAX_TERMS:
+        raise ParseError(f"--steps x --period: {points} is above the cap of {MAX_TERMS}")
+    return continue_cycle(opts["map"], opts["field"], _pick_cycle(opts), opts["lambda_target"], steps=opts["steps"])
+
+
+def _cmd_check_motion(opts):
+    return motion_velocity_check(opts["map"], opts["field"], _pick_cycle(opts), opts["h"])
+
+
+def _scan_config(opts) -> ScanConfig:
+    workers = opts.get("workers")
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    return ScanConfig(
+        d=opts["d"],
+        region=None if opts.get("path") else opts.get("region"),
+        resolution=None if opts.get("path") else opts.get("resolution"),
+        path=opts.get("path"),
+        orbit_length=opts["orbit_length"],
+        field=opts.get("field") or VectorFieldSpec.constant(1.0),
+        escape_radius=opts.get("escape_radius"),
+        worker_count=workers,
+    )
+
+
+def _cmd_scan(opts):
+    try:
+        config = _scan_config(opts)
+    except ValueError as err:
+        raise ParseError(f"bad scan configuration: {err}", 0) from None
+    rows = scan_parameters(config)
+    if opts["format"] == "csv":
+        return serialize.scan_rows_to_csv(rows)
+    if opts["format"] == "ppm":
+        return serialize.scan_heatmap_ppm(rows, config)
+    return serialize.ScanPayload(rows)
+
+
+def _cmd_render(opts):
+    try:
+        config = ScanConfig(
+            d=opts["d"],
+            region=opts["region"],
+            resolution=opts["resolution"],
+            escape_radius=opts.get("escape_radius"),
+        )
+    except ValueError as err:
+        raise ParseError(f"bad render configuration: {err}", 0) from None
+    counts = render_escape(config, opts["max_iter"], julia_c=opts.get("julia"))
+    if opts["format"] == "ppm":
+        return serialize.escape_image(counts, opts["max_iter"])
+    return serialize.RenderPayload(opts["max_iter"], counts)
+
+
+# ---------------------------------------------------------------------------
 # Option table
 # ---------------------------------------------------------------------------
 
@@ -257,62 +435,62 @@ def _fmt(default: str, *allowed: str) -> Option:
 
 COMMANDS: dict[str, dict] = {
     "orbit": {
-        "help": "iterate a critical orbit with its derivative cocycle",
+        "run": _cmd_orbit, "help": "iterate a critical orbit with its derivative cocycle",
         "options": [_MAP, _opt("--point", "complex", None, "critical point (default: first)"),
                     _NMAX, _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "summability": {
-        "help": "tail-ratio evidence for the summability condition",
+        "run": _cmd_summability, "help": "tail-ratio evidence for the summability condition",
         "options": [_MAP, _opt("--point", "complex", None, "critical point (default: first)"),
                     _NMAX, _ESCAPE, _opt("--window", "positive-int", None, "trailing window (default: length/4)"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "mu": {
-        "help": "orbit-sum functional of a field over a critical orbit",
+        "run": _cmd_mu, "help": "orbit-sum functional of a field over a critical orbit",
         "options": [_MAP, _FIELD, _TOL, _NMAX, _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "moments": {
-        "help": "functional values on monomials z^j",
+        "run": _cmd_moments, "help": "functional values on monomials z^j",
         "options": [_MAP, _opt("--max-degree", "nonnegative-int", 5, "highest monomial degree", cap=MAX_DEGREE),
                     _TOL, _NMAX, _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "witness": {
-        "help": "unit-norm polynomial field maximizing |mu|",
+        "run": _cmd_witness, "help": "unit-norm polynomial field maximizing |mu|",
         "options": [_opt("--map", "map", None, "map spec (compute moments first)"),
                     _opt("--moments", "str", None, "comma-separated moments, overrides --map"),
                     _opt("--max-degree", "nonnegative-int", 5, "highest monomial degree", cap=MAX_DEGREE),
                     _TOL, _NMAX, _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "obstruction": {
-        "help": "derivative-weighted partial-sum sequence and growth fit",
+        "run": _cmd_obstruction, "help": "derivative-weighted partial-sum sequence and growth fit",
         "options": [_MAP, _FIELD, _opt("--terms", "positive-int", 200, "sequence length", cap=MAX_TERMS),
                     _ESCAPE, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "cycles": {
-        "help": "find periodic cycles of a given period",
+        "run": _cmd_cycles, "help": "find periodic cycles of a given period",
         "options": [_MAP, _PERIOD,
                     _opt("--newton-tol", "finite-float", 1e-9, "cycle residual tolerance"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "alpha": {
-        "help": "solve the linearized conjugacy equation on a cycle",
+        "run": _cmd_alpha, "help": "solve the linearized conjugacy equation on a cycle",
         "options": [_MAP, _PERIOD, _FIELD, _POINT, _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "continue": {
-        "help": "continue a repelling cycle along R + lambda v",
+        "run": _cmd_continue, "help": "continue a repelling cycle along R + lambda v",
         "options": [_MAP, _PERIOD, _FIELD, _POINT,
                     _opt("--lambda-target", "complex", None, "target lambda", required=True),
                     _opt("--steps", "positive-int", 16, "path subdivisions", cap=MAX_STEPS),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "check-motion": {
-        "help": "compare solved velocity against finite-difference motion",
+        "run": _cmd_check_motion, "help": "compare solved velocity against finite-difference motion",
         "options": [_MAP, _PERIOD, _FIELD, _POINT,
                     _opt("--h", "positive-float", 1e-4, "finite-difference step"),
                     _fmt("json", "json"), _OUTPUT, _CONFIG],
     },
     "scan": {
-        "help": "sweep unicritical parameters over a grid or path",
+        "run": _cmd_scan, "help": "sweep unicritical parameters over a grid or path",
         "options": [_opt("--d", "int", 2, "family degree", cap=MAX_DEGREE),
                     _opt("--region", "region", None, "re_min:re_max:im_min:im_max"),
                     _opt("--resolution", "resolution", None, "nx,ny; nx*ny", cap=MAX_PIXELS),
@@ -323,7 +501,7 @@ COMMANDS: dict[str, dict] = {
                     _fmt("csv", "csv", "json", "ppm"), _OUTPUT, _CONFIG],
     },
     "render": {
-        "help": "escape-time image of the parameter or dynamical plane",
+        "run": _cmd_render, "help": "escape-time image of the parameter or dynamical plane",
         "options": [_opt("--d", "int", 2, "family degree", cap=MAX_DEGREE),
                     _opt("--region", "region", None, "re_min:re_max:im_min:im_max", required=True),
                     _opt("--resolution", "resolution", None, "nx,ny; nx*ny", required=True, cap=MAX_PIXELS),
@@ -408,10 +586,7 @@ def _convert(opt: Option, raw: Any) -> Any:
         parts = raw.split(":")
         if len(parts) != 4:
             raise ParseError("region must be re_min:re_max:im_min:im_max", 0)
-        bounds = [float(p) for p in parts]
-        if not all(math.isfinite(b) for b in bounds):
-            raise ValueError(f"region bounds must be finite, got {raw!r}")
-        return Rectangle(*bounds)
+        return Rectangle(*map(float, parts))
     if kind == "resolution":
         parts = raw.split(",")
         if len(parts) != 2:
@@ -455,220 +630,6 @@ def _resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     return resolved
 
 
-# ---------------------------------------------------------------------------
-# Command implementations
-# ---------------------------------------------------------------------------
-
-
-def _unicritical_parts(map: MapSpec) -> tuple[int, complex] | None:
-    if not map.is_polynomial:
-        return None
-    coeffs = map.numerator.coefficients
-    d = len(coeffs) - 1
-    if d >= 2 and coeffs[-1] == 1 and all(a == 0 for a in coeffs[1:-1]):
-        return d, coeffs[0]
-    return None
-
-
-def _escape_radius_for(map: MapSpec, explicit: float | None) -> float:
-    if explicit is not None:
-        return explicit
-    parts = _unicritical_parts(map)
-    if parts is not None:
-        return default_escape_radius(*parts)
-    return 1e6
-
-
-def _critical_point(map: MapSpec, requested: complex | None) -> complex:
-    if requested is not None:
-        if not is_critical_point(map, requested):
-            raise ParseError(f"--point {requested} is not a critical point of the map")
-        return requested
-    points = map.critical_points
-    if not points:
-        raise RatpertError("map has no finite critical points")
-    return points[0]
-
-
-def _orbit_from(opts, n_max_key: str = "n_max"):
-    map = opts["map"]
-    point = _critical_point(map, opts.get("point"))
-    radius = _escape_radius_for(map, opts.get("escape_radius"))
-    return map, iterate_orbit(map, point, n_max=opts[n_max_key], escape_radius=radius)
-
-
-def _census(map: MapSpec, period: int, tol: float = 1e-9):
-    """find_cycles, with a period outside the census cap as a usage error."""
-    try:
-        check_census_size(map.degree, period)
-    except ValueError as err:
-        raise ParseError(f"--period: {err}") from None
-    return find_cycles(map, period, tol=tol)
-
-
-def _pick_cycle(map: MapSpec, opts):
-    period = opts["period"]
-    if opts.get("point") is not None:
-        try:
-            return cycle_from_point(map, opts["point"], period)
-        except ValueError as err:
-            raise RatpertError(str(err)) from None
-    cycles = _census(map, period)
-    if not cycles:
-        raise RatpertError(f"no period-{period} cycles found")
-    return cycles[0]
-
-
-def _cmd_orbit(opts) -> str:
-    _, orbit = _orbit_from(opts)
-    return serialize.json_dumps(serialize.encode(orbit))
-
-
-def _cmd_summability(opts) -> str:
-    _, orbit = _orbit_from(opts)
-    window = opts["window"]
-    if window is None:
-        report = default_summability_report(orbit)
-    elif len(orbit.points) < 2 * window:
-        raise ParseError(
-            f"--window {window} needs an orbit of at least {2 * window} entries; "
-            f"it has {len(orbit.points)}",
-            0,
-        )
-    else:
-        report = summability_report(orbit, window)
-    return serialize.json_dumps(serialize.encode(report))
-
-
-def _cmd_mu(opts) -> str:
-    _, orbit = _orbit_from(opts)
-    result = mu_functional(orbit, opts["field"], tol=opts["tol"])
-    return serialize.json_dumps(serialize.encode(result))
-
-
-def _cmd_moments(opts) -> str:
-    _, orbit = _orbit_from(opts)
-    moments = moment_vector(orbit, opts["max_degree"], tol=opts["tol"])
-    return serialize.json_dumps(serialize.encode(serialize.MomentsPayload(moments)))
-
-
-def _cmd_witness(opts) -> str:
-    if opts.get("moments") is not None:
-        try:
-            moments = _parse_complex_list(opts["moments"], 0)
-        except ParseError as err:
-            raise ParseError(f"--moments: {err}", err.position) from None
-    else:
-        if opts.get("map") is None:
-            raise ParseError("witness needs --moments or --map", 0)
-        _, orbit = _orbit_from(opts)
-        moments = list(moment_vector(orbit, opts["max_degree"], tol=opts["tol"]))
-    result = find_witness_field(moments)
-    return serialize.json_dumps(serialize.encode(result))
-
-
-def _cmd_obstruction(opts) -> str:
-    _, orbit = _orbit_from(opts, "terms")
-    series = obstruction_sequence(orbit, opts["field"], min(opts["terms"], orbit.truncated_at + 1))
-    return serialize.json_dumps(serialize.encode(series))
-
-
-def _cmd_cycles(opts) -> str:
-    map = opts["map"]
-    cycles = _census(map, opts["period"], opts["newton_tol"])
-    return serialize.json_dumps(serialize.encode(serialize.CyclesPayload(cycles)))
-
-
-def _cmd_alpha(opts) -> str:
-    map = opts["map"]
-    cycle = _pick_cycle(map, opts)
-    solution = solve_alpha_on_cycle(map, cycle, opts["field"])
-    return serialize.json_dumps(serialize.encode(serialize.CycleAlphaPayload(cycle, solution)))
-
-
-def _cmd_continue(opts) -> str:
-    # a continuation keeps the whole cycle at every step
-    points = opts["steps"] * opts["period"]
-    if points > MAX_TERMS:
-        raise ParseError(f"--steps x --period: {points} is above the cap of {MAX_TERMS}")
-    map = opts["map"]
-    cycle = _pick_cycle(map, opts)
-    result = continue_cycle(
-        map, opts["field"], cycle, opts["lambda_target"], steps=opts["steps"]
-    )
-    return serialize.json_dumps(serialize.encode(result))
-
-
-def _cmd_check_motion(opts) -> str:
-    map = opts["map"]
-    cycle = _pick_cycle(map, opts)
-    result = motion_velocity_check(map, opts["field"], cycle, opts["h"])
-    return serialize.json_dumps(serialize.encode(result))
-
-
-def _scan_config(opts) -> ScanConfig:
-    workers = opts.get("workers")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return ScanConfig(
-        d=opts["d"],
-        region=None if opts.get("path") else opts.get("region"),
-        resolution=None if opts.get("path") else opts.get("resolution"),
-        path=opts.get("path"),
-        orbit_length=opts["orbit_length"],
-        field=opts.get("field") or VectorFieldSpec.constant(1.0),
-        escape_radius=opts.get("escape_radius"),
-        worker_count=workers,
-    )
-
-
-def _cmd_scan(opts) -> str | bytes:
-    try:
-        config = _scan_config(opts)
-    except ValueError as err:
-        raise ParseError(f"bad scan configuration: {err}", 0) from None
-    rows = scan_parameters(config)
-    fmt = opts["format"]
-    if fmt == "csv":
-        return serialize.scan_rows_to_csv(rows)
-    if fmt == "json":
-        return serialize.json_dumps(serialize.encode(serialize.ScanPayload(rows)))
-    return serialize.scan_heatmap_ppm(rows, config)
-
-
-def _cmd_render(opts) -> str | bytes:
-    try:
-        config = ScanConfig(
-            d=opts["d"],
-            region=opts["region"],
-            resolution=opts["resolution"],
-            escape_radius=opts.get("escape_radius"),
-        )
-    except ValueError as err:
-        raise ParseError(f"bad render configuration: {err}", 0) from None
-    counts = render_escape(config, opts["max_iter"], julia_c=opts.get("julia"))
-    if opts["format"] == "json":
-        payload = serialize.RenderPayload(opts["max_iter"], counts)
-        return serialize.json_dumps(serialize.encode(payload))
-    return serialize.escape_image(counts, opts["max_iter"])
-
-
-_HANDLERS: dict[str, Callable[[dict], str | bytes]] = {
-    "orbit": _cmd_orbit,
-    "summability": _cmd_summability,
-    "mu": _cmd_mu,
-    "moments": _cmd_moments,
-    "witness": _cmd_witness,
-    "obstruction": _cmd_obstruction,
-    "cycles": _cmd_cycles,
-    "alpha": _cmd_alpha,
-    "continue": _cmd_continue,
-    "check-motion": _cmd_check_motion,
-    "scan": _cmd_scan,
-    "render": _cmd_render,
-}
-
-
 def _check_output(target: str) -> None:
     """Fail before the work when the output path cannot be opened for
     writing.  Opening for append leaves an existing file as it is; a file
@@ -701,7 +662,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _resolve_options(args.command, args)
         _check_output(opts["output"])
-        content = _HANDLERS[args.command](opts)
+        result = COMMANDS[args.command]["run"](opts)
+        content = result if isinstance(result, (str, bytes)) else serialize.json_dumps(serialize.encode(result))
     except ParseError as err:
         position = f" (at position {err.position})" if err.position >= 0 else ""
         print(f"usage error: {err}{position}", file=sys.stderr)

@@ -424,6 +424,7 @@ def _chart_newton(map: MapSpec, period: int, s: complex, rho: float, w: np.ndarr
     return (x * w - y * x0) / (dx * w + x - dy * x0 - y * s)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a level far out may overflow
 def _backward_tree(map: MapSpec, period: int) -> np.ndarray:
     """The d**period period-th preimages of MapSpec.julia_point, for the
     map R of degree d.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -28,10 +28,8 @@ class VectorFieldSpec:
     def __post_init__(self):
         for name in ("numerator", "denominator"):
             for k, a in enumerate(getattr(self, name).coefficients):
-                if not cmath.isfinite(a):
-                    raise ValueError(
-                        f"VectorFieldSpec {name}: coefficient of z^{k} is not finite ({a})"
-                    )
+                if not math.isfinite(math.hypot(a.real, a.imag)):
+                    raise ValueError(f"VectorFieldSpec {name}: coefficient of z^{k} or its modulus is not finite ({a})")
 
     @staticmethod
     def constant(a: complex) -> "VectorFieldSpec":

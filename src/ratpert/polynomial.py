@@ -224,6 +224,8 @@ def _binomial_roots(a0: complex, an: complex, n: int) -> list[complex]:
     return [cmath.rect(modulus, (phase + 2.0 * math.pi * k) / n) for k in range(n)]
 
 
+# far from the roots p and the pairwise sums may overflow; such a point never settles
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> list[complex]:
     """Roots of p = sum coeffs[k] z^k by Aberth-Ehrlich sweeps: p and p'
     from eval_with_derivative, the pairwise sums from the blocked _repulsion
@@ -238,12 +240,13 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> list[complex]:
     abs_coeffs = np.abs(coeffs)
 
     def settled(z, pv):
-        # residual scale on np.abs(coeffs), not eval_scale's abs(complex)
+        # residual scale on np.abs(coeffs), not eval_scale's abs(complex);
+        # an overflowed scale would let inf <= inf pass
         az = np.abs(z)
         scale = np.zeros(n)
         for a in abs_coeffs[::-1]:
             scale = scale * az + a
-        return np.abs(pv) <= tol * np.maximum(scale, 1e-300)
+        return (np.abs(pv) <= tol * np.maximum(scale, 1e-300)) & np.isfinite(scale)
 
     for _ in range(max_iter):
         pv, dv = p.eval_with_derivative(z)
@@ -251,10 +254,9 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> list[complex]:
         if converged.all():
             return list(map(complex, z))
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(dv != 0, pv / np.where(dv != 0, dv, 1.0), 0.0)
-            denom = 1.0 - w * _repulsion(z, np.arange(n))
-            step = np.where(np.abs(denom) > 1e-300, w / np.where(denom != 0, denom, 1.0), w)
+        w = np.where(dv != 0, pv / np.where(dv != 0, dv, 1.0), 0.0)
+        denom = 1.0 - w * _repulsion(z, np.arange(n))
+        step = np.where(np.abs(denom) > 1e-300, w / np.where(denom != 0, denom, 1.0), w)
         # nudge any point where the derivative vanished exactly
         dead = (dv == 0) & ~converged
         if dead.any():

@@ -42,8 +42,21 @@ class Rectangle:
     im_max: float
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"rectangle bounds must be finite, got {bounds}")
+        # the far corner bounds the modulus of every point inside
+        if not math.isfinite(math.hypot(max(map(abs, bounds[:2])), max(map(abs, bounds[2:])))):
+            raise ValueError(f"the modulus of the far corner of {bounds} overflows")
         if not (self.re_min <= self.re_max and self.im_min <= self.im_max):
             raise ValueError("rectangle must have re_min <= re_max and im_min <= im_max")
+
+    def _pixel_centres(self, nx: int, ny: int) -> np.ndarray:
+        """The centres of an nx by ny pixel grid, row-major (imaginary axis
+        outer, real axis inner), as a flat complex array."""
+        xs = self.re_min + (np.arange(nx) + 0.5) * ((self.re_max - self.re_min) / nx)
+        ys = self.im_min + (np.arange(ny) + 0.5) * ((self.im_max - self.im_min) / ny)
+        return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
 #: The most worker processes a scan may start: scan_parameters starts
@@ -101,15 +114,7 @@ class ScanConfig:
         (imaginary axis outer, real axis inner)."""
         if self.path is not None:
             return tuple(complex(c) for c in self.path)
-        nx, ny = self.resolution
-        r = self.region
-        dx = (r.re_max - r.re_min) / nx
-        dy = (r.im_max - r.im_min) / ny
-        return tuple(
-            complex(r.re_min + (ix + 0.5) * dx, r.im_min + (iy + 0.5) * dy)
-            for iy in range(ny)
-            for ix in range(nx)
-        )
+        return tuple(self.region._pixel_centres(*self.resolution).tolist())
 
 
 @dataclass(frozen=True)
@@ -377,11 +382,7 @@ def render_escape(
         raise ValueError("max_iter must be >= 1")
     nx, ny = config.resolution
     r = config.region
-    dx = (r.re_max - r.re_min) / nx
-    dy = (r.im_max - r.im_min) / ny
-    xs = r.re_min + (np.arange(nx) + 0.5) * dx
-    ys = r.im_min + (np.arange(ny) + 0.5) * dy
-    pixels = (xs[None, :] + 1j * ys[:, None]).ravel()
+    pixels = r._pixel_centres(nx, ny)
 
     if julia_c is None:
         # the corner scale bounds every pixel's |c|

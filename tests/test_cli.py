@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -426,6 +427,41 @@ class TestCommands:
         assert err.startswith("usage error:") and "'1.3e308+1.3e308i' is out of range" in err
         assert err.count("\n") == 1
 
+    # every point of the region is finite, and the modulus of its far corner overflows
+    @pytest.mark.parametrize("command", ["scan", "render"])
+    def test_overflowing_region_rejected(self, command, capsys, monkeypatch):
+        for name in ("scan_parameters", "render_escape"):
+            monkeypatch.setattr(cli, name, _never_called)
+        assert main([command, "--region=1e308:1.7e308:1e308:1.7e308", "--resolution", "2,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad value for --region:") and "overflows" in err
+        assert err.count("\n") == 1
+
+    # parse_field sums the terms 1.3e308 and 1.3e308i into one coefficient
+    # whose modulus overflows
+    @pytest.mark.parametrize("args", [
+        ["mu", "--map", "unicritical:2,-2+0i"],
+        ["obstruction", "--map", "unicritical:2,-2+0i"],
+        ["alpha", "--map", "unicritical:2,-1", "--period", "2"],
+        ["continue", "--map", "unicritical:2,-1", "--period", "2", "--lambda-target", "0.001"],
+        ["check-motion", "--map", "unicritical:2,-1", "--period", "2"],
+        ["scan", "--path=0"],
+    ], ids=lambda args: args[0])
+    def test_overflowing_field_rejected(self, args, capsys):
+        assert main([*args, "--field", "1.3e308+1.3e308i"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad value for --field:") and "modulus is not finite" in err
+        assert err.count("\n") == 1
+
+    # z^2 + c with |c| near 1e200 or beyond: Aberth's seeds for the fixed
+    # points sit where the residual overflows, and they are no roots
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", ["1e200+0i", "1.2e308+1.2e308i"])
+    def test_overflowing_fixed_point_solve_is_one_error_line(self, c, capsys):
+        assert main(["cycles", "--map", f"unicritical:2,{c}", "--period", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RootFindingError:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["cycles", "alpha", "continue", "check-motion"])
     @pytest.mark.parametrize("period", ["13", "40", "1000000000000"])
     def test_census_period_outside_cap_rejected(self, command, period, capsys, monkeypatch):
@@ -546,6 +582,28 @@ class TestCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["mu", "--map", "unicritical:2,0+0i", "--nonsense", "1"])
         assert excinfo.value.code == 2
+
+    # the error exits of the option kinds, the handlers and the output write
+    # that the other tests leave out: the exit code and one stderr line
+    @pytest.mark.parametrize("args,code,message", [
+        (["orbit", "--map", "unicritical:2,-2+0i", "--format", "xml"], 2, "format must be one of"),
+        (["scan", "--region=0:1", "--resolution", "2,2"], 2, "region must be re_min:re_max:im_min:im_max"),
+        (["render", "--region=-2:2:-2:2", "--resolution", "5"], 2, "resolution must be nx,ny"),
+        (["mu", "--map", "unicritical:2,-2+0i", "--field", "1)"], 2, "unbalanced ')'"),
+        (["mu", "--map", "unicritical:2,-2+0i", "--field", "1+"], 2, "empty term"),
+        (["witness"], 2, "witness needs --moments or --map"),
+        (["render", "--d", "1", "--region=-2:2:-2:2", "--resolution", "4,4"], 2, "bad render configuration"),
+        (["orbit", "--map", "unicritical:2,-2+0i", "--output", "/dev/full"], 2, "cannot write --output"),
+        (["alpha", "--map", "rational:1,0,1/0,1", "--period", "1", "--field", "1"], 1,
+         "no period-1 cycles found"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_error_exit_is_one_line(self, args, code, message, capsys):
+        if "/dev/full" in args and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:" if code == 2 else "error:")
+        assert message in err and err.count("\n") == 1
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as excinfo:

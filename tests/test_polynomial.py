@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratpert import Polynomial, poly_roots
+from ratpert import Polynomial, RootFindingError, poly_roots
 from ratpert import polynomial
 from ratpert.polynomial import _aberth, cluster_points
 
@@ -125,6 +125,15 @@ class TestRoots:
         p = Polynomial((2, -3, 1j, 0.5, 1))
         for r in poly_roots(p, tol=1e-12):
             assert abs(p(r)) <= 1e-12 * p.eval_scale(r)
+
+    # z^2 - z + c: the seeds have modulus about |c|, where p and its residual
+    # scale overflow to inf; inf <= tol * inf must not pass them as roots
+    # (the roots are near +-sqrt(c) i, out of reach of the unscaled sweeps)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e200, 1.2e308 + 1.2e308j])
+    def test_overflowing_residual_never_settles(self, c):
+        with pytest.raises(RootFindingError, match="did not converge"):
+            poly_roots(Polynomial((c, -1, 1)))
 
 
 def _matched_distances(got, want):

@@ -137,6 +137,39 @@ class TestConfig:
             complex(0.75, 1.5),
         )
 
+    @pytest.mark.parametrize("bounds", [
+        (1e308, 1.7e308, 1e308, 1.7e308),
+        (-1.7e308, 0.0, -1.7e308, 0.0),
+        (0.0, math.inf, 0.0, 1.0),
+        (math.nan, 0.0, 0.0, 1.0),
+    ])
+    def test_rectangle_modulus_must_be_finite(self, bounds):
+        # abs() of a point inside would overflow
+        with pytest.raises(ValueError, match="finite|overflows"):
+            Rectangle(*bounds)
+
+    @pytest.mark.parametrize("bounds,resolution", [
+        ((-2.2, 0.8, -1.2, 1.2), (7, 5)),
+        ((-0.0, 0.0, -0.0, 0.0), (3, 2)),
+        ((-1e-310, 3e-310, -0.0, 1e-300), (4, 3)),
+        ((-1e300, 1e300, 5e299, 1e300), (5, 6)),
+        ((-0.75, -0.75, -1.0, 1.0), (3, 4)),
+    ])
+    def test_scan_points_are_the_render_pixels(self, bounds, resolution, monkeypatch):
+        # both read Rectangle's one grid: the centres of the old per-point
+        # loop, bit for bit (a -0.0 would show in the repr)
+        re_min, re_max, im_min, im_max = bounds
+        nx, ny = resolution
+        dx, dy = (re_max - re_min) / nx, (im_max - im_min) / ny
+        loop = [complex(re_min + (ix + 0.5) * dx, im_min + (iy + 0.5) * dy)
+                for iy in range(ny) for ix in range(nx)]
+        config = ScanConfig(d=2, region=Rectangle(*bounds), resolution=resolution)
+        seen = []
+        monkeypatch.setattr(scan_module, "_escape_counts",
+                            lambda z, c, *args: seen.append(c) or np.zeros(c.size, np.int32))
+        render_escape(config, 4)
+        assert repr(config.points()) == repr(tuple(loop)) == repr(tuple(seen[0].tolist()))
+
 
 class TestScanRows:
     def test_real_path_classes(self):
