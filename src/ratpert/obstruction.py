@@ -26,7 +26,7 @@ from .errors import InvalidOrbitError, PoleError
 from .fields import VectorFieldSpec, _field_lanes
 from .maps import _derivative_lanes
 from .orbits import OrbitRecord
-from .xcomplex import XComplex, _add, _collector_paused, _from_parts, _mul, _normalized_parts
+from .xcomplex import XComplex, _affine_run, _collector_paused, _from_parts, normalize_lanes
 
 #: |growth exponent| below this is neither growth nor decay evidence.
 GROWTH_MARGIN = 0.05
@@ -64,11 +64,13 @@ def obstruction_sequence(
     """Generate b[0..n] by the forward recurrence in XComplex arithmetic.
 
     The sequence runs in segments of lanes.SEGMENT_ENTRIES steps: DR
-    (maps._derivative_lanes, eval_map's bits), v and their normalized parts
-    over a whole segment at once, then the recurrence alone on XComplex
-    parts.  Fresh, decoded and hand-built records take this one path.  At
-    the first orbit point where eval_map raises PoleError this raises it
-    too; at the first where DR or v is not finite, InvalidOrbitError.
+    (maps._derivative_lanes, eval_map's bits) and v, normalized, over a
+    whole segment at once, then the recurrence alone, a run on raw
+    mantissas normalized once a chunk (xcomplex._affine_run, the values of
+    the _mul and _add steps bit for bit).  Fresh, decoded and hand-built
+    records take this one path.  At the first orbit point where eval_map
+    raises PoleError this raises it too; at the first where DR or v is not
+    finite, InvalidOrbitError.
     """
     from .lanes import SEGMENT_ENTRIES
 
@@ -87,7 +89,7 @@ def obstruction_sequence(
         term = None
         for k0 in range(0, n, SEGMENT_ENTRIES):
             seg_points = points[k0 : k0 + SEGMENT_ENTRIES]
-            # DR and v of the whole segment, and their normalized parts
+            # DR and v of the whole segment, normalized
             with np.errstate(all="ignore"):
                 zs = np.array(seg_points, dtype=complex)
                 dr, di, pole = _derivative_lanes(orbit.map, zs.real, zs.imag)
@@ -100,12 +102,11 @@ def obstruction_sequence(
                         raise PoleError(f"evaluation at {seg_points[s]} is within pole tolerance")
                     what = "v" if dz_finite[s] else "DR"
                     raise InvalidOrbitError(f"{what} is not finite at orbit index {k0 + s}")
-                dz_parts = _normalized_parts(dr, di)
-                w_parts = _normalized_parts(wr, wi)
+                dz = normalize_lanes(dr, di, 0)
+                w = normalize_lanes(wr, wi, 0)
             # the recurrence alone
-            for dz, w in zip(dz_parts, w_parts):
-                term = _add(_mul(dz, term), w)
-                parts.append(term)
+            parts += _affine_run(term, dz, w)
+            term = parts[-1]
 
         b = [_from_parts(x) for x in parts]
         exponent, evidence = _fit_growth(b)

@@ -21,7 +21,16 @@ import numpy as np
 from .errors import CriticalRelationError, InvalidOrbitError, PoleError, RootFindingError
 from .maps import MapSpec, _derivative_lanes, default_escape_radius, eval_map, is_critical_point
 from .polynomial import _horner, _solve_roots, _trim
-from .xcomplex import XComplex, _collector_paused, _from_parts, _mul, _normalized_parts, reciprocal_lanes
+from .xcomplex import (
+    XComplex,
+    _collector_paused,
+    _from_parts,
+    _lane_parts,
+    _mul,
+    _product_run,
+    normalize_lanes,
+    reciprocal_lanes,
+)
 
 if TYPE_CHECKING:
     from .cycles import Cycle
@@ -100,11 +109,13 @@ def iterate_orbit(
     The orbit runs in segments of lanes.SEGMENT_ENTRIES steps, each in three
     passes: the orbit points alone; DR and every test on the points, over
     the whole segment at once (_step_tests); and the cocycle product alone,
-    on XComplex parts (see xcomplex.py), which become XComplex values once,
-    in the record.  A near relation only warns, so the third pass runs up
-    to the first step that ends the orbit, and that step reads the same
-    tests: records, exceptions and warnings are those of a step-by-step
-    loop.  The record keeps no DR: obstruction_sequence forms it again
+    a run on raw mantissas normalized once a chunk (xcomplex._product_run,
+    _mul's values bit for bit).  The partial sums read the run's normalized
+    lanes, and its parts become XComplex values once, in the record.  A
+    near relation only warns, so the third pass runs up to the first step
+    that ends the orbit (an escape step included), and that step reads the
+    same tests: records, exceptions and warnings are those of a
+    step-by-step loop.  The record keeps no DR: obstruction_sequence forms it again
     from the points, by the same lanes.
     """
     from .lanes import SEGMENT_ENTRIES  # lanes imports this module
@@ -148,12 +159,15 @@ def iterate_orbit(
             with np.errstate(all="ignore"):
                 zs = np.array(segment, dtype=complex)
                 dzr, dzi, pole, nearest, size, _ = _step_tests(map, zs.real, zs.imag, escape_radius)
-                dz_parts = _normalized_parts(dzr, dzi)
+                dz = normalize_lanes(dzr, dzi, 0)
                 finite = np.isfinite(dzr) & np.isfinite(dzi)
                 relation = (nearest < RELATION_TOL) | ((dzr == 0.0) & (dzi == 0.0))
                 ends = pole | relation | ~finite | ~(size <= escape_radius)
                 near = (nearest < NEAR_RELATION_TOL) & ~pole & ~relation
             cut = int(ends.argmax()) if ends.any() else len(segment)
+            # the step of an escape is regular but for the radius: its DR
+            # is finite and nonzero, so the run takes it too
+            escape = cut < len(segment) and not (pole[cut] or relation[cut] or not finite[cut])
 
             # (c) the cocycle product alone, up to the step that ends the orbit
             for k in np.flatnonzero(near[: cut + 1]).tolist():
@@ -162,9 +176,10 @@ def iterate_orbit(
                     NearCriticalRelationWarning,
                     stacklevel=2,
                 )
-            for m in dz_parts[:cut]:
-                entry = _mul(entry, m)
-                cocycle.append(entry)
+            run, lanes = _product_run(entry, tuple(x[: cut + escape] for x in dz))
+            cocycle += run
+            entry = cocycle[-1]
+            _extend_partial_sums(partials, lanes)
             points.extend(segment[: cut + 1])
             index = len(points) - 1
             if cut < len(segment):
@@ -174,19 +189,15 @@ def iterate_orbit(
                     raise InvalidOrbitError(
                         f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
                     )
-                entry = _mul(entry, dz_parts[cut])
                 if relation[cut]:
-                    _extend_partial_sums(partials, cocycle)
-                    cocycle.append(entry)
+                    cocycle.append(_mul(entry, _lane_parts(*(x[cut : cut + 1] for x in dz))[0]))
                     partials.append(math.inf)
                     raise CriticalRelationError(
                         f"orbit landed on a critical point at index {index}",
                         index=index,
                         orbit=_orbit_record(map, points, cocycle, partials, None, index),
                     )
-                cocycle.append(entry)
                 escaped_at = index
-            _extend_partial_sums(partials, cocycle)
 
         return _orbit_record(map, points, cocycle, partials, escaped_at, None)
 
@@ -231,17 +242,12 @@ def _reciprocal_sums(first, parts):
     return np.add.accumulate(np.concatenate([first[None], terms]), axis=0)[1:]
 
 
-def _extend_partial_sums(partials: list[float], cocycle: list) -> None:
-    """Append the running sum of 1/|x| over the (nonzero) cocycle entries
-    that partials does not cover yet (_reciprocal_sums)."""
-    new = cocycle[len(partials):]
-    if not new:
-        return
-    mantissas = np.array([x[0] for x in new], dtype=complex)
-    exponents = np.array([x[1] for x in new], dtype=np.int64)
-    with np.errstate(over="ignore"):
-        sums = _reciprocal_sums(np.array(partials[-1]), (mantissas.real, mantissas.imag, exponents))
-    partials.extend(sums.tolist())
+def _extend_partial_sums(partials: list[float], cocycle) -> None:
+    """Append the running sums of 1/|x| over the (nonzero) normalized lanes
+    cocycle (_reciprocal_sums)."""
+    if len(cocycle[2]):
+        with np.errstate(over="ignore"):
+            partials.extend(_reciprocal_sums(np.array(partials[-1]), cocycle).tolist())
 
 
 @dataclass(frozen=True)

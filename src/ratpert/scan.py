@@ -385,9 +385,13 @@ def render_escape(
     pixels = r._pixel_centres(nx, ny)
 
     if julia_c is None:
-        # the corner scale bounds every pixel's |c|
+        # the corner scale bounds every pixel's |c|; where the sum of the
+        # parts overflows, the far corner's modulus (finite, by Rectangle)
         z, c = np.zeros_like(pixels), pixels
-        scale = max(abs(r.re_min), abs(r.re_max)) + max(abs(r.im_min), abs(r.im_max))
+        re, im = max(abs(r.re_min), abs(r.re_max)), max(abs(r.im_min), abs(r.im_max))
+        scale = re + im
+        if not math.isfinite(scale):
+            scale = math.hypot(re, im)
     else:
         z, c, scale = pixels, np.full_like(pixels, complex(julia_c)), julia_c
     radius = config.escape_radius

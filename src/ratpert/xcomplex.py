@@ -12,8 +12,15 @@ exact.
 
 The arithmetic exists once, on raw parts (``_normalize``, ``_mul``,
 ``_add``, ``_reciprocal``): a (mantissa, exponent) tuple, or None for zero.
-XComplex methods wrap these functions, and the orbit and obstruction loops
-call them directly, building XComplex values only for their results.
+XComplex methods wrap these functions.  The orbit's cocycle product and the
+obstruction recurrence run them as runs (``_product_run``, ``_affine_run``):
+plain complex mantissas that are not normalized, with an integer exponent,
+normalized once a chunk of up to 512 steps.  Multiplying by a power of two
+is exact away from overflow and the subnormal range, so a run's values are
+those of the scalar steps bit for bit; a chunk where a component is tiny
+beside its value's modulus, the one place where an underflow could round
+differently, takes the scalar steps.  XComplex values are built only for
+the results.
 
 The same format also runs on numpy lanes (``normalize_lanes`` and the
 operations after it at the end of this module): mantissa real and imaginary
@@ -29,7 +36,9 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from math import frexp, hypot, isfinite, ldexp
+from operator import mul
 
 import numpy as np
 
@@ -301,14 +310,136 @@ def _complex_list(re, im) -> list[complex]:
     return out.tolist()
 
 
-def _normalized_parts(re, im) -> list:
-    """_normalize(re, im, 0) of finite lanes: (mantissa, exponent) parts,
-    or None for zero."""
-    mr, mi, e = normalize_lanes(re, im, 0)
-    parts = list(zip(_complex_list(mr, mi), e.tolist()))
-    for i in np.flatnonzero((mr == 0.0) & (mi == 0.0)).tolist():
+def _lane_parts(re, im, e) -> list:
+    """The parts of normalized lanes: (mantissa, exponent), or None for
+    zero."""
+    parts = list(zip(_complex_list(re, im), e.tolist()))
+    for i in np.flatnonzero((re == 0.0) & (im == 0.0)).tolist():
         parts[i] = None
     return parts
+
+
+def _parts_lanes(parts):
+    """The lanes of a list of parts; None gives zero components."""
+    m = np.array([0j if p is None else p[0] for p in parts], dtype=complex)
+    return m.real, m.imag, np.array([0 if p is None else p[1] for p in parts], dtype=np.int64)
+
+
+# Runs of _mul and _add steps on raw mantissas (see the module docstring):
+# each raw step is the normalized step times a power of two.
+
+#: Steps between normalizations.  A factor's modulus is below 2, so a raw
+#: product stays below 2**(64 + _RUN_CHUNK + 1), far from overflow.
+_RUN_CHUNK = 512
+
+#: _affine_run rescales its raw term's modulus into [1, _RAW_MAX) after a sum.
+_RAW_MAX = 2.0**64
+
+#: Runs shorter than this take the scalar steps, which cost less than the
+#: numpy calls of one chunk (the two cost the same at 32 to 48 steps).
+_RUN_MIN = 48
+
+#: A nonzero component below this fraction of its value's modulus sends a
+#: chunk to the scalar steps.  Above it, every partial product a step forms
+#: and every addend it aligns stays a normal double at either scale, or is
+#: too small to change the component it is added to.
+_TINY_PART = 2.0**-900
+
+
+def _has_tiny(re, im) -> bool:
+    """Whether some lane has a nonzero component below _TINY_PART of its
+    modulus (only the smaller component can be)."""
+    small = np.minimum(np.abs(re), np.abs(im))
+    return bool(((small > 0.0) & (small < _TINY_PART * np.hypot(re, im))).any())
+
+
+def _chunk(lanes, i):
+    """The chunk of lanes from step i; the lanes themselves when they are
+    one chunk."""
+    re, im, e = lanes
+    return lanes if len(e) <= _RUN_CHUNK else (re[i : i + _RUN_CHUNK], im[i : i + _RUN_CHUNK], e[i : i + _RUN_CHUNK])
+
+
+def _product_run(entry, dz):
+    """The running products entry * dz[0] * ... * dz[k] of parts entry
+    (nonzero) and nonzero normalized lanes dz: _mul's values step by step,
+    bit for bit, as a list of parts and as normalized lanes."""
+    parts, lanes = [], []
+    for i in range(0, len(dz[2]), _RUN_CHUNK):
+        chunk = _chunk(dz, i)
+        if len(chunk[2]) >= _RUN_MIN and not _has_tiny(chunk[0], chunk[1]):
+            raw = np.array(list(accumulate(_complex_list(chunk[0], chunk[1]), mul, initial=entry[0])))
+            if not _has_tiny(raw.real, raw.imag):
+                lanes.append(normalize_lanes(raw.real[1:], raw.imag[1:], entry[1] + np.cumsum(chunk[2])))
+                parts += _lane_parts(*lanes[-1])
+                entry = parts[-1]
+                continue
+        for m in _lane_parts(*chunk):
+            entry = _mul(entry, m)
+            parts.append(entry)
+        lanes.append(_parts_lanes(parts[i:]))
+    if len(lanes) == 1:
+        return parts, lanes[0]
+    return parts, tuple(map(np.concatenate, zip(*lanes))) if lanes else dz
+
+
+def _affine_run(term, dz, w):
+    """The terms of term <- _add(_mul(dz[k], term), w[k]) from parts term
+    (None for zero) over finite normalized lanes dz and w: a list of parts,
+    bit for bit those of the scalar steps.
+
+    The raw term's modulus stays at least about 1: a factor's modulus is at
+    least 1, and a sum is rescaled into [1, 2**64).  So the product's
+    exponent is at least the frame's less one, and an addend more than 54
+    places below the frame is dropped with no hypot call, as _add drops it.
+    Otherwise the product's exact exponent, _normalize's (math.hypot scales
+    exactly), decides between dropping one operand and adding the other,
+    aligned to the frame."""
+    parts = []
+    for i in range(0, len(dz[2]), _RUN_CHUNK):
+        d, v = _chunk(dz, i), _chunk(w, i)
+        if len(d[2]) >= _RUN_MIN and not (_has_tiny(d[0], d[1]) or _has_tiny(v[0], v[1])):
+            zero = (d[0] == 0.0) & (d[1] == 0.0)
+            # a zero DR gives a zero product, which the raw steps take for a
+            # nonzero one; that is harmless only while the term is zero
+            if not (zero[1:].any() or (zero[0] and term is not None)):
+                ts, es = _affine_raw(term, d, v)
+                raw = np.array(ts)
+                if not _has_tiny(raw.real, raw.imag):
+                    parts += _lane_parts(*normalize_lanes(raw.real[1:], raw.imag[1:], np.array(es[1:])))
+                    term = parts[-1]
+                    continue
+        for a, b in zip(_lane_parts(*d), _lane_parts(*v)):
+            term = _add(_mul(a, term), b)
+            parts.append(term)
+    return parts
+
+
+def _affine_raw(term, dz, w):
+    """_affine_run's steps on raw mantissas: the starting term, then each
+    step's, as mantissas t and exponents E whose value is t * 2**E."""
+    t, frame = (0j, 0) if term is None else term
+    ts, es = [t], [frame]
+    for d, f, u, g in zip(_complex_list(dz[0], dz[1]), dz[2].tolist(), _complex_list(w[0], w[1]), w[2].tolist()):
+        if t:
+            t = d * t
+            frame += f
+            if u and frame - g <= MANTISSA_BITS + 1:
+                h = frexp(hypot(t.real, t.imag))[1] - 1 + frame
+                if g - h > MANTISSA_BITS:
+                    t, frame = u, g
+                elif h - g <= MANTISSA_BITS:
+                    t += _scaled(u, g - frame)
+                    a = abs(t)
+                    if not 1.0 <= a < _RAW_MAX:
+                        s = frexp(a)[1] - 1
+                        t = _scaled(t, -s)
+                        frame += s
+        elif u:
+            t, frame = u, g
+        ts.append(t)
+        es.append(frame)
+    return ts, es
 
 
 def cmul_lanes(ar, ai, br, bi):

@@ -281,3 +281,20 @@ def test_obstruction_cli_output_pinned(capsysbinary):
     assert main(args) == 0
     digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     assert digest == "3777f1a96920bfb62926a7528053cfb898443036dfdd779e15f6dd18c72d54f7"
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["--map", "unicritical:2,0+1i", "--terms", "10000"],
+     "c4af97ac20565cccc5095502bba9ef724e3bdaeecb25e86fa51a636cbaa6670c"),
+    (["--map", "rational:-2,0,1/1,0,0.001", "--terms", "20000"],
+     "0abdefa0dbb6dc1a6b799b61399d4ddf15f4275cbeb9493fc30d4d49dce02977"),
+    (["--map", "unicritical:2,-0.12+0.75i", "--terms", "5000"],
+     "0d61a3583c7d36b23582a5d99c0ba3db35ac8830e1e02b4d21933cb6486442cd"),
+], ids=["c=i", "rational", "rabbit"])
+def test_long_series_cli_output_pinned(capsysbinary, args, expected):
+    # sha256 of the output before b ran on raw mantissas (CPython 3.11,
+    # x86-64 Linux).  All three cross segments and chunks; the last two run
+    # on orbits that are not exact in binary.  At the rabbit b stays
+    # bounded, so every step adds v and the raw term is rescaled 146 times.
+    assert main(["obstruction", *args]) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == expected

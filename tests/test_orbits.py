@@ -468,3 +468,12 @@ def test_orbit_cli_output_pinned(capsysbinary):
     assert main(["orbit", "--map", "unicritical:2,-2+0i"]) == 0
     digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     assert digest == "4cb6692cd44de11059a25e18a0cd44edf38fb4864fd56046cad91fb0966d35be"
+
+
+def test_long_inexact_orbit_cli_output_pinned(capsysbinary):
+    # sha256 of the output before the cocycle ran on raw mantissas (CPython
+    # 3.11, x86-64 Linux): an orbit whose points are not exact in binary,
+    # across ten segments and forty product chunks
+    assert main(["orbit", "--map", "rational:-2,0,1/1,0,0.001", "--n-max", "20000"]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == "3d1e4bd35c1df4a2652c938871a95b84ab033c429551fedf13faa7778d35e720"

@@ -631,6 +631,20 @@ class TestRenderEscape:
         assert counts[4, 4] == 50
         assert counts[0, 0] < 50
 
+    def test_corner_scale_that_overflows(self):
+        # max|re| + max|im| is inf here, which made the default radius inf and
+        # every count 4 (the step whose iterate is nan).  The far corner's
+        # modulus gives radius |c| + 1, which z_1 = c stays within and z_2
+        # leaves.
+        c = 1.2e308 + 1.2e308j
+        config = ScanConfig(d=2, region=Rectangle(c.real, c.real, c.imag, c.imag), resolution=(2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = render_escape(config, max_iter=256)
+        assert counts.tolist() == [[2, 2], [2, 2]]
+        radius = default_escape_radius(2, abs(c))
+        assert (counts.ravel() == scan_module._escape_counts(np.zeros(4, complex), np.full(4, c), radius, 256, 2)).all()
+
     def test_deterministic(self):
         config = ScanConfig(
             d=2, region=Rectangle(-2.2, 0.8, -1.2, 1.2), resolution=(16, 12),

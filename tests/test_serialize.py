@@ -35,7 +35,7 @@ from ratpert.serialize import (
     scan_rows_to_csv,
     scan_heatmap_ppm,
 )
-from ratpert.xcomplex import HYPOT_TIE, XComplex, _from_parts, _normalize, _normalized_parts
+from ratpert.xcomplex import HYPOT_TIE, XComplex, _from_parts, _lane_parts, _normalize, normalize_lanes
 
 ONE = VectorFieldSpec.constant(1)
 
@@ -138,7 +138,7 @@ class TestXComplexPayload:
     @given(st.one_of(st.tuples(_finite, _finite), _near_ties))
     def test_every_normalized_value_decodes_to_itself(self, parts):
         re, im = parts
-        lane = _normalized_parts(np.array([re]), np.array([im]))[0]
+        lane = _lane_parts(*normalize_lanes(np.array([re]), np.array([im]), 0))[0]
         for x in (_from_parts(_normalize(re, im, 0)), _from_parts(lane)):
             back = decode(json_loads(json_dumps(encode(ObstructionSeries((x,), 0.0, "bounded")))))
             assert back.b == (x,) and isinstance(back.b[0], XComplex)
