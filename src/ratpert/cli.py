@@ -494,7 +494,7 @@ COMMANDS: dict[str, dict] = {
         "options": [_opt("--d", "int", 2, "family degree", cap=MAX_DEGREE),
                     _opt("--region", "region", None, "re_min:re_max:im_min:im_max"),
                     _opt("--resolution", "resolution", None, "nx,ny; nx*ny", cap=MAX_PIXELS),
-                    _opt("--path", "path", None, "comma-separated c values (overrides region)"),
+                    _opt("--path", "path", None, "comma-separated c values (overrides region)", cap=MAX_PIXELS),
                     _opt("--orbit-length", "int", 256, "orbit budget per parameter", cap=MAX_TERMS),
                     _FIELD, _ESCAPE,
                     _opt("--workers", "int", None, f"worker processes (default: ${WORKERS_ENV} or 1)"),
@@ -581,6 +581,7 @@ def _convert(opt: Option, raw: Any) -> Any:
     if kind == "field":
         return parse_field(raw)
     if kind == "path":
+        _check_cap(opt, raw.count(",") + 1)  # before any point is parsed
         return tuple(_parse_complex_list(raw, 0))
     if kind == "region":
         parts = raw.split(":")

@@ -26,7 +26,7 @@ from .errors import InvalidOrbitError, PoleError
 from .fields import VectorFieldSpec, _field_lanes
 from .maps import _derivative_lanes
 from .orbits import OrbitRecord
-from .xcomplex import XComplex, _affine_run, _collector_paused, _from_parts, normalize_lanes
+from .xcomplex import XComplex, _affine_run, _collector_paused, normalize_lanes
 
 #: |growth exponent| below this is neither growth nor decay evidence.
 GROWTH_MARGIN = 0.05
@@ -67,10 +67,10 @@ def obstruction_sequence(
     (maps._derivative_lanes, eval_map's bits) and v, normalized, over a
     whole segment at once, then the recurrence alone, a run on raw
     mantissas normalized once a chunk (xcomplex._affine_run, the values of
-    the _mul and _add steps bit for bit).  Fresh, decoded and hand-built
-    records take this one path.  At the first orbit point where eval_map
-    raises PoleError this raises it too; at the first where DR or v is not
-    finite, InvalidOrbitError.
+    the _mul and _add steps bit for bit), whose XComplex values extend b as
+    they are.  Fresh, decoded and hand-built records take this one path.
+    At the first orbit point where eval_map raises PoleError this raises it
+    too; at the first where DR or v is not finite, InvalidOrbitError.
     """
     from .lanes import SEGMENT_ENTRIES
 
@@ -85,8 +85,7 @@ def obstruction_sequence(
 
     with _collector_paused():
         points = orbit.points[:n]
-        parts: list = [None]  # b[0] = 0
-        term = None
+        b = [XComplex.zero()]
         for k0 in range(0, n, SEGMENT_ENTRIES):
             seg_points = points[k0 : k0 + SEGMENT_ENTRIES]
             # DR and v of the whole segment, normalized
@@ -105,10 +104,8 @@ def obstruction_sequence(
                 dz = normalize_lanes(dr, di, 0)
                 w = normalize_lanes(wr, wi, 0)
             # the recurrence alone
-            parts += _affine_run(term, dz, w)
-            term = parts[-1]
+            b += _affine_run(b[-1], dz, w)
 
-        b = [_from_parts(x) for x in parts]
         exponent, evidence = _fit_growth(b)
         return ObstructionSeries(tuple(b), exponent, evidence)
 

@@ -24,8 +24,7 @@ from .polynomial import _horner, _solve_roots, _trim
 from .xcomplex import (
     XComplex,
     _collector_paused,
-    _from_parts,
-    _lane_parts,
+    _lane_values,
     _mul,
     _product_run,
     normalize_lanes,
@@ -111,7 +110,7 @@ def iterate_orbit(
     the whole segment at once (_step_tests); and the cocycle product alone,
     a run on raw mantissas normalized once a chunk (xcomplex._product_run,
     _mul's values bit for bit).  The partial sums read the run's normalized
-    lanes, and its parts become XComplex values once, in the record.  A
+    lanes, and the record keeps the run's XComplex values as they are.  A
     near relation only warns, so the third pass runs up to the first step
     that ends the orbit (an escape step included), and that step reads the
     same tests: records, exceptions and warnings are those of a
@@ -134,8 +133,8 @@ def iterate_orbit(
         q0 = map.denominator.coefficients[0]
         points: list[complex] = [c]
         value = eval_map(map, c)[0]
-        entry = (1 + 0j, 0)  # the parts of XComplex.one()
-        cocycle: list = [entry]
+        entry = XComplex.one()
+        cocycle: list[XComplex] = [entry]
         partials: list[float] = [1.0]
         escaped_at: int | None = None
         index = 0  # the last step taken
@@ -190,7 +189,7 @@ def iterate_orbit(
                         f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
                     )
                 if relation[cut]:
-                    cocycle.append(_mul(entry, _lane_parts(*(x[cut : cut + 1] for x in dz))[0]))
+                    cocycle.append(_mul(entry, _lane_values(*(x[cut : cut + 1] for x in dz))[0]))
                     partials.append(math.inf)
                     raise CriticalRelationError(
                         f"orbit landed on a critical point at index {index}",
@@ -203,11 +202,11 @@ def iterate_orbit(
 
 
 def _orbit_record(map, points, cocycle, partials, escaped_at, relation_at):
-    """The OrbitRecord of iterate_orbit's lists, its cocycle as XComplex."""
+    """The OrbitRecord of iterate_orbit's lists."""
     return OrbitRecord(
         map=map,
         points=tuple(points),
-        cocycle=tuple([_from_parts(x) for x in cocycle]),
+        cocycle=tuple(cocycle),
         partial_sums_abs=tuple(partials),
         escaped_at=escaped_at,
         truncated_at=len(points) - 1,
@@ -233,11 +232,11 @@ def _step_tests(map: MapSpec, zr, zi, radius):
     return dzr, dzi, pole, nearest, size, regular
 
 
-def _reciprocal_sums(first, parts):
-    """first plus the running sums along axis 0 of 1/|x| over the parts
+def _reciprocal_sums(first, lanes):
+    """first plus the running sums along axis 0 of 1/|x| over the lanes
     (re, im, exponent), added in order as total += would; an overflowing
-    term is inf, as in _magnitude.  Under np.errstate."""
-    re, im, e = reciprocal_lanes(parts)
+    term is inf, as in XComplex.magnitude.  Under np.errstate."""
+    re, im, e = reciprocal_lanes(lanes)
     terms = np.ldexp(np.hypot(re, im), e)
     return np.add.accumulate(np.concatenate([first[None], terms]), axis=0)[1:]
 

@@ -37,7 +37,7 @@ from .obstruction import ObstructionSeries
 from .orbits import OrbitRecord, ParameterClass, SummabilityReport
 from .polynomial import Polynomial
 from .scan import HeatmapGrid, ScanConfig, ScanRow, growth_heatmap
-from .xcomplex import XComplex, _collector_paused, _from_parts
+from .xcomplex import XComplex, _collector_paused, _make
 
 # ---------------------------------------------------------------------------
 # JSON
@@ -70,7 +70,7 @@ def _unxcomplex(obj) -> XComplex:
     modulus = math.hypot(mantissa.real, mantissa.imag)  # as _normalize measures it
     if type(exponent) is not int or not (1 <= modulus < 2 or modulus == 0 == exponent):
         raise ValueError(f"no encoder writes the XComplex {obj!r}")
-    return _from_parts((mantissa, exponent))
+    return _make(mantissa, exponent)
 
 
 def _fraction(cls: type) -> tuple[Callable, Callable]:

@@ -10,17 +10,15 @@ Mantissas are ordinary double-precision complex values, so mantissa
 arithmetic carries the usual ~53-bit precision; exponent arithmetic is
 exact.
 
-The arithmetic exists once, on raw parts (``_normalize``, ``_mul``,
-``_add``, ``_reciprocal``): a (mantissa, exponent) tuple, or None for zero.
-XComplex methods wrap these functions.  The orbit's cocycle product and the
-obstruction recurrence run them as runs (``_product_run``, ``_affine_run``):
-plain complex mantissas that are not normalized, with an integer exponent,
-normalized once a chunk of up to 512 steps.  Multiplying by a power of two
-is exact away from overflow and the subnormal range, so a run's values are
-those of the scalar steps bit for bit; a chunk where a component is tiny
-beside its value's modulus, the one place where an underflow could round
-differently, takes the scalar steps.  XComplex values are built only for
-the results.
+The arithmetic exists once, on XComplex values (``_normalize``, ``_mul``,
+``_add``, ``_reciprocal``), and the operators are these functions.  The
+orbit's cocycle product and the obstruction recurrence run them as runs
+(``_product_run``, ``_affine_run``): plain complex mantissas that are not
+normalized, with an integer exponent, normalized once a chunk of up to 512
+steps.  Multiplying by a power of two is exact away from overflow and the
+subnormal range, so a run's values are those of the scalar steps bit for
+bit; a chunk where a component is tiny beside its value's modulus, the one
+place where an underflow could round differently, takes the scalar steps.
 
 The same format also runs on numpy lanes (``normalize_lanes`` and the
 operations after it at the end of this module): mantissa real and imaginary
@@ -52,12 +50,12 @@ def _scaled(z: complex, shift: int) -> complex:
     return complex(ldexp(z.real, shift), ldexp(z.imag, shift))
 
 
-def _normalize(re: float, im: float, exponent: int) -> tuple[complex, int] | None:
-    """Parts of (re + i im) * 2**exponent; None for zero.
+def _normalize(re: float, im: float, exponent: int) -> "XComplex":
+    """The XComplex of (re + i im) * 2**exponent; _ZERO for zero.
 
     normalize_lanes repeats these steps on arrays; keep the two in step."""
     if re == 0.0 and im == 0.0:
-        return None
+        return _ZERO
     if not (isfinite(re) and isfinite(im)):
         raise ValueError(f"non-finite mantissa components ({re}, {im})")
     # Coarse rescale by the larger component first so that the modulus
@@ -74,48 +72,37 @@ def _normalize(re: float, im: float, exponent: int) -> tuple[complex, int] | Non
         re *= 2.0
         im *= 2.0
         exponent -= 1
-    return complex(re, im), exponent
+    return _make(complex(re, im), exponent)
 
 
-def _mul(a, b):
-    """Normalized product of parts; exponent arithmetic is exact."""
-    if a is None or b is None:
-        return None
-    m = a[0] * b[0]
-    return _normalize(m.real, m.imag, a[1] + b[1])
+def _mul(a: "XComplex", b: "XComplex") -> "XComplex":
+    """Normalized product; exponent arithmetic is exact, and a zero factor
+    gives a zero mantissa, which _normalize makes _ZERO."""
+    m = a.mantissa * b.mantissa
+    return _normalize(m.real, m.imag, a.exponent + b.exponent)
 
 
-def _add(a, b):
-    """Exponent-aligned sum of parts; an addend more than MANTISSA_BITS
-    binary places below the other leaves it unchanged."""
-    if a is None:
-        return b
-    if b is None:
+def _add(a: "XComplex", b: "XComplex") -> "XComplex":
+    """Exponent-aligned sum; an addend more than MANTISSA_BITS binary
+    places below the other leaves it unchanged."""
+    if a.mantissa == 0:
+        return _ZERO if b.mantissa == 0 else b
+    if b.mantissa == 0:
         return a
-    hi, lo = (a, b) if a[1] >= b[1] else (b, a)
-    shift = hi[1] - lo[1]
+    hi, lo = (a, b) if a.exponent >= b.exponent else (b, a)
+    shift = hi.exponent - lo.exponent
     if shift > MANTISSA_BITS:
         return hi
-    m = hi[0] + _scaled(lo[0], -shift)
-    return _normalize(m.real, m.imag, hi[1])
+    m = hi.mantissa + _scaled(lo.mantissa, -shift)
+    return _normalize(m.real, m.imag, hi.exponent)
 
 
-def _reciprocal(a):
-    """Parts of 1/a; raises ZeroDivisionError for zero."""
-    if a is None:
+def _reciprocal(a: "XComplex") -> "XComplex":
+    """1/a; raises ZeroDivisionError for zero."""
+    if a.mantissa == 0:
         raise ZeroDivisionError("reciprocal of XComplex zero")
-    m = 1.0 / a[0]
-    return _normalize(m.real, m.imag, -a[1])
-
-
-def _magnitude(a) -> float:
-    """|a| as a float; 0.0 on underflow, inf on overflow."""
-    if a is None:
-        return 0.0
-    try:
-        return ldexp(abs(a[0]), a[1])
-    except OverflowError:
-        return math.inf
+    m = 1.0 / a.mantissa
+    return _normalize(m.real, m.imag, -a.exponent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +124,7 @@ class XComplex:
     @staticmethod
     def from_complex(z: complex) -> "XComplex":
         z = complex(z)
-        return _from_parts(_normalize(z.real, z.imag, 0))
+        return _normalize(z.real, z.imag, 0)
 
     @staticmethod
     def zero() -> "XComplex":
@@ -174,7 +161,10 @@ class XComplex:
 
     def magnitude(self) -> float:
         """|value| as a float; 0.0 on underflow, inf on overflow."""
-        return _magnitude(_parts(self))
+        try:
+            return ldexp(abs(self.mantissa), self.exponent)
+        except OverflowError:
+            return math.inf
 
     def log2_abs(self) -> float:
         """log2 |value|; -inf for zero.  Never over/underflows."""
@@ -190,20 +180,15 @@ class XComplex:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __mul__(self, other: "XComplex") -> "XComplex":
-        return _from_parts(_mul(_parts(self), _parts(other)))
-
-    def __add__(self, other: "XComplex") -> "XComplex":
-        return _from_parts(_add(_parts(self), _parts(other)))
+    __mul__ = _mul
+    __add__ = _add
+    reciprocal = _reciprocal
 
     def __neg__(self) -> "XComplex":
         return XComplex(-self.mantissa, self.exponent)
 
     def __sub__(self, other: "XComplex") -> "XComplex":
         return self + (-other)
-
-    def reciprocal(self) -> "XComplex":
-        return _from_parts(_reciprocal(_parts(self)))
 
     def __truediv__(self, other: "XComplex") -> "XComplex":
         return self * other.reciprocal()
@@ -222,19 +207,12 @@ _set_mantissa = XComplex.mantissa.__set__
 _set_exponent = XComplex.exponent.__set__
 
 
-def _parts(x: XComplex) -> tuple[complex, int] | None:
-    """The parts of an XComplex; None for zero."""
-    return None if x.mantissa == 0 else (x.mantissa, x.exponent)
-
-
-def _from_parts(a) -> XComplex:
-    """The XComplex of parts, filled in through the slots: the frozen
+def _make(mantissa: complex, exponent: int) -> XComplex:
+    """XComplex(mantissa, exponent) filled in through the slots: the frozen
     __init__ would go through object.__setattr__ per field."""
-    if a is None:
-        return _ZERO
     x = _new(XComplex)
-    _set_mantissa(x, a[0])
-    _set_exponent(x, a[1])
+    _set_mantissa(x, mantissa)
+    _set_exponent(x, exponent)
     return x
 
 
@@ -310,19 +288,18 @@ def _complex_list(re, im) -> list[complex]:
     return out.tolist()
 
 
-def _lane_parts(re, im, e) -> list:
-    """The parts of normalized lanes: (mantissa, exponent), or None for
-    zero."""
-    parts = list(zip(_complex_list(re, im), e.tolist()))
+def _lane_values(re, im, e) -> list[XComplex]:
+    """The XComplex values of normalized lanes."""
+    values = list(map(_make, _complex_list(re, im), e.tolist()))
     for i in np.flatnonzero((re == 0.0) & (im == 0.0)).tolist():
-        parts[i] = None
-    return parts
+        values[i] = _ZERO
+    return values
 
 
-def _parts_lanes(parts):
-    """The lanes of a list of parts; None gives zero components."""
-    m = np.array([0j if p is None else p[0] for p in parts], dtype=complex)
-    return m.real, m.imag, np.array([0 if p is None else p[1] for p in parts], dtype=np.int64)
+def _value_lanes(values):
+    """The lanes of a list of XComplex values."""
+    m = np.array([x.mantissa for x in values], dtype=complex)
+    return m.real, m.imag, np.array([x.exponent for x in values], dtype=np.int64)
 
 
 # Runs of _mul and _add steps on raw mantissas (see the module docstring):
@@ -361,32 +338,32 @@ def _chunk(lanes, i):
 
 
 def _product_run(entry, dz):
-    """The running products entry * dz[0] * ... * dz[k] of parts entry
-    (nonzero) and nonzero normalized lanes dz: _mul's values step by step,
-    bit for bit, as a list of parts and as normalized lanes."""
-    parts, lanes = [], []
+    """The running products entry * dz[0] * ... * dz[k] of a nonzero
+    XComplex entry and nonzero normalized lanes dz: _mul's values step by
+    step, bit for bit, as a list of XComplex and as normalized lanes."""
+    values, lanes = [], []
     for i in range(0, len(dz[2]), _RUN_CHUNK):
         chunk = _chunk(dz, i)
         if len(chunk[2]) >= _RUN_MIN and not _has_tiny(chunk[0], chunk[1]):
-            raw = np.array(list(accumulate(_complex_list(chunk[0], chunk[1]), mul, initial=entry[0])))
+            raw = np.array(list(accumulate(_complex_list(chunk[0], chunk[1]), mul, initial=entry.mantissa)))
             if not _has_tiny(raw.real, raw.imag):
-                lanes.append(normalize_lanes(raw.real[1:], raw.imag[1:], entry[1] + np.cumsum(chunk[2])))
-                parts += _lane_parts(*lanes[-1])
-                entry = parts[-1]
+                lanes.append(normalize_lanes(raw.real[1:], raw.imag[1:], entry.exponent + np.cumsum(chunk[2])))
+                values += _lane_values(*lanes[-1])
+                entry = values[-1]
                 continue
-        for m in _lane_parts(*chunk):
+        for m in _lane_values(*chunk):
             entry = _mul(entry, m)
-            parts.append(entry)
-        lanes.append(_parts_lanes(parts[i:]))
+            values.append(entry)
+        lanes.append(_value_lanes(values[i:]))
     if len(lanes) == 1:
-        return parts, lanes[0]
-    return parts, tuple(map(np.concatenate, zip(*lanes))) if lanes else dz
+        return values, lanes[0]
+    return values, tuple(map(np.concatenate, zip(*lanes))) if lanes else dz
 
 
 def _affine_run(term, dz, w):
-    """The terms of term <- _add(_mul(dz[k], term), w[k]) from parts term
-    (None for zero) over finite normalized lanes dz and w: a list of parts,
-    bit for bit those of the scalar steps.
+    """The terms of term <- _add(_mul(dz[k], term), w[k]) from an XComplex
+    term over finite normalized lanes dz and w: a list of XComplex, bit for
+    bit those of the scalar steps.
 
     The raw term's modulus stays at least about 1: a factor's modulus is at
     least 1, and a sum is rescaled into [1, 2**64).  So the product's
@@ -395,30 +372,30 @@ def _affine_run(term, dz, w):
     Otherwise the product's exact exponent, _normalize's (math.hypot scales
     exactly), decides between dropping one operand and adding the other,
     aligned to the frame."""
-    parts = []
+    values = []
     for i in range(0, len(dz[2]), _RUN_CHUNK):
         d, v = _chunk(dz, i), _chunk(w, i)
         if len(d[2]) >= _RUN_MIN and not (_has_tiny(d[0], d[1]) or _has_tiny(v[0], v[1])):
             zero = (d[0] == 0.0) & (d[1] == 0.0)
             # a zero DR gives a zero product, which the raw steps take for a
             # nonzero one; that is harmless only while the term is zero
-            if not (zero[1:].any() or (zero[0] and term is not None)):
+            if not (zero[1:].any() or (zero[0] and not term.is_zero)):
                 ts, es = _affine_raw(term, d, v)
                 raw = np.array(ts)
                 if not _has_tiny(raw.real, raw.imag):
-                    parts += _lane_parts(*normalize_lanes(raw.real[1:], raw.imag[1:], np.array(es[1:])))
-                    term = parts[-1]
+                    values += _lane_values(*normalize_lanes(raw.real[1:], raw.imag[1:], np.array(es[1:])))
+                    term = values[-1]
                     continue
-        for a, b in zip(_lane_parts(*d), _lane_parts(*v)):
+        for a, b in zip(_lane_values(*d), _lane_values(*v)):
             term = _add(_mul(a, term), b)
-            parts.append(term)
-    return parts
+            values.append(term)
+    return values
 
 
 def _affine_raw(term, dz, w):
     """_affine_run's steps on raw mantissas: the starting term, then each
     step's, as mantissas t and exponents E whose value is t * 2**E."""
-    t, frame = (0j, 0) if term is None else term
+    t, frame = term.mantissa, term.exponent
     ts, es = [t], [frame]
     for d, f, u, g in zip(_complex_list(dz[0], dz[1]), dz[2].tolist(), _complex_list(w[0], w[1]), w[2].tolist()):
         if t:

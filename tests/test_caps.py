@@ -183,6 +183,25 @@ def test_grid_at_the_cap_reaches_the_work(base, monkeypatch):
         main(base + ["--resolution", "1024,1024"])
 
 
+# a path is capped as a grid is, by its points, which are counted before
+# any of them is parsed
+def test_path_above_the_cap_rejected(capsys, monkeypatch):
+    for name in WORK + ("_parse_complex_list",):
+        monkeypatch.setattr(cli, name, _never_called)
+    for points in (MAX_PIXELS + 1, 2 * MAX_PIXELS):
+        assert main(["scan", "--path=" + ",".join(["0.3"] * points)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --path: {points} is above the cap of {MAX_PIXELS}\n"
+
+
+def test_path_at_the_cap_reaches_the_parse(monkeypatch):
+    for name in WORK:
+        monkeypatch.setattr(cli, name, _never_called)
+    monkeypatch.setattr(cli, "_parse_complex_list", _reached)
+    with pytest.raises(Reached):
+        main(["scan", "--path=" + ",".join(["0.3"] * MAX_PIXELS)])
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
     this process, so no worker process is started."""

@@ -48,7 +48,7 @@ VALUES = {
     "--d": (["2", "3"], ["0", "1", "x", str(MAX_DEGREE + 1)], []),
     "--region": (["-2:0.5:-1:1", "-0.1:0.1:-0.1:0.1"], ["", "1:0:0:1", "0:1", "x:0:0:1", "nan:0:0:1", "-inf:inf:-1:1"], []),
     "--resolution": (["1,1", "3,2"], ["", "2", "a,b", "0,2", "-1,-1", f"{MAX_PIXELS + 1},1"], []),
-    "--path": (["0", "-1,0.25"], ["", "x", "1e400", "0,,1"], []),
+    "--path": (["0", "-1,0.25"], ["", "x", "1e400", "0,,1", ",".join(["0"] * (MAX_PIXELS + 1))], []),
     "--orbit-length": (["16", "32"], ["15", "x", str(MAX_TERMS + 1)], []),
     "--max-iter": (["1", "8"], ["0", "x", str(MAX_TERMS + 1)], []),
     "--workers": (["1"], ["0", "x", "65"], []),

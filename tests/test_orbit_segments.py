@@ -37,15 +37,7 @@ from ratpert.orbits import (
     _tail_report,
 )
 from ratpert.serialize import decode, encode, json_dumps, json_loads
-from ratpert.xcomplex import (
-    _add,
-    _cdiv_lanes,
-    _from_parts,
-    _magnitude,
-    _mul,
-    _normalize,
-    _reciprocal,
-)
+from ratpert.xcomplex import XComplex, _add, _cdiv_lanes, _mul, _normalize, _reciprocal
 
 
 # The step-by-step loops iterate_orbit and obstruction_sequence ran before
@@ -60,7 +52,7 @@ def per_step_iterate_orbit(map, c, n_max, escape_radius=1e6):
     crit = [(cp, max(1.0, abs(cp))) for cp in map.critical_points]
     points = [c]
     value = eval_map(map, c)[0]
-    entry = (1 + 0j, 0)
+    entry = XComplex.one()
     cocycle = [entry]
     total = 1.0
     partials = [total]
@@ -91,7 +83,7 @@ def per_step_iterate_orbit(map, c, n_max, escape_radius=1e6):
 
             entry = _mul(entry, _normalize(dz.real, dz.imag, 0))
             cocycle.append(entry)
-            total += _magnitude(_reciprocal(entry))
+            total += _reciprocal(entry).magnitude()
             partials.append(total)
 
             if abs(z) > escape_radius:
@@ -115,8 +107,8 @@ def per_step_obstruction_sequence(orbit, v, n):
             f"orbit has {orbit.truncated_at + 1} points; n = {n} needs {n} points"
         )
 
-    parts = [None]
-    term = None
+    b = [XComplex.zero()]
+    term = XComplex.zero()
     for k, point in enumerate(orbit.points[:n]):
         dz = eval_map(orbit.map, point)[1]
         try:
@@ -129,9 +121,8 @@ def per_step_obstruction_sequence(orbit, v, n):
             raise InvalidOrbitError(f"v is not finite at orbit index {k}")
         product = _mul(_normalize(dz.real, dz.imag, 0), term)
         term = _add(product, _normalize(w.real, w.imag, 0))
-        parts.append(term)
+        b.append(term)
 
-    b = [_from_parts(x) for x in parts]
     exponent, evidence = _fit_growth(b)
     return ObstructionSeries(tuple(b), exponent, evidence)
 

@@ -14,14 +14,16 @@ from ratpert import XComplex, mantissa_ulp_gap
 from ratpert.xcomplex import (
     _RUN_CHUNK,
     _RUN_MIN,
+    _ZERO,
     _add,
     _affine_raw,
     _affine_run,
-    _lane_parts,
+    _lane_values,
+    _make,
     _mul,
     _normalize,
-    _parts_lanes,
     _product_run,
+    _value_lanes,
     normalize_lanes,
 )
 
@@ -188,9 +190,9 @@ class TestSlots:
 TINY = 2.0**-950  # a component this far below the modulus is "tiny"
 
 
-def bits(parts):
-    """Parts with their floats in hex, so that -0.0 and 0.0 differ."""
-    return [None if p is None else (p[0].real.hex(), p[0].imag.hex(), p[1]) for p in parts]
+def bits(values):
+    """Values with their floats in hex, so that -0.0 and 0.0 differ."""
+    return [(p.mantissa.real.hex(), p.mantissa.imag.hex(), p.exponent) for p in values]
 
 
 def product_steps(entry, factors):
@@ -225,7 +227,7 @@ def affine_steps(term, dz, w):
 
 
 def affine_case(term, pattern, n):
-    """dz and w parts of n steps of a repeating pattern, and the terms of
+    """dz and w values of n steps of a repeating pattern, and the terms of
     the scalar steps.  Each w is placed at a shift from its step's product,
     so additions land at the drop boundary; "cancel" is w = -DR * b, and
     "partial" leaves about 2**-shift of DR * b."""
@@ -234,13 +236,13 @@ def affine_case(term, pattern, n):
         d, kind, shift, u = pattern[k % len(pattern)]
         p = _mul(d, term)
         if kind == "zero-w":
-            u = None
-        elif kind == "cancel" and p is not None:
-            u = (-p[0], p[1])
-        elif kind == "partial" and p is not None:
-            u = _normalize(-p[0].real * (1 - 2.0**-shift), -p[0].imag * (1 - 2.0**-shift), p[1])
+            u = _ZERO
+        elif kind == "cancel" and p is not _ZERO:
+            u = _make(-p.mantissa, p.exponent)
+        elif kind == "partial" and p is not _ZERO:
+            u = _normalize(-p.mantissa.real * (1 - 2.0**-shift), -p.mantissa.imag * (1 - 2.0**-shift), p.exponent)
         else:
-            u = (u[0], (0 if p is None else p[1]) - shift + u[1])
+            u = _make(u.mantissa, p.exponent - shift + u.exponent)
         dz.append(d)
         w.append(u)
         term = _add(p, u)
@@ -266,12 +268,12 @@ _product_patterns = st.one_of(
 _affine_patterns = st.one_of(
     st.lists(_affine_steps(_plain_factors, _plain_factors), min_size=1, max_size=6),
     st.lists(
-        _affine_steps(st.one_of(_plain_factors, _tiny_factors, st.just(None)), st.one_of(_plain_factors, _tiny_factors)),
+        _affine_steps(st.one_of(_plain_factors, _tiny_factors, st.just(_ZERO)), st.one_of(_plain_factors, _tiny_factors)),
         min_size=1,
         max_size=6,
     ),
 )
-_terms = st.one_of(st.none(), _plain_factors, _tiny_factors)
+_terms = st.one_of(st.just(_ZERO), _plain_factors, _tiny_factors)
 
 
 class TestRuns:
@@ -281,14 +283,14 @@ class TestRuns:
     @given(st.one_of(_plain_factors, _tiny_factors), _product_patterns, _lengths)
     def test_product_run_is_the_mul_loop(self, entry, pattern, n):
         factors = (pattern * n)[:n]
-        parts, lanes = _product_run(entry, _parts_lanes(factors))
+        values, lanes = _product_run(entry, _value_lanes(factors))
         want = bits(product_steps(entry, factors))
-        assert bits(parts) == want and bits(_lane_parts(*lanes)) == want
+        assert bits(values) == want and bits(_lane_values(*lanes)) == want
 
     @given(_terms, _affine_patterns, _lengths)
     def test_affine_run_is_the_add_loop(self, term, pattern, n):
         dz, w, terms = affine_case(term, pattern, n)
-        assert bits(_affine_run(term, _parts_lanes(dz), _parts_lanes(w))) == bits(terms)
+        assert bits(_affine_run(term, _value_lanes(dz), _value_lanes(w))) == bits(terms)
 
     @pytest.mark.parametrize("growth", [600, 2000])
     def test_growth_past_the_rescale_then_additions(self, growth):
@@ -299,8 +301,8 @@ class TestRuns:
         tail = [(d, "shift", 52, d), (d, "cancel", 0, d), (d, "shift", 0, d), (d, "partial", 30, d), (d, "shift", 20, d)]
         pattern = [(d, "shift", 1000, d)] * growth + tail * 40
         dz, w, terms = affine_case(d, pattern, len(pattern))
-        assert any(t is None for t in terms) and max(t[1] for t in terms if t) > 600
-        assert bits(_affine_run(d, _parts_lanes(dz), _parts_lanes(w))) == bits(terms)
+        assert any(t is _ZERO for t in terms) and max(t.exponent for t in terms if t is not _ZERO) > 600
+        assert bits(_affine_run(d, _value_lanes(dz), _value_lanes(w))) == bits(terms)
 
     def test_product_a_place_below_the_frame(self):
         # hypot(d) rounds to 1, but |d| < 1, and hypot(d * d) < 1: the
@@ -309,18 +311,18 @@ class TestRuns:
         d = complex(float.fromhex("0x1.f5a2dd95948f6p-1"), float.fromhex("0x1.99fa66d135731p-3"))
         assert math.hypot(d.real, d.imag) == 1.0 and math.hypot((d * d).real, (d * d).imag) < 1.0
         n = 2 * _RUN_MIN
-        dz, w = [(d, 0)] * n, [(1.9 + 0j, -54)] * n
-        got, want = _affine_run((d, 0), _parts_lanes(dz), _parts_lanes(w)), affine_steps((d, 0), dz, w)
-        assert want[0] != _mul((d, 0), (d, 0)) and bits(got) == bits(want)
+        dz, w = [_make(d, 0)] * n, [_make(1.9 + 0j, -54)] * n
+        got, want = _affine_run(_make(d, 0), _value_lanes(dz), _value_lanes(w)), affine_steps(_make(d, 0), dz, w)
+        assert want[0] != _mul(_make(d, 0), _make(d, 0)) and bits(got) == bits(want)
 
     def test_first_step_of_a_series(self):
         # b[0] = 0 and DR = 0 at the critical point: b[1] = v there
         d = _normalize(1.5, -0.5, 2)
-        dz = [None] + [d] * 99
+        dz = [_ZERO] + [d] * 99
         w = [_normalize(0.25, 1.0, 0)] * 100
         with mock.patch("ratpert.xcomplex._mul", side_effect=_mul) as steps:
-            got = _affine_run(None, _parts_lanes(dz), _parts_lanes(w))
-        assert steps.call_count == 0 and bits(got) == bits(affine_steps(None, dz, w))
+            got = _affine_run(_ZERO, _value_lanes(dz), _value_lanes(w))
+        assert steps.call_count == 0 and bits(got) == bits(affine_steps(_ZERO, dz, w))
 
     def test_tiny_components_take_the_scalar_steps(self):
         # a component 2**-1060 of the modulus is subnormal: at the scale of
@@ -328,16 +330,16 @@ class TestRuns:
         # once.  Unguarded, the runs would differ from the steps.
         entry = _normalize(1.0, 2.0**-1060, 0)
         factors = [_normalize(1.9, 0.0, 0)] * 100
-        lanes = _parts_lanes(factors)
+        lanes = _value_lanes(factors)
         want = bits(product_steps(entry, factors))
-        raw = np.array(list(accumulate([m for m, _ in factors], mul, initial=entry[0]))[1:])
+        raw = np.array(list(accumulate([m.mantissa for m in factors], mul, initial=entry.mantissa))[1:])
         unguarded = normalize_lanes(raw.real, raw.imag, np.cumsum(lanes[2]))
-        assert bits(_lane_parts(*unguarded)) != want
+        assert bits(_lane_values(*unguarded)) != want
 
-        w = _parts_lanes([None] * 100)
+        w = _value_lanes([_ZERO] * 100)
         ts, es = _affine_raw(entry, lanes, w)
         raw = np.array(ts[1:])
-        assert bits(_lane_parts(*normalize_lanes(raw.real, raw.imag, np.array(es[1:])))) != want
+        assert bits(_lane_values(*normalize_lanes(raw.real, raw.imag, np.array(es[1:])))) != want
 
         with mock.patch("ratpert.xcomplex._mul", side_effect=_mul) as steps:
             assert bits(_product_run(entry, lanes)[0]) == want
@@ -349,6 +351,213 @@ class TestRuns:
         factors = [_normalize(1.9, 0.25, 0)] * 100
         w = [_normalize(1.0, -1.0, 3)] * 100
         with mock.patch("ratpert.xcomplex._mul", side_effect=_mul) as steps:
-            _product_run(entry, _parts_lanes(factors))
-            _affine_run(entry, _parts_lanes(factors), _parts_lanes(w))
+            _product_run(entry, _value_lanes(factors))
+            _affine_run(entry, _value_lanes(factors), _value_lanes(w))
         assert steps.call_count == 0
+
+
+# -- operator pins: the bits of every operator on zeros, cancellations,
+# addends at the drop boundary, hypot ties and huge exponents -------------
+
+_TIE = complex(float.fromhex("0x1.f5a2dd95948f6p-1"), float.fromhex("0x1.99fa66d135731p-3"))  # hypot rounds to 1
+_BELOW = complex(1 - 2.0**-53, 2.0**-30)  # hypot 1 - 2**-53
+_OPERANDS = {
+    "zero": XComplex.zero(),
+    "zero_e5": XComplex(0j, 5),  # hand-built zeros
+    "zero_neg_e-3": XComplex(-0j, -3),
+    "a": XComplex.from_complex(3 - 2j),
+    "b": XComplex.from_complex(-0.5 + 1e-3j),
+    "big": XComplex(1.25 + 0.5j, 2**70),
+    "small": XComplex(-1.5 + 0.25j, -(2**70)),
+    "tie": XComplex(_TIE, 0),
+    "below": XComplex(_BELOW, 0),
+    **{f"lo{k}": XComplex(1.75 - 0.25j, -k) for k in (52, 53, 54, 55)},  # addends k places below a
+}
+_INPUTS = {
+    "0j": 0j,
+    "-0j": -0j,
+    "tie": _TIE,
+    "tie*tie": _TIE * _TIE,
+    "below": _BELOW,
+    "3-2j": 3 - 2j,
+    "subnormal": 1e-310 + 0j,
+    "huge": 1.7e308 - 1.7e308j,
+}
+_OPS = {
+    "mul": lambda x, y: x * y,
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "div": lambda x, y: x / y,
+    "reciprocal": XComplex.reciprocal,
+    "magnitude": XComplex.magnitude,
+    "to_complex": XComplex.to_complex,
+}
+
+
+def _pinned(op, left, right):
+    """The result as hex bits: (re, im, exponent) of an XComplex, (re, im)
+    of a complex, the hex of a float, or the name of the exception."""
+    try:
+        if op == "from_complex":
+            r = XComplex.from_complex(_INPUTS[left])
+        else:
+            r = _OPS[op](*(_OPERANDS[k] for k in (left, right) if k is not None))
+    except (ZeroDivisionError, OverflowError) as e:
+        return type(e).__name__
+    if isinstance(r, XComplex):
+        return (r.mantissa.real.hex(), r.mantissa.imag.hex(), r.exponent)
+    if isinstance(r, complex):
+        return (r.real.hex(), r.imag.hex())
+    return r.hex()
+
+
+_PINS = [
+    ('mul', 'zero', 'a', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('mul', 'a', 'zero', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('mul', 'zero_e5', 'a', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('mul', 'a', 'zero_e5', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('mul', 'zero_neg_e-3', 'b', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('mul', 'zero_e5', 'zero_neg_e-3', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('mul', 'zero', 'zero', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('mul', 'a', 'a', ('0x1.4000000000000p-1', '-0x1.8000000000000p+0', 3)),
+    ('mul', 'a', 'b', ('-0x1.7f7ced916872bp+0', '0x1.00c49ba5e353fp+0', 0)),
+    ('mul', 'b', 'a', ('-0x1.7f7ced916872bp+0', '0x1.00c49ba5e353fp+0', 0)),
+    ('mul', 'tie', 'tie', ('0x1.d6f6dee8a894dp+0', '0x1.91adef449ab47p-1', -1)),
+    ('mul', 'tie', 'below', ('0x1.f5a2dd93fa94fp+0', '0x1.99fa66f08fa0ep-2', -1)),
+    ('mul', 'below', 'below', ('0x1.ffffffffffffep+0', '0x1.fffffffffffffp-29', -1)),
+    ('mul', 'big', 'big', ('0x1.5000000000000p+0', '0x1.4000000000000p+0', 2361183241434822606848)),
+    ('mul', 'big', 'small', ('-0x1.0000000000000p+0', '-0x1.c000000000000p-3', 1)),
+    ('mul', 'small', 'small', ('0x1.1800000000000p+0', '-0x1.8000000000000p-2', -2361183241434822606847)),
+    ('mul', 'a', 'big', ('0x1.3000000000000p+0', '-0x1.0000000000000p-2', 1180591620717411303426)),
+    ('mul', 'small', 'a', ('-0x1.0000000000000p+0', '0x1.e000000000000p-1', -1180591620717411303422)),
+    ('mul', 'a', 'lo52', ('0x1.3000000000000p+0', '-0x1.1000000000000p+0', -50)),
+    ('mul', 'a', 'lo53', ('0x1.3000000000000p+0', '-0x1.1000000000000p+0', -51)),
+    ('mul', 'a', 'lo54', ('0x1.3000000000000p+0', '-0x1.1000000000000p+0', -52)),
+    ('mul', 'a', 'lo55', ('0x1.3000000000000p+0', '-0x1.1000000000000p+0', -53)),
+    ('mul', 'lo52', 'a', ('0x1.3000000000000p+0', '-0x1.1000000000000p+0', -50)),
+    ('mul', 'lo55', 'a', ('0x1.3000000000000p+0', '-0x1.1000000000000p+0', -53)),
+    ('add', 'zero', 'a', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'a', 'zero', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'zero_e5', 'a', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'a', 'zero_e5', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'zero_neg_e-3', 'b', ('-0x1.0000000000000p+0', '0x1.0624dd2f1a9fcp-9', -1)),
+    ('add', 'zero_e5', 'zero_neg_e-3', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('add', 'zero', 'zero', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('add', 'a', 'a', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 2)),
+    ('add', 'a', 'b', ('0x1.4000000000000p+0', '-0x1.ffbe76c8b4396p-1', 1)),
+    ('add', 'b', 'a', ('0x1.4000000000000p+0', '-0x1.ffbe76c8b4396p-1', 1)),
+    ('add', 'tie', 'tie', ('0x1.f5a2dd95948f6p-1', '0x1.99fa66d135731p-3', 1)),
+    ('add', 'tie', 'below', ('0x1.fad16ecaca47ap+0', '0x1.99fa66f135731p-3', 0)),
+    ('add', 'below', 'below', ('0x1.fffffffffffffp+0', '0x1.0000000000000p-29', 0)),
+    ('add', 'big', 'big', ('0x1.4000000000000p+0', '0x1.0000000000000p-1', 1180591620717411303425)),
+    ('add', 'big', 'small', ('0x1.4000000000000p+0', '0x1.0000000000000p-1', 1180591620717411303424)),
+    ('add', 'small', 'small', ('-0x1.8000000000000p+0', '0x1.0000000000000p-2', -1180591620717411303423)),
+    ('add', 'a', 'big', ('0x1.4000000000000p+0', '0x1.0000000000000p-1', 1180591620717411303424)),
+    ('add', 'small', 'a', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'a', 'lo52', ('0x1.8000000000001p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'a', 'lo53', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'a', 'lo54', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'a', 'lo55', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'lo52', 'a', ('0x1.8000000000001p+0', '-0x1.0000000000000p+0', 1)),
+    ('add', 'lo55', 'a', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('sub', 'zero', 'a', ('-0x1.8000000000000p+0', '0x1.0000000000000p+0', 1)),
+    ('sub', 'a', 'zero', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('sub', 'zero_e5', 'a', ('-0x1.8000000000000p+0', '0x1.0000000000000p+0', 1)),
+    ('sub', 'a', 'zero_e5', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('sub', 'zero_neg_e-3', 'b', ('0x1.0000000000000p+0', '-0x1.0624dd2f1a9fcp-9', -1)),
+    ('sub', 'zero_e5', 'zero_neg_e-3', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('sub', 'zero', 'zero', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('sub', 'a', 'a', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('sub', 'a', 'b', ('0x1.c000000000000p-1', '-0x1.0020c49ba5e35p-1', 2)),
+    ('sub', 'b', 'a', ('-0x1.c000000000000p-1', '0x1.0020c49ba5e35p-1', 2)),
+    ('sub', 'tie', 'tie', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('sub', 'tie', 'below', ('-0x1.4ba44d4d6e120p-3', '0x1.99fa66b135731p+0', -3)),
+    ('sub', 'below', 'below', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('sub', 'big', 'big', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('sub', 'big', 'small', ('0x1.4000000000000p+0', '0x1.0000000000000p-1', 1180591620717411303424)),
+    ('sub', 'small', 'small', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('sub', 'a', 'big', ('-0x1.4000000000000p+0', '-0x1.0000000000000p-1', 1180591620717411303424)),
+    ('sub', 'small', 'a', ('-0x1.8000000000000p+0', '0x1.0000000000000p+0', 1)),
+    ('sub', 'a', 'lo52', ('0x1.7ffffffffffffp+0', '-0x1.0000000000000p+0', 1)),
+    ('sub', 'a', 'lo53', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('sub', 'a', 'lo54', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('sub', 'a', 'lo55', ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('sub', 'lo52', 'a', ('-0x1.7ffffffffffffp+0', '0x1.0000000000000p+0', 1)),
+    ('sub', 'lo55', 'a', ('-0x1.8000000000000p+0', '0x1.0000000000000p+0', 1)),
+    ('div', 'zero', 'a', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('div', 'a', 'zero', 'ZeroDivisionError'),
+    ('div', 'zero_e5', 'a', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('div', 'a', 'zero_e5', 'ZeroDivisionError'),
+    ('div', 'zero_neg_e-3', 'b', ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('div', 'zero_e5', 'zero_neg_e-3', 'ZeroDivisionError'),
+    ('div', 'zero', 'zero', 'ZeroDivisionError'),
+    ('div', 'a', 'a', ('0x1.0000000000000p+0', '0x0.0p+0', 0)),
+    ('div', 'a', 'b', ('-0x1.8082ada2881dbp+0', '0x1.fe7642e3b3ae1p-1', 2)),
+    ('div', 'b', 'a', ('-0x1.d93edb9bce37dp-1', '-0x1.3a21b6964aac6p-1', -3)),
+    ('div', 'tie', 'tie', ('0x1.0000000000000p+0', '0x0.0p+0', 0)),
+    ('div', 'tie', 'below', ('0x1.f5a2dd972e89ep-1', '0x1.99fa66b1db455p-3', 0)),
+    ('div', 'below', 'below', ('0x1.0000000000000p+0', '0x0.0p+0', 0)),
+    ('div', 'big', 'big', ('0x1.0000000000000p+0', '0x0.0p+0', 0)),
+    ('div', 'big', 'small', ('-0x1.83759f2298375p+0', '-0x1.d67c8a60dd67cp-1', 2361183241434822606847)),
+    ('div', 'small', 'small', ('0x1.ffffffffffffep+0', '0x0.0p+0', -1)),
+    ('div', 'a', 'big', ('0x1.8469ee58469efp-1', '-0x1.1a7b9611a7b96p+0', -1180591620717411303423)),
+    ('div', 'small', 'a', ('-0x1.89d89d89d89d8p+0', '-0x1.6276276276276p-1', -1180591620717411303426)),
+    ('div', 'a', 'lo52', ('0x1.d70a3d70a3d6fp-1', '-0x1.c28f5c28f5c28p-2', 53)),
+    ('div', 'a', 'lo53', ('0x1.d70a3d70a3d6fp-1', '-0x1.c28f5c28f5c28p-2', 54)),
+    ('div', 'a', 'lo54', ('0x1.d70a3d70a3d6fp-1', '-0x1.c28f5c28f5c28p-2', 55)),
+    ('div', 'a', 'lo55', ('0x1.d70a3d70a3d6fp-1', '-0x1.c28f5c28f5c28p-2', 56)),
+    ('div', 'lo52', 'a', ('0x1.c4ec4ec4ec4ecp+0', '0x1.b13b13b13b13cp-1', -54)),
+    ('div', 'lo55', 'a', ('0x1.c4ec4ec4ec4ecp+0', '0x1.b13b13b13b13cp-1', -57)),
+    ('reciprocal', 'zero', None, 'ZeroDivisionError'),
+    ('reciprocal', 'zero_e5', None, 'ZeroDivisionError'),
+    ('reciprocal', 'zero_neg_e-3', None, 'ZeroDivisionError'),
+    ('reciprocal', 'a', None, ('0x1.d89d89d89d89ep-1', '0x1.3b13b13b13b14p-1', -2)),
+    ('reciprocal', 'b', None, ('-0x1.ffff79c866299p+0', '-0x1.06249876fd02dp-8', 0)),
+    ('reciprocal', 'big', None, ('0x1.611a7b9611a7cp+0', '-0x1.1a7b9611a7b96p-1', -1180591620717411303425)),
+    ('reciprocal', 'small', None, ('-0x1.4c1bacf914c1bp+0', '-0x1.bacf914c1bacfp-3', 1180591620717411303423)),
+    ('reciprocal', 'tie', None, ('0x1.f5a2dd95948f7p-1', '-0x1.99fa66d135731p-3', 0)),
+    ('reciprocal', 'below', None, ('0x1.0000000000001p+0', '-0x1.0000000000002p-30', 0)),
+    ('reciprocal', 'lo52', None, ('0x1.1eb851eb851ebp+0', '0x1.47ae147ae147ap-3', 51)),
+    ('reciprocal', 'lo53', None, ('0x1.1eb851eb851ebp+0', '0x1.47ae147ae147ap-3', 52)),
+    ('reciprocal', 'lo54', None, ('0x1.1eb851eb851ebp+0', '0x1.47ae147ae147ap-3', 53)),
+    ('reciprocal', 'lo55', None, ('0x1.1eb851eb851ebp+0', '0x1.47ae147ae147ap-3', 54)),
+    ('magnitude', 'zero', None, '0x0.0p+0'),
+    ('magnitude', 'zero_e5', None, '0x0.0p+0'),
+    ('magnitude', 'zero_neg_e-3', None, '0x0.0p+0'),
+    ('magnitude', 'a', None, '0x1.cd82b446159f3p+1'),
+    ('magnitude', 'b', None, '0x1.0000218ded0e8p-1'),
+    ('magnitude', 'big', None, 'inf'),
+    ('magnitude', 'small', None, '0x0.0p+0'),
+    ('magnitude', 'tie', None, '0x1.0000000000000p+0'),
+    ('magnitude', 'below', None, '0x1.fffffffffffffp-1'),
+    ('magnitude', 'lo52', None, '0x1.c48c6001f0ac0p-52'),
+    ('magnitude', 'lo53', None, '0x1.c48c6001f0ac0p-53'),
+    ('magnitude', 'lo54', None, '0x1.c48c6001f0ac0p-54'),
+    ('magnitude', 'lo55', None, '0x1.c48c6001f0ac0p-55'),
+    ('to_complex', 'zero', None, ('0x0.0p+0', '0x0.0p+0')),
+    ('to_complex', 'zero_e5', None, ('0x0.0p+0', '0x0.0p+0')),
+    ('to_complex', 'zero_neg_e-3', None, ('0x0.0p+0', '0x0.0p+0')),
+    ('to_complex', 'a', None, ('0x1.8000000000000p+1', '-0x1.0000000000000p+1')),
+    ('to_complex', 'b', None, ('-0x1.0000000000000p-1', '0x1.0624dd2f1a9fcp-10')),
+    ('to_complex', 'big', None, 'OverflowError'),
+    ('to_complex', 'small', None, ('-0x0.0p+0', '0x0.0p+0')),
+    ('to_complex', 'tie', None, ('0x1.f5a2dd95948f6p-1', '0x1.99fa66d135731p-3')),
+    ('to_complex', 'below', None, ('0x1.fffffffffffffp-1', '0x1.0000000000000p-30')),
+    ('to_complex', 'lo52', None, ('0x1.c000000000000p-52', '-0x1.0000000000000p-54')),
+    ('to_complex', 'lo53', None, ('0x1.c000000000000p-53', '-0x1.0000000000000p-55')),
+    ('to_complex', 'lo54', None, ('0x1.c000000000000p-54', '-0x1.0000000000000p-56')),
+    ('to_complex', 'lo55', None, ('0x1.c000000000000p-55', '-0x1.0000000000000p-57')),
+    ('from_complex', '0j', None, ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('from_complex', '-0j', None, ('0x0.0p+0', '0x0.0p+0', 0)),
+    ('from_complex', 'tie', None, ('0x1.f5a2dd95948f6p-1', '0x1.99fa66d135731p-3', 0)),
+    ('from_complex', 'tie*tie', None, ('0x1.d6f6dee8a894dp+0', '0x1.91adef449ab47p-1', -1)),
+    ('from_complex', 'below', None, ('0x1.fffffffffffffp+0', '0x1.0000000000000p-29', -1)),
+    ('from_complex', '3-2j', None, ('0x1.8000000000000p+0', '-0x1.0000000000000p+0', 1)),
+    ('from_complex', 'subnormal', None, ('0x1.2688b70e62b00p+0', '0x0.0p+0', -1030)),
+    ('from_complex', 'huge', None, ('0x1.e42d130773b76p-1', '-0x1.e42d130773b76p-1', 1024)),
+]
+
+
+@pytest.mark.parametrize("op, left, right, want", _PINS)
+def test_operator_bits(op, left, right, want):
+    assert _pinned(op, left, right) == want
