@@ -67,7 +67,8 @@ from .xcomplex import add_lanes, cmul_lanes, mul_lanes, normalize_lanes
 
 #: Break-even lane count of the candidate loop: on z**2 + c and z**3 + c
 #: candidates near the boundary it was slower than the per-point chain
-#: (iterate_orbit and obstruction_sequence in segments) below 20-24 lanes
+#: (iterate_orbit and obstruction_sequence, measured when they still ran
+#: in segments of SEGMENT_ENTRIES steps) below 20-24 lanes
 #: and faster above, at orbit lengths 256 and 1024; the per-point/lanes
 #: time ratio was 0.5-0.9 at 12 lanes, 0.9-1.0 at 20 and 1.2-1.7 at 32
 #: (2-CPU x86-64 box, Python 3.11, numpy 2.4).  Against the step-by-step
@@ -82,7 +83,8 @@ MIN_LANES = 20
 #: of a very long orbit need more.
 BLOCK_ENTRIES = 1 << 16
 
-#: Lanes times steps of a segment of the step loop (at least one step).  A
+#: Lanes times steps of a segment of _run_block's step loop (at least one
+#: step); the scalar orbit and series run in one pass, not in segments.  A
 #: scan-boundary scan (about 185 candidates, orbit 256) ran about as fast
 #: with 2,048 to 4,096 entries a segment and 10% slower with 1,024, and the
 #: scan raised peak RSS by 1.3 MB at 2,048 and by 1.6-1.8 MB at 4,096.

@@ -63,17 +63,14 @@ def obstruction_sequence(
 ) -> ObstructionSeries:
     """Generate b[0..n] by the forward recurrence in XComplex arithmetic.
 
-    The sequence runs in segments of lanes.SEGMENT_ENTRIES steps: DR
-    (maps._derivative_lanes, eval_map's bits) and v, normalized, over a
-    whole segment at once, then the recurrence alone, a run on raw
+    DR (maps._derivative_lanes, eval_map's bits) and v, normalized, over
+    the whole orbit at once, then the recurrence alone, a run on raw
     mantissas normalized once a chunk (xcomplex._affine_run, the values of
     the _mul and _add steps bit for bit), whose XComplex values extend b as
     they are.  Fresh, decoded and hand-built records take this one path.
     At the first orbit point where eval_map raises PoleError this raises it
     too; at the first where DR or v is not finite, InvalidOrbitError.
     """
-    from .lanes import SEGMENT_ENTRIES
-
     if orbit.has_critical_relation:
         raise InvalidOrbitError("orbit carries a critical relation")
     if n < 1:
@@ -85,26 +82,23 @@ def obstruction_sequence(
 
     with _collector_paused():
         points = orbit.points[:n]
-        b = [XComplex.zero()]
-        for k0 in range(0, n, SEGMENT_ENTRIES):
-            seg_points = points[k0 : k0 + SEGMENT_ENTRIES]
-            # DR and v of the whole segment, normalized
-            with np.errstate(all="ignore"):
-                zs = np.array(seg_points, dtype=complex)
-                dr, di, pole = _derivative_lanes(orbit.map, zs.real, zs.imag)
-                wr, wi = _field_lanes(v, zs.real, zs.imag)
-                dz_finite = np.isfinite(dr) & np.isfinite(di)
-                bad = pole | ~(dz_finite & np.isfinite(wr) & np.isfinite(wi))
-                if bad.any():
-                    s = int(np.argmax(bad))
-                    if pole[s]:
-                        raise PoleError(f"evaluation at {seg_points[s]} is within pole tolerance")
-                    what = "v" if dz_finite[s] else "DR"
-                    raise InvalidOrbitError(f"{what} is not finite at orbit index {k0 + s}")
-                dz = normalize_lanes(dr, di, 0)
-                w = normalize_lanes(wr, wi, 0)
-            # the recurrence alone
-            b += _affine_run(b[-1], dz, w)
+        # DR and v of every point, normalized
+        with np.errstate(all="ignore"):
+            zs = np.array(points, dtype=complex)
+            dr, di, pole = _derivative_lanes(orbit.map, zs.real, zs.imag)
+            wr, wi = _field_lanes(v, zs.real, zs.imag)
+            dz_finite = np.isfinite(dr) & np.isfinite(di)
+            bad = pole | ~(dz_finite & np.isfinite(wr) & np.isfinite(wi))
+            if bad.any():
+                k = int(np.argmax(bad))
+                if pole[k]:
+                    raise PoleError(f"evaluation at {points[k]} is within pole tolerance")
+                what = "v" if dz_finite[k] else "DR"
+                raise InvalidOrbitError(f"{what} is not finite at orbit index {k}")
+            dz = normalize_lanes(dr, di, 0)
+            w = normalize_lanes(wr, wi, 0)
+        # the recurrence alone
+        b = [XComplex.zero(), *_affine_run(XComplex.zero(), dz, w)]
 
         exponent, evidence = _fit_growth(b)
         return ObstructionSeries(tuple(b), exponent, evidence)

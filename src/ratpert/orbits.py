@@ -105,20 +105,20 @@ def iterate_orbit(
     point whose DR is not finite (an iterate that overflowed before it
     passed escape_radius) raises InvalidOrbitError.
 
-    The orbit runs in segments of lanes.SEGMENT_ENTRIES steps, each in three
-    passes: the orbit points alone; DR and every test on the points, over
-    the whole segment at once (_step_tests); and the cocycle product alone,
-    a run on raw mantissas normalized once a chunk (xcomplex._product_run,
-    _mul's values bit for bit).  The partial sums read the run's normalized
-    lanes, and the record keeps the run's XComplex values as they are.  A
-    near relation only warns, so the third pass runs up to the first step
-    that ends the orbit (an escape step included), and that step reads the
-    same tests: records, exceptions and warnings are those of a
-    step-by-step loop.  The record keeps no DR: obstruction_sequence forms it again
+    The orbit runs in three passes: the orbit points alone, up to n_max or
+    the first point that leaves the radius or whose image cannot be formed;
+    DR and every test on the points, over the whole orbit at once
+    (_step_tests); and the cocycle product alone, a run on raw mantissas
+    normalized once a chunk (xcomplex._product_run, _mul's values bit for
+    bit).  The partial sums read the run's normalized lanes, and the record
+    keeps the run's XComplex values as they are.  A near relation only
+    warns, so the third pass runs up to the first step that ends the orbit
+    (an escape step included), and that step reads the same tests: records,
+    exceptions and warnings are those of a step-by-step loop.  The working
+    arrays grow with the orbit, since the first pass does not stop at a
+    relation.  The record keeps no DR: obstruction_sequence forms it again
     from the points, by the same lanes.
     """
-    from .lanes import SEGMENT_ENTRIES  # lanes imports this module
-
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not 0 < escape_radius < math.inf:
@@ -131,74 +131,65 @@ def iterate_orbit(
         num = map.numerator.coefficients
         den = None if map.is_polynomial else map.denominator.coefficients
         q0 = map.denominator.coefficients[0]
-        points: list[complex] = [c]
+        # (a) the orbit alone, up to a point that leaves the radius or whose
+        # image cannot be formed: the step there ends the orbit
+        orbit: list[complex] = []
         value = eval_map(map, c)[0]
-        entry = XComplex.one()
-        cocycle: list[XComplex] = [entry]
-        partials: list[float] = [1.0]
-        escaped_at: int | None = None
-        index = 0  # the last step taken
+        try:
+            for _ in range(n_max):
+                z = value
+                orbit.append(z)
+                if not abs(z) <= escape_radius:
+                    break
+                p = _horner(num, z)
+                value = p / q0 if den is None else p / _horner(den, z)
+        except (OverflowError, ZeroDivisionError):
+            pass
 
-        while index < n_max and escaped_at is None:
-            # (a) the orbit alone, up to a point that leaves the radius or
-            # whose image cannot be formed: the step there ends the orbit
-            segment: list[complex] = []
-            try:
-                for _ in range(min(SEGMENT_ENTRIES, n_max - index)):
-                    z = value
-                    segment.append(z)
-                    if not abs(z) <= escape_radius:
-                        break
-                    p = _horner(num, z)
-                    value = p / q0 if den is None else p / _horner(den, z)
-            except (OverflowError, ZeroDivisionError):
-                pass
+        # (b) DR and the tests of every point
+        with np.errstate(all="ignore"):
+            zs = np.array(orbit, dtype=complex)
+            dzr, dzi, pole, nearest, size, _ = _step_tests(map, zs.real, zs.imag, escape_radius)
+            dz = normalize_lanes(dzr, dzi, 0)
+            finite = np.isfinite(dzr) & np.isfinite(dzi)
+            relation = (nearest < RELATION_TOL) | ((dzr == 0.0) & (dzi == 0.0))
+            ends = pole | relation | ~finite | ~(size <= escape_radius)
+            near = (nearest < NEAR_RELATION_TOL) & ~pole & ~relation
+        cut = int(ends.argmax()) if ends.any() else len(orbit)
+        # the step of an escape is regular but for the radius: its DR is
+        # finite and nonzero, so the run takes it too
+        escape = cut < len(orbit) and not (pole[cut] or relation[cut] or not finite[cut])
 
-            # (b) DR and the tests of every point, for the whole segment
-            with np.errstate(all="ignore"):
-                zs = np.array(segment, dtype=complex)
-                dzr, dzi, pole, nearest, size, _ = _step_tests(map, zs.real, zs.imag, escape_radius)
-                dz = normalize_lanes(dzr, dzi, 0)
-                finite = np.isfinite(dzr) & np.isfinite(dzi)
-                relation = (nearest < RELATION_TOL) | ((dzr == 0.0) & (dzi == 0.0))
-                ends = pole | relation | ~finite | ~(size <= escape_radius)
-                near = (nearest < NEAR_RELATION_TOL) & ~pole & ~relation
-            cut = int(ends.argmax()) if ends.any() else len(segment)
-            # the step of an escape is regular but for the radius: its DR
-            # is finite and nonzero, so the run takes it too
-            escape = cut < len(segment) and not (pole[cut] or relation[cut] or not finite[cut])
-
-            # (c) the cocycle product alone, up to the step that ends the orbit
-            for k in np.flatnonzero(near[: cut + 1]).tolist():
-                warnings.warn(
-                    f"orbit within {float(nearest[k]):.2e} of a critical point at index {index + 1 + k}",
-                    NearCriticalRelationWarning,
-                    stacklevel=2,
-                )
-            run, lanes = _product_run(entry, tuple(x[: cut + escape] for x in dz))
-            cocycle += run
-            entry = cocycle[-1]
-            _extend_partial_sums(partials, lanes)
-            points.extend(segment[: cut + 1])
-            index = len(points) - 1
-            if cut < len(segment):
-                if pole[cut]:  # eval_map's error
-                    raise PoleError(f"evaluation at {segment[cut]} is within pole tolerance")
-                if not finite[cut]:
-                    raise InvalidOrbitError(
-                        f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
-                    )
-                if relation[cut]:
-                    cocycle.append(_mul(entry, _lane_values(*(x[cut : cut + 1] for x in dz))[0]))
-                    partials.append(math.inf)
-                    raise CriticalRelationError(
-                        f"orbit landed on a critical point at index {index}",
-                        index=index,
-                        orbit=_orbit_record(map, points, cocycle, partials, None, index),
-                    )
-                escaped_at = index
-
-        return _orbit_record(map, points, cocycle, partials, escaped_at, None)
+        # (c) the cocycle product alone, up to the step that ends the orbit
+        for k in np.flatnonzero(near[: cut + 1]).tolist():
+            warnings.warn(
+                f"orbit within {float(nearest[k]):.2e} of a critical point at index {k + 1}",
+                NearCriticalRelationWarning,
+                stacklevel=2,
+            )
+        run, lanes = _product_run(XComplex.one(), tuple(x[: cut + escape] for x in dz))
+        cocycle = [XComplex.one(), *run]
+        with np.errstate(over="ignore"):
+            partials = [1.0, *_reciprocal_sums(np.array(1.0), lanes).tolist()]
+        points = [c, *orbit[: cut + 1]]
+        index = len(points) - 1
+        if cut == len(orbit):
+            return _orbit_record(map, points, cocycle, partials, None, None)
+        if pole[cut]:  # eval_map's error
+            raise PoleError(f"evaluation at {orbit[cut]} is within pole tolerance")
+        if not finite[cut]:
+            raise InvalidOrbitError(
+                f"orbit overflowed at index {index} before passing the escape radius {escape_radius:g}"
+            )
+        if relation[cut]:
+            cocycle.append(_mul(cocycle[-1], _lane_values(*(x[cut : cut + 1] for x in dz))[0]))
+            partials.append(math.inf)
+            raise CriticalRelationError(
+                f"orbit landed on a critical point at index {index}",
+                index=index,
+                orbit=_orbit_record(map, points, cocycle, partials, None, index),
+            )
+        return _orbit_record(map, points, cocycle, partials, index, None)
 
 
 def _orbit_record(map, points, cocycle, partials, escaped_at, relation_at):
@@ -239,14 +230,6 @@ def _reciprocal_sums(first, lanes):
     re, im, e = reciprocal_lanes(lanes)
     terms = np.ldexp(np.hypot(re, im), e)
     return np.add.accumulate(np.concatenate([first[None], terms]), axis=0)[1:]
-
-
-def _extend_partial_sums(partials: list[float], cocycle) -> None:
-    """Append the running sums of 1/|x| over the (nonzero) normalized lanes
-    cocycle (_reciprocal_sums)."""
-    if len(cocycle[2]):
-        with np.errstate(over="ignore"):
-            partials.extend(_reciprocal_sums(np.array(partials[-1]), cocycle).tolist())
 
 
 @dataclass(frozen=True)
@@ -403,11 +386,19 @@ def classify_parameter(
     coincidence (`cycles.cycle_from_point`: its Newton, minimal period and
     residual gate `_within_tolerance` at CYCLE_DETECT_TOL) and
     |multiplier| < 1.  A coincidence distance that overflows is none.
-    Anything else is undecided within the budget.
+    Anything else is undecided within the budget.  A c whose modulus is
+    not finite, an n_max below 1 and an escape_radius that is not positive
+    and finite raise ValueError.
     """
     if d < 2:
         raise ValueError("family degree must be >= 2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if escape_radius is not None and not 0 < escape_radius < math.inf:
+        raise ValueError(f"escape_radius must be positive and finite, got {escape_radius}")
     c = complex(c)
+    if not math.isfinite(math.hypot(c.real, c.imag)):
+        raise ValueError(f"parameter {c} or its modulus is not finite")
     radius = default_escape_radius(d, c) if escape_radius is None else escape_radius
 
     z = 0j

@@ -240,12 +240,10 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> list[complex]:
     abs_coeffs = np.abs(coeffs)
 
     def settled(z, pv):
-        # residual scale on np.abs(coeffs), not eval_scale's abs(complex);
-        # an overflowed scale would let inf <= inf pass
-        az = np.abs(z)
-        scale = np.zeros(n)
-        for a in abs_coeffs[::-1]:
-            scale = scale * az + a
+        # residual scale on np.abs(coeffs), not eval_scale's abs(complex):
+        # abs() of a float64 is itself; an overflowed scale would let inf <=
+        # inf pass
+        scale = _horner_scale(abs_coeffs, z)
         return (np.abs(pv) <= tol * np.maximum(scale, 1e-300)) & np.isfinite(scale)
 
     for _ in range(max_iter):

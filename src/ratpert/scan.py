@@ -108,6 +108,12 @@ class ScanConfig:
                 raise ValueError("resolution must be >= 1 in each axis")
         elif not self.path:
             raise ValueError("path must be nonempty")
+        else:
+            path = np.asarray(self.path, dtype=complex)
+            with np.errstate(over="ignore"):
+                bad = ~np.isfinite(np.hypot(path.real, path.imag))
+            if bad.any():
+                raise ValueError(f"path point {complex(path[bad.argmax()])} or its modulus is not finite")
 
     def points(self) -> tuple[complex, ...]:
         """Scan points: the path as given, or grid pixel centers row-major
@@ -380,6 +386,10 @@ def render_escape(
         raise ValueError("render_escape needs region and resolution")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if julia_c is not None:
+        julia_c = complex(julia_c)
+        if not math.isfinite(math.hypot(julia_c.real, julia_c.imag)):
+            raise ValueError(f"julia_c {julia_c} or its modulus is not finite")
     nx, ny = config.resolution
     r = config.region
     pixels = r._pixel_centres(nx, ny)
@@ -393,7 +403,7 @@ def render_escape(
         if not math.isfinite(scale):
             scale = math.hypot(re, im)
     else:
-        z, c, scale = pixels, np.full_like(pixels, complex(julia_c)), julia_c
+        z, c, scale = pixels, np.full_like(pixels, julia_c), julia_c
     radius = config.escape_radius
     if radius is None:
         radius = default_escape_radius(config.d, scale)

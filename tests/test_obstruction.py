@@ -293,7 +293,7 @@ def test_obstruction_cli_output_pinned(capsysbinary):
 ], ids=["c=i", "rational", "rabbit"])
 def test_long_series_cli_output_pinned(capsysbinary, args, expected):
     # sha256 of the output before b ran on raw mantissas (CPython 3.11,
-    # x86-64 Linux).  All three cross segments and chunks; the last two run
+    # x86-64 Linux).  All three cross run chunks; the last two run
     # on orbits that are not exact in binary.  At the rabbit b stays
     # bounded, so every step adds v and the raw term is rescaled 146 times.
     assert main(["obstruction", *args]) == 0

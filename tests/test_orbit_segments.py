@@ -1,12 +1,12 @@
-"""iterate_orbit and obstruction_sequence in segments against their
-step-by-step loops: records, series, exceptions and warnings, bit for bit."""
+"""iterate_orbit and obstruction_sequence, each one pass over the orbit,
+against their step-by-step loops: records, series, exceptions and warnings,
+bit for bit."""
 
 import cmath
 import dataclasses
 import math
 import sys
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from ratpert import (
     obstruction_sequence,
     summability_report,
 )
-from ratpert import lanes
 from ratpert.maps import _derivative_lanes
 from ratpert.obstruction import ObstructionSeries, _fit_growth
 from ratpert.orbits import (
@@ -220,20 +219,18 @@ def orbit_cases(draw):
         m, start = CHEBYSHEV_CUBIC, draw(st.sampled_from([0.5, -0.5]))
         radius = 1e6
     n_max = draw(st.one_of(st.integers(1, 300), st.sampled_from([2047, 2048, 2049])))
-    segment = draw(st.sampled_from([1, 2, 7, 64, lanes.SEGMENT_ENTRIES]))
-    return m, start, n_max, radius, segment
+    return m, start, n_max, radius
 
 
 @settings(max_examples=40)
 @given(orbit_cases(), st.sampled_from(FIELDS))
 def test_segments_match_the_step_by_step_loops(case, v):
-    m, start, n_max, radius, segment = case
-    with mock.patch.object(lanes, "SEGMENT_ENTRIES", segment):
-        orbit, _ = assert_same_orbit(m, start, n_max, radius)
-        if not isinstance(orbit, Exception):
-            assert_same_series(orbit, v, orbit.truncated_at + 1)
-            decoded = decode(json_loads(json_dumps(encode(orbit))))
-            assert_same_series(decoded, v, max(1, orbit.truncated_at // 2))
+    m, start, n_max, radius = case
+    orbit, _ = assert_same_orbit(m, start, n_max, radius)
+    if not isinstance(orbit, Exception):
+        assert_same_series(orbit, v, orbit.truncated_at + 1)
+        decoded = decode(json_loads(json_dumps(encode(orbit))))
+        assert_same_series(decoded, v, max(1, orbit.truncated_at // 2))
 
 
 # -- where and in which order a step's events happen -------------------------
@@ -253,19 +250,24 @@ def _orbit_point(m, index):
     return z
 
 
-@pytest.mark.parametrize("segment", [1, 2, 3, lanes.SEGMENT_ENTRIES])
+# n_max: the pole met at the orbit's last point, one step before the end,
+# never reached, and far inside a long orbit
+@pytest.mark.parametrize("n_max", [1, 2, 3, 2048])
 @pytest.mark.parametrize("m,index", [
     # 0 -> -1, and q(-1) = 0 exactly: no ZeroDivisionError
     (MapSpec.rational(Polynomial((1,)), Polynomial((-1, 0, 1))), 1),
     # 0 -> -1 -> 1/2, and q(1/2) = 8/4 - 2 = 0 exactly
     (MapSpec.rational(Polynomial((2, 0, 1)), Polynomial((-2, 0, 8))), 2),
 ])
-def test_pole_on_the_orbit(m, index, segment):
+def test_pole_on_the_orbit(m, index, n_max):
     assert m.denominator(m.critical_points[0]) != 0
-    with mock.patch.object(lanes, "SEGMENT_ENTRIES", segment):
-        got, _ = assert_same_orbit(m, 0j, 50, 1e6)
-    assert isinstance(got, PoleError) and "within pole tolerance" in str(got)
     assert m.denominator(_orbit_point(m, index)) == 0
+    got, _ = assert_same_orbit(m, 0j, n_max, 1e6)
+    if n_max < index:
+        # the orbit stops short of the pole
+        assert got.truncated_at == n_max and len(got.points) == n_max + 1
+    else:
+        assert isinstance(got, PoleError) and "within pole tolerance" in str(got)
 
 
 def test_derivative_exactly_zero_beats_the_escape():
@@ -289,8 +291,8 @@ def test_derivative_overflow_beats_the_escape():
 
 def test_modulus_overflow_is_an_invalid_orbit():
     # z_2 = c^2 + c has finite parts and |z_2| overflows: the step-by-step
-    # loop's abs(z - cp) raises OverflowError there, while the segments read
-    # np.hypot's inf and DR(z_2) = 2 z_2, which is not finite
+    # loop's abs(z - cp) raises OverflowError there, while iterate_orbit
+    # reads np.hypot's inf and DR(z_2) = 2 z_2, which is not finite
     m = MapSpec.unicritical(2, 1.2528e154 + 5.189e153j)
     with pytest.raises(OverflowError):
         per_step_iterate_orbit(m, 0j, 50, 1e300)
@@ -311,7 +313,7 @@ NEAR_THEN_ESCAPE = MapSpec.polynomial(Polynomial((1 + 1e-7, -3, 0, 1)))
     (MapSpec.unicritical(2, 1e300), 0j, 1e300, InvalidOrbitError),
 ])
 def test_eval_map_only_at_the_start(m, start, radius, ending):
-    # every orbit point is measured by the segment's lanes, the one that
+    # every orbit point is measured by the orbit's lanes, the one that
     # ends the orbit included; eval_map gives only the first image
     got, caught = assert_same_orbit(m, start, 50, radius)
     if ending == "escape":
@@ -331,6 +333,11 @@ def test_eval_map_only_at_the_start(m, start, radius, ending):
     finally:
         sys.setprofile(None)
     assert calls == [start]
+
+
+# The lengths 2047 to 2049 and 4097 below were the boundaries of the
+# 2,048-step segments these functions once ran in; they still straddle
+# multiples of the runs' 512-step chunks (xcomplex._RUN_CHUNK).
 
 
 def _drift_radius(n):

@@ -184,6 +184,23 @@ class TestClassifyParameter:
         assert classify_parameter(c, 2, escape_radius=1e300) == escaping
         assert _classify_lanes([c] * 20, [1e300] * 20, 2, 2048) == [escaping] * 20
 
+    @pytest.mark.parametrize("c", [1.7e308 + 1.7e308j, complex(math.nan, 0), complex(0, -math.inf)])
+    def test_parameter_modulus_must_be_finite(self, c):
+        # abs(c) in default_escape_radius overflows, and a nan or inf c
+        # would read as escaping at step 1
+        with pytest.raises(ValueError, match="modulus is not finite"):
+            classify_parameter(c, 2)
+
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_n_max_must_be_positive(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            classify_parameter(0.3, 2, n_max=n_max)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.0, -1.0])
+    def test_escape_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="escape_radius must be positive and finite"):
+            classify_parameter(0.3, 2, escape_radius=radius)
+
     def test_outside_disk_escapes(self):
         import random
 
@@ -473,7 +490,7 @@ def test_orbit_cli_output_pinned(capsysbinary):
 def test_long_inexact_orbit_cli_output_pinned(capsysbinary):
     # sha256 of the output before the cocycle ran on raw mantissas (CPython
     # 3.11, x86-64 Linux): an orbit whose points are not exact in binary,
-    # across ten segments and forty product chunks
+    # across forty product chunks
     assert main(["orbit", "--map", "rational:-2,0,1/1,0,0.001", "--n-max", "20000"]) == 0
     digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     assert digest == "3d1e4bd35c1df4a2652c938871a95b84ab033c429551fedf13faa7778d35e720"

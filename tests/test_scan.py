@@ -126,6 +126,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="escape_radius"):
             ScanConfig(d=2, path=(0j,), escape_radius=radius)
 
+    @pytest.mark.parametrize("point", [1.7e308 + 1.7e308j, complex(math.nan, 0), complex(0, math.inf)])
+    def test_path_modulus_must_be_finite(self, point):
+        # abs(c) in default_escape_radius overflows, and a nan or inf c
+        # would read as escaping
+        with pytest.raises(ValueError, match="modulus is not finite"):
+            ScanConfig(path=(0.3, point), orbit_length=16)
+
     def test_grid_points_row_major_pixel_centers(self):
         config = ScanConfig(
             d=2, region=Rectangle(0, 1, 0, 2), resolution=(2, 2), orbit_length=16
@@ -644,6 +651,14 @@ class TestRenderEscape:
         assert counts.tolist() == [[2, 2], [2, 2]]
         radius = default_escape_radius(2, abs(c))
         assert (counts.ravel() == scan_module._escape_counts(np.zeros(4, complex), np.full(4, c), radius, 256, 2)).all()
+
+    @pytest.mark.parametrize("julia_c", [1.7e308 + 1.7e308j, complex(math.nan, 0), complex(math.inf, 1)])
+    def test_julia_parameter_modulus_must_be_finite(self, julia_c):
+        # the default radius reads abs(julia_c), and a nan julia_c would
+        # count every pixel as escaped at step 1
+        config = ScanConfig(d=2, region=Rectangle(-2, 2, -2, 2), resolution=(4, 4))
+        with pytest.raises(ValueError, match="modulus is not finite"):
+            render_escape(config, 8, julia_c=julia_c)
 
     def test_deterministic(self):
         config = ScanConfig(
