@@ -13,9 +13,12 @@ per candidate; here the lanes keep only what the verdict and the fit read.
 The candidate loop runs in segments of a few steps.  In each, a sequential
 pass advances the orbit alone; one vectorized pass over the segment's steps
 and lanes evaluates DR and the field and makes every test on the orbit
-points; a second sequential pass runs only the recurrences, the cocycle
-product and b; and the reciprocals of the cocycle and the partial sums of
-their moduli are again taken over the whole segment at once.
+points; then the recurrences run as raw-mantissa runs on lanes
+(xcomplex.product_lanes and affine_lanes: the cocycle product one complex
+multiply a step, b about 25 numpy calls a step), normalized once a segment;
+and the reciprocals of the cocycle and the partial sums of their moduli are
+again taken over the whole segment at once.  After the last segment one
+growth fit covers every lane (obstruction._fit_lanes).
 
 Lane values repeat the scalar arithmetic step for step, so every lane is
 bit-identical to the scalar path: extended-range values and their
@@ -34,13 +37,16 @@ A candidate lane whose orbit does anything the scalar path reports or
 treats specially leaves the batch (its result is None) and the caller runs
 the scalar path for it: a critical or near-critical relation, a vanishing
 derivative, escape, a non-finite value, and summable evidence (whose
-constant-field functional needs the whole orbit).  The field is evaluated
-as the scalar path evaluates it (fields._field_lanes), a rational one
-included.
+constant-field functional needs the whole orbit).  So does a lane on one
+of the rare branches the raw runs do not follow in lockstep (a tiny
+component, v far above DR b, a hypot tie at the drop boundary, a zero v or
+b after the start; see product_lanes and affine_lanes).  The field is
+evaluated as the scalar path evaluates it (fields._field_lanes), a
+rational one included.
 
 A step of the candidate loop costs about as much as a step of the per-point
-chain for MIN_LANES candidates, and a step of the classifier about as much
-as 15-20 scalar classification steps; the scan sends chunks with fewer than
+chain for 8-12 candidates, and a step of the classifier about as much as
+15-20 scalar classification steps; the scan sends chunks with fewer than
 MIN_LANES points or candidates to the scalar code.
 """
 
@@ -52,7 +58,7 @@ import numpy as np
 
 from .fields import VectorFieldSpec, _field_lanes
 from .maps import MapSpec
-from .obstruction import _fit_moduli, _fit_start
+from .obstruction import _fit_lanes, _fit_start
 from .orbits import (
     CYCLE_DETECT_TOL,
     STABILIZATION_TOL,
@@ -63,18 +69,17 @@ from .orbits import (
     _tail_report,
     default_summability_window,
 )
-from .xcomplex import add_lanes, cmul_lanes, mul_lanes, normalize_lanes
+from .xcomplex import _RUN_CHUNK, affine_lanes, cmul_lanes, normalize_lanes, product_lanes
 
-#: Break-even lane count of the candidate loop: on z**2 + c and z**3 + c
-#: candidates near the boundary it was slower than the per-point chain
-#: (iterate_orbit and obstruction_sequence, measured when they still ran
-#: in segments of SEGMENT_ENTRIES steps) below 20-24 lanes
-#: and faster above, at orbit lengths 256 and 1024; the per-point/lanes
-#: time ratio was 0.5-0.9 at 12 lanes, 0.9-1.0 at 20 and 1.2-1.7 at 32
-#: (2-CPU x86-64 box, Python 3.11, numpy 2.4).  Against the step-by-step
-#: chain it replaced, which took twice as long, break-even was 10-12.  The
-#: scan classifies chunks of at least MIN_LANES points as lanes too; that
-#: loop breaks even at 15-20 points that stay undecided.
+#: Break-even lane count of the candidate loop against the per-point chain
+#: (_candidate_row: iterate_orbit, summability_report, obstruction_sequence)
+#: on z**2 + c and z**3 + c candidates near the boundary at orbit lengths
+#: 256 and 1024: the per-point/lanes CPU time ratio was 0.7-1.0 at 8 lanes,
+#: 0.7-1.4 at 12, 1.4-1.7 at 16 and 1.6-2.0 at 20 (2-CPU x86-64 box,
+#: Python 3.11, numpy 2.4).  The scan classifies chunks of at least
+#: MIN_LANES points as lanes too, and that loop breaks even at 15-20 points
+#: that stay undecided, so MIN_LANES is 20 for both, though chunks of 12-19
+#: candidates would run faster as lanes.
 MIN_LANES = 20
 
 #: Nominal lanes per block times the length of the fit window.  A block
@@ -84,11 +89,13 @@ MIN_LANES = 20
 BLOCK_ENTRIES = 1 << 16
 
 #: Lanes times steps of a segment of _run_block's step loop (at least one
-#: step); the scalar orbit and series run in one pass, not in segments.  A
-#: scan-boundary scan (about 185 candidates, orbit 256) ran about as fast
-#: with 2,048 to 4,096 entries a segment and 10% slower with 1,024, and the
-#: scan raised peak RSS by 1.3 MB at 2,048 and by 1.6-1.8 MB at 4,096.
-SEGMENT_ENTRIES = BLOCK_ENTRIES // 32
+#: step, at most _RUN_CHUNK); the scalar orbit and series run in one pass,
+#: not in segments.  A seed-1 scan-boundary scan (183 candidates, orbit 256)
+#: took a least CPU time of 48-50 ms at 1,024 entries, 42-43 at 2,048, 38-40
+#: here, 36-40 at 8,192 and 36 at 16,384 (20 scans a setting, two runs);
+#: peak RSS stayed the same up to here and rose 0.9 MB at 8,192 and 2.3 MB
+#: at 16,384.
+SEGMENT_ENTRIES = BLOCK_ENTRIES // 16
 
 
 def _step_lanes(zr, zi, cr, ci, d):
@@ -166,6 +173,8 @@ def candidate_lanes(
     MIN_LANES.  A rational field runs as lanes too: where it is not
     finite (a pole on the orbit) the lane leaves.
     """
+    if not cs:
+        return []
     n = orbit_length + 1
     block = max(MIN_LANES, BLOCK_ENTRIES // (n - _fit_start(n) + 1))
     count = max(1, len(cs) // block)
@@ -182,6 +191,7 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
     last = orbit_length
     window = default_summability_window(last + 1)
     fit_start = _fit_start(last + 1)
+    segment = min(segment, _RUN_CHUNK)  # the raw runs' longest
     # DR of z**d + c does not read c, so one map serves every lane
     template = MapSpec.unicritical(d, 0j)
     c_re, c_im = np.real(cs).copy(), np.imag(cs).copy()
@@ -225,20 +235,14 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
             passed, dz, fv = point_terms(np.stack(rows_r), np.stack(rows_i), 1 if k0 == 0 else 0)
             alive &= passed
 
-            # (c) the recurrences alone: the cocycle product and b
-            rows_c, rows_b = [], []
-            for s, k in enumerate(range(k0, k1)):
-                dz_k = (dz[0][s], dz[1][s], dz[2][s])
-                if k >= 1:
-                    cocycle = mul_lanes(cocycle, dz_k)
-                    rows_c.append(cocycle)
-                b = add_lanes(mul_lanes(dz_k, b), (fv[0][s], fv[1][s], fv[2][s]))
-                rows_b.append(b)
-
-            # the partial sums of 1/|cocycle| at the steps max(k0, 1) .. k1 - 1
-            if rows_c:
-                k_c = max(k0, 1)
-                cr, ci, ce = (np.stack(x) for x in zip(*rows_c))
+            # (c) the recurrences alone, as raw runs: the cocycle product at
+            # the steps k_c = max(k0, 1) .. k1 - 1, and its partial sums of
+            # 1/|cocycle|, then b
+            k_c = max(k0, 1)
+            if k_c < k1:
+                (cr, ci, ce), leave = product_lanes(cocycle, tuple(x[k_c - k0 :] for x in dz))
+                alive &= ~leave
+                cocycle = (cr[-1], ci[-1], ce[-1])
                 sums = _reciprocal_sums(partial, (cr, ci, ce))
                 partial = sums[-1]
                 lo = max(k_c, first_partial)
@@ -246,29 +250,29 @@ def _run_block(cs, radii, d, orbit_length, field, segment):
                     partials[lo - first_partial : k1 - first_partial] = sums[lo - k_c :]
                 for k in (last - window, last):
                     if k_c <= k < k1:
-                        cocycle_at[k] = (np.hypot(cr[k - k_c], ci[k - k_c]), ce[k - k_c].copy())
+                        cocycle_at[k] = (np.hypot(cr[k - k_c], ci[k - k_c]), ce[k - k_c])
+            (br, bi, be), leave = affine_lanes(b, dz, fv)
+            alive &= ~leave
+            b = (br[-1], bi[-1], be[-1])
             # b after step k is b[k + 1]
             lo = max(k0 + 1, fit_start)
             if lo <= k1:
-                br, bi, be = (np.stack(x[lo - k0 - 1 :]) for x in zip(*rows_b))
-                b_abs[lo - fit_start : k1 + 1 - fit_start] = np.hypot(br, bi)
-                b_exp[lo - fit_start : k1 + 1 - fit_start] = be
+                b_abs[lo - fit_start : k1 + 1 - fit_start] = np.hypot(br[lo - k0 - 1 :], bi[lo - k0 - 1 :])
+                b_exp[lo - fit_start : k1 + 1 - fit_start] = be[lo - k0 - 1 :]
 
     increments = partials[1:] - partials[:-1]
     (abs_w, exp_w), (abs_n, exp_n) = cocycle_at[last - window], cocycle_at[last]
-    out = []
-    for i in range(lanes):
-        if not alive[i]:
-            out.append(None)
-            continue
+    verdicts = {}
+    for i in np.flatnonzero(alive).tolist():
         log2_drop = (math.log2(abs_w[i]) + int(exp_w[i])) - (math.log2(abs_n[i]) + int(exp_n[i]))
         report = _tail_report(
             float(partials[-1, i]), log2_drop, increments[:, i].tolist(), window, last + 1,
             STABILIZATION_TOL,
         )
-        if report.classification == "summable-evidence":
-            out.append(None)
-            continue
-        growth, evidence = _fit_moduli(fit_start, b_abs[:, i].tolist(), b_exp[:, i].tolist())
-        out.append((report.classification, growth, evidence))
+        if report.classification != "summable-evidence":
+            verdicts[i] = report.classification
+    fitted = list(verdicts)
+    out: list[tuple[str, float, str] | None] = [None] * lanes
+    for i, (growth, evidence) in zip(fitted, _fit_lanes(fit_start, b_abs[:, fitted], b_exp[:, fitted])):
+        out[i] = (verdicts[i], growth, evidence)
     return out

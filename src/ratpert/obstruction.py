@@ -127,11 +127,50 @@ def _fit_moduli(start: int, moduli: list[float], exponents: list[int]) -> tuple[
         return -math.inf, "bounded"
     if len(samples) < 2:
         return 0.0, "inconclusive"
-    mean_k = sum(k for k, _ in samples) / len(samples)
-    mean_l = sum(l for _, l in samples) / len(samples)
-    sxx = sum((k - mean_k) ** 2 for k, _ in samples)
-    sxy = sum((k - mean_k) * (l - mean_l) for k, l in samples)
-    slope = sxy / sxx if sxx > 0 else 0.0
+    offsets, sxx = _index_offsets([k for k, _ in samples])
+    logs = [l for _, l in samples]
+    mean_l = sum(logs) / len(logs)
+    sxy = sum(x * (l - mean_l) for x, l in zip(offsets, logs))
+    return _slope_verdict(sxy / sxx if sxx > 0 else 0.0)
+
+
+def _fit_lanes(start: int, moduli: np.ndarray, exponents: np.ndarray) -> list[tuple[float, str]]:
+    """_fit_moduli(start, moduli[:, i].tolist(), exponents[:, i].tolist())
+    for each lane i of a fit window (rows are steps), by the same float
+    operations: math.log, not np.log, a row at a time; log + e * _LN2 on
+    float64 lanes; the index offsets and sxx once; and mean_l and sxy by
+    Python's sum over each lane's list (3.12's sum is compensated, so no
+    numpy sum matches it on every version).  A lane with a zero entry in
+    the window takes _fit_moduli itself."""
+    steps = len(moduli)
+    positive = moduli > 0.0
+    full = positive.all(axis=0).tolist()
+    logs = np.where(positive, moduli, 1.0)
+    for row in logs:
+        row[:] = list(map(math.log, row.tolist()))
+    logs += exponents * _LN2
+    offsets, sxx = _index_offsets(range(start, start + steps))
+    terms = logs.T  # l = log|b[k]|, a lane a row
+    terms -= np.array([sum(l.tolist()) / steps for l in terms])[:, None]
+    terms *= np.array(offsets)  # (l - mean_l) * (k - mean_k)
+    return [
+        _slope_verdict(sum(t.tolist()) / sxx if sxx > 0 else 0.0)
+        if full[i]
+        else _fit_moduli(start, moduli[:, i].tolist(), exponents[:, i].tolist())
+        for i, t in enumerate(terms)
+    ]
+
+
+def _index_offsets(ks) -> tuple[list[float], float]:
+    """The offsets k - mean_k of the sample indices ks, and their sum of
+    squares sxx."""
+    mean_k = sum(ks) / len(ks)
+    offsets = [k - mean_k for k in ks]
+    return offsets, sum(x**2 for x in offsets)
+
+
+def _slope_verdict(slope: float) -> tuple[float, str]:
+    """The growth exponent and its bounded/unbounded verdict."""
     if slope > GROWTH_MARGIN:
         return slope, "unbounded"
     if slope < -GROWTH_MARGIN:

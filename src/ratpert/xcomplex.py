@@ -22,10 +22,13 @@ place where an underflow could round differently, takes the scalar steps.
 
 The same format also runs on numpy lanes (``normalize_lanes`` and the
 operations after it at the end of this module): mantissa real and imaginary
-parts as float64 arrays and the exponent as an int64 array.  Each lane
-operation repeats its scalar counterpart step for step, so lane values are
-bit-identical to XComplex values; tests/test_lanes.py checks them against
-each other.
+parts as float64 arrays and the exponent as an int64 array.  The scan's
+candidate lanes run the two runs above in lockstep, one run a lane
+(``product_lanes``, ``affine_lanes``), normalized once a call; a lane that
+reaches a branch the lockstep steps do not take is flagged to leave.  Each
+lane operation repeats its scalar counterpart, so the values of the lanes
+that stay are bit-identical to XComplex values; tests/test_lanes.py checks
+them against each other.
 """
 
 from __future__ import annotations
@@ -323,11 +326,12 @@ _RUN_MIN = 48
 _TINY_PART = 2.0**-900
 
 
-def _has_tiny(re, im) -> bool:
-    """Whether some lane has a nonzero component below _TINY_PART of its
-    modulus (only the smaller component can be)."""
+def _has_tiny(re, im, axis=None):
+    """Whether a value has a nonzero component below _TINY_PART of its
+    modulus (only the smaller component can be): any value, or any value of
+    each lane along axis."""
     small = np.minimum(np.abs(re), np.abs(im))
-    return bool(((small > 0.0) & (small < _TINY_PART * np.hypot(re, im))).any())
+    return ((small > 0.0) & (small < _TINY_PART * np.hypot(re, im))).any(axis=axis)
 
 
 def _chunk(lanes, i):
@@ -419,6 +423,91 @@ def _affine_raw(term, dz, w):
     return ts, es
 
 
+# The same runs on lanes, one run a lane, every lane's steps in lockstep:
+# rows are steps, columns lanes.  A call takes at most _RUN_CHUNK steps and
+# normalizes them at once.  A lane whose raw steps could differ from the
+# scalar ones, or that reaches a branch the lockstep steps do not take,
+# leaves: the call flags it, and its rows are not to be read.
+
+
+def product_lanes(entry, dz):
+    """The running products entry * dz[0] * ... * dz[s] of normalized lanes
+    entry and rows dz, as normalized rows: _product_run on each lane, one
+    cmul_lanes a step, the exponents by one cumsum, one normalize_lanes for
+    all rows.  Also the lanes that leave: a component of dz or of a raw
+    product is tiny (_has_tiny).  Under np.errstate."""
+    re, im = entry[0], entry[1]
+    rows_r, rows_i = [], []
+    for dr, di in zip(dz[0], dz[1]):
+        re, im = cmul_lanes(re, im, dr, di)
+        rows_r.append(re)
+        rows_i.append(im)
+    re, im = np.stack(rows_r), np.stack(rows_i)
+    leave = _has_tiny(dz[0], dz[1], axis=0) | _has_tiny(re, im, axis=0)
+    return normalize_lanes(re, im, entry[2] + np.cumsum(dz[2], axis=0)), leave
+
+
+#: The mantissa np.frexp gives at the top of a binade (its bottom is 0.5):
+#: at either edge np.hypot and math.hypot, one ulp apart, can give
+#: exponents one apart.
+_BINADE_TOP = 1.0 - 2.0**-53
+
+
+def affine_lanes(term, dz, w):
+    """The terms of term <- _add(_mul(dz[s], term), w[s]) from normalized
+    lanes term over finite normalized rows dz and w, as normalized rows:
+    _affine_run on each lane.  Also the lanes that leave.
+
+    A step forms the raw product p = dz[s] * t and the gap x between its
+    exponent and w[s]'s (_affine_raw's h - g, from np.hypot).  It keeps p
+    where x > MANTISSA_BITS, else adds w[s] aligned to the frame, and
+    rescales the sum into [1, 2) by a power of two, which is exact.  A zero
+    term takes w[s], as _add does.  A lane leaves where a step is not
+    _affine_raw's: x < -MANTISSA_BITS (_add returns w[s]); |x| at
+    MANTISSA_BITS or one more while np.hypot(p) lies on a binade edge,
+    where math.hypot, which _normalize uses, may give the next exponent; a
+    zero w[s] or a zero sum after a nonzero term; a tiny component
+    (_has_tiny) of dz, w or a raw term.  Under np.errstate."""
+    tr, ti, frame = term
+    zero = (tr == 0.0) & (ti == 0.0)
+    w_zero = (w[0] == 0.0) & (w[1] == 0.0)
+    some_zero = zero.any()
+    zeros, gaps, mantissas, rows_r, rows_i, frames = [], [], [], [], [], []
+    for dr, di, f, ur, ui, g, u_zero in zip(*dz, *w, w_zero):
+        zeros.append(zero)
+        pr, pi = cmul_lanes(dr, di, tr, ti)
+        frame = frame + f
+        shift = g - frame
+        m, h = np.frexp(np.hypot(pr, pi))
+        x = h - 1 - shift
+        add = x <= MANTISSA_BITS
+        tr = np.where(add, pr + np.ldexp(ur, shift), pr)
+        ti = np.where(add, pi + np.ldexp(ui, shift), pi)
+        scale = 1 - np.frexp(np.hypot(tr, ti))[1]
+        tr, ti, frame = np.ldexp(tr, scale), np.ldexp(ti, scale), frame - scale
+        if some_zero:
+            tr, ti, frame = np.where(zero, ur, tr), np.where(zero, ui, ti), np.where(zero, g, frame)
+            zero = zero & u_zero
+            some_zero = zero.any()
+        gaps.append(x)
+        mantissas.append(m)
+        rows_r.append(tr)
+        rows_i.append(ti)
+        frames.append(frame)
+    re, im, x = np.stack(rows_r), np.stack(rows_i), np.stack(gaps)
+    gap = np.abs(x)
+    m = np.stack(mantissas)
+    tie = (gap >= MANTISSA_BITS) & (gap <= MANTISSA_BITS + 1) & ((m == 0.5) | (m == _BINADE_TOP))
+    stray = (x < -MANTISSA_BITS) | tie | w_zero | ((re == 0.0) & (im == 0.0))
+    leave = (
+        (stray & ~np.stack(zeros)).any(axis=0)
+        | _has_tiny(dz[0], dz[1], axis=0)
+        | _has_tiny(w[0], w[1], axis=0)
+        | _has_tiny(re, im, axis=0)
+    )
+    return normalize_lanes(re, im, np.stack(frames)), leave
+
+
 def cmul_lanes(ar, ai, br, bi):
     """Complex product as Python forms it, componentwise (numpy's complex128
     multiply may fuse, Python's does not)."""
@@ -428,27 +517,6 @@ def cmul_lanes(ar, ai, br, bi):
 def select_lanes(mask, x, y):
     """Lane values taken from x where mask holds, else from y."""
     return tuple(np.where(mask, u, v) for u, v in zip(x, y))
-
-
-def mul_lanes(a, b):
-    """_mul on lanes; a zero factor gives zero components."""
-    (ar, ai, ae), (br, bi, be) = a, b
-    return normalize_lanes(*cmul_lanes(ar, ai, br, bi), ae + be)
-
-
-def add_lanes(a, b):
-    """_add on lanes."""
-    a_zero = (a[0] == 0.0) & (a[1] == 0.0)
-    b_zero = (b[0] == 0.0) & (b[1] == 0.0)
-    a_hi = a[2] >= b[2]
-    hi, lo = select_lanes(a_hi, a, b), select_lanes(a_hi, b, a)
-    shift = hi[2] - lo[2]
-    total = normalize_lanes(
-        hi[0] + np.ldexp(lo[0], -shift), hi[1] + np.ldexp(lo[1], -shift), hi[2]
-    )
-    total = select_lanes(shift > MANTISSA_BITS, hi, total)
-    # the zero tests come first in _add, so they win
-    return select_lanes(a_zero, b, select_lanes(b_zero, a, total))
 
 
 def _cdiv_lanes(ar, ai, br, bi):

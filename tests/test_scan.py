@@ -512,6 +512,63 @@ class TestSegments:
                               for r in rows])
 
 
+# v = 1, z, 1 + (0.7 - 0.2i)z + 0.3i z^2 and (1 + 0.5z)/(2 + z^2): b[1] = v(0)
+# is 0 for v = z, so its raw term starts at zero twice
+DIFFERENTIAL_FIELDS = {
+    "one": VectorFieldSpec.constant(1.0),
+    "z": VectorFieldSpec.from_coefficients([0, 1]),
+    "quadratic": VectorFieldSpec.from_coefficients([1, 0.7 - 0.2j, 0.3j]),
+    "rational": VectorFieldSpec.rational(Polynomial((1, 0.5)), Polynomial((2, 0, 1))),
+}
+
+# regions with candidates at every orbit length below, for each degree
+DIFFERENTIAL_REGIONS = {
+    2: Rectangle(-1.05, -0.95, 0.18, 0.28),
+    3: Rectangle(-0.2, 0.8, 0.2, 1.2),
+    4: Rectangle(-1.2, 1.2, -1.2, 1.2),
+}
+
+
+class TestDifferential:
+    """candidate_lanes against the per-point chain: each kept lane is its
+    row, and a lane leaves only where the chain warns or reports more than
+    a verdict and a fit."""
+
+    @pytest.mark.parametrize("orbit_length", [16, 17, 100, 256, 600])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("field", sorted(DIFFERENTIAL_FIELDS))
+    def test_lanes_are_the_per_point_rows(self, field, d, orbit_length):
+        field = DIFFERENTIAL_FIELDS[field]
+        cs = list(DIFFERENTIAL_REGIONS[d]._pixel_centres(24, 24))
+        radii = [default_escape_radius(d, c) for c in cs]
+        classes = _classify_lanes(cs, radii, d, orbit_length)
+        candidates = [(c, r) for c, r, x in zip(cs, radii, classes) if x.kind == "undecided"]
+        candidates = candidates[:: max(1, len(candidates) // 10)]
+        assert len(candidates) >= 5
+        lanes = candidate_lanes([c for c, _ in candidates], [r for _, r in candidates], d, orbit_length, field)
+        for (c, radius), lane in zip(candidates, lanes):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                row = _candidate_row(c, d, orbit_length, field, radius)
+            if lane is None:
+                assert caught or row.mu_constant is not None or len(row.flags) != 1 or row.growth_exponent is None
+            else:
+                assert not caught
+                assert repr((row.summability, row.growth_exponent, row.flags)) == repr(
+                    (lane[0], lane[1], (f"obstruction={lane[2]}",))
+                )
+
+    @pytest.mark.parametrize("field", sorted(DIFFERENTIAL_FIELDS))
+    def test_boundary_grid_keeps_every_lane(self, field):
+        # the 190 candidates of the 16 x 16 boundary grid at orbit 256 all
+        # stay in the batch, for each field
+        config = ScanConfig(d=2, region=DIFFERENTIAL_REGIONS[2], resolution=(16, 16), orbit_length=256)
+        cs = [r.c for r in scan_parameters(config) if r.kind == "candidate"]
+        assert len(cs) == 190
+        radii = [default_escape_radius(2, c) for c in cs]
+        assert None not in candidate_lanes(cs, radii, 2, 256, DIFFERENTIAL_FIELDS[field])
+
+
 class TestWorkerPool:
     def test_small_scans_run_in_process(self, monkeypatch):
         config = LANE_CASES["boundary"]
