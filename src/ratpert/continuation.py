@@ -2,8 +2,9 @@
 
 Predictor-corrector in lambda: the predictor is the exact linearization
 velocity from the cycle solve (solve_alpha_on_cycle, on DR from the walk
-that accepted the cycle), the corrector is Newton on the periodic-point
-equation of the perturbed map, built once per step.  Because the
+that accepted the cycle), the corrector is the census's Newton
+(_newton_polish) on the periodic-point equation of R + lambda*v, which
+maps.perturbed builds, checked, once per attempted step.  Because the
 predictor is the same object the continuation is meant to validate, a
 finite-difference comparison of the two (motion_velocity_check) is the
 module's keystone self-test.
@@ -101,13 +102,13 @@ def continue_cycle(
             except ParabolicCycleError:
                 reason = "multiplier_degenerate"
                 break
-        predicted = cycles[-1].base + alpha * dl
+        base = cycles[-1].base
         next_map = perturbed(map, v, lam + dl)
-        corrected = _newton_polish(next_map, predicted, cycles[-1].period)
+        corrected = _newton_polish(next_map, base + alpha * dl, cycles[-1].period)
         accepted = None
         if corrected is not None:
-            jump = abs(corrected[0].base - cycles[-1].base)
-            allowed = 10.0 * abs(alpha * dl) + 1e-6 * max(1.0, abs(cycles[-1].base))
+            jump = abs(corrected[0].base - base)
+            allowed = 10.0 * abs(alpha * dl) + 1e-6 * max(1.0, abs(base))
             if jump <= allowed and _within_tolerance(corrected[0], CONTINUATION_TOL):
                 accepted, next_derivs = corrected
         if accepted is None:

@@ -134,10 +134,10 @@ def _walk(map: MapSpec, z: complex, period: int) -> tuple[list[complex], list[co
     and the product of those from 1 + 0j."""
     points, derivatives, product = [z], [], 1 + 0j
     for _ in range(period):
-        value, dw = eval_map(map, points[-1])
+        z, dw = eval_map(map, z)
         derivatives.append(dw)
         product *= dw
-        points.append(value)
+        points.append(z)
     return points, derivatives, product
 
 
@@ -164,6 +164,8 @@ def _newton_polish(map: MapSpec, z: complex, period: int) -> tuple[Cycle, list[c
     (its base) and DR at its points, from the walk of the stop test; None
     on a pole, a non-finite value, |z| >= NEWTON_MAX_MODULUS, or no stop in
     NEWTON_MAX_STEPS steps.  Every scalar solve of f^n(z) = z runs it."""
+    if period < 1:
+        raise ValueError("cycle needs exactly `period` points")
     for _ in range(NEWTON_MAX_STEPS):
         size = abs(z)
         if not size < NEWTON_MAX_MODULUS:
@@ -181,7 +183,9 @@ def _newton_polish(map: MapSpec, z: complex, period: int) -> tuple[Cycle, list[c
         if not math.isfinite(stop):
             return None
         if abs(f) <= stop:
-            return Cycle(tuple(points[:-1]), period, deriv, abs(f)), derivatives
+            cycle = object.__new__(Cycle)  # the walk holds `period` points: no __init__ check
+            cycle.__dict__.update(points=tuple(points[:-1]), period=period, multiplier=deriv, residual=abs(f))
+            return cycle, derivatives
         fprime = deriv - 1.0
         if fprime == 0 or not math.isfinite(abs(fprime)):
             return None
@@ -292,7 +296,7 @@ def _within_tolerance(cycle: Cycle, tol: float) -> bool:
     return (
         math.isfinite(bound)
         and cycle.residual <= bound
-        and max(abs(z) for z in cycle.points) < NEWTON_MAX_MODULUS
+        and max(map(abs, cycle.points)) < NEWTON_MAX_MODULUS
     )
 
 
@@ -516,7 +520,7 @@ def _alpha_from_derivatives(cycle: Cycle, derivs: list[complex], v: VectorFieldS
     alpha = _cyclic_solve(values, derivs, rho)
     residuals = _equation_residuals(values, derivs, alpha)
     for _ in range(2):
-        scale = max(1.0, max(abs(a) for a in alpha))
+        scale = max(1.0, max(map(abs, alpha)))
         if max(residuals) <= 1e-14 * scale:
             break
         errors = [
@@ -526,7 +530,9 @@ def _alpha_from_derivatives(cycle: Cycle, derivs: list[complex], v: VectorFieldS
         alpha = [a + d for a, d in zip(alpha, delta)]
         residuals = _equation_residuals(values, derivs, alpha)
 
-    return CycleAlphaSolution(tuple(alpha), tuple(residuals))
+    solution = object.__new__(CycleAlphaSolution)  # skips the frozen __init__, as _newton_polish does
+    solution.__dict__.update(alpha=tuple(alpha), residuals=tuple(residuals))
+    return solution
 
 
 def _cyclic_solve(

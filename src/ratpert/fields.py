@@ -47,9 +47,14 @@ class VectorFieldSpec:
     def rational(numerator: Polynomial, denominator: Polynomial) -> "VectorFieldSpec":
         return VectorFieldSpec(numerator, denominator)
 
-    @property
+    @cached_property
     def is_polynomial(self) -> bool:
         return self.denominator.is_constant
+
+    @cached_property
+    def _polynomial(self) -> Polynomial:
+        """A polynomial field as one polynomial: numerator / denominator."""
+        return self.numerator.scale(1.0 / self.denominator.coefficients[0])
 
     @property
     def is_zero(self) -> bool:

@@ -47,7 +47,7 @@ rational one included.
 A step of the candidate loop costs about as much as a step of the per-point
 chain for 8-12 candidates, and a step of the classifier about as much as
 15-20 scalar classification steps; the scan sends chunks with fewer than
-MIN_LANES points or candidates to the scalar code.
+CLASSIFY_MIN_LANES points or CANDIDATE_MIN_LANES candidates to the scalar code.
 """
 
 from __future__ import annotations
@@ -76,15 +76,15 @@ from .xcomplex import _RUN_CHUNK, affine_lanes, cmul_lanes, normalize_lanes, pro
 #: on z**2 + c and z**3 + c candidates near the boundary at orbit lengths
 #: 256 and 1024: the per-point/lanes CPU time ratio was 0.7-1.0 at 8 lanes,
 #: 0.7-1.4 at 12, 1.4-1.7 at 16 and 1.6-2.0 at 20 (2-CPU x86-64 box,
-#: Python 3.11, numpy 2.4).  The scan classifies chunks of at least
-#: MIN_LANES points as lanes too, and that loop breaks even at 15-20 points
-#: that stay undecided, so MIN_LANES is 20 for both, though chunks of 12-19
-#: candidates would run faster as lanes.
-MIN_LANES = 20
+#: Python 3.11, numpy 2.4).
+CANDIDATE_MIN_LANES = 12
+
+#: Break-even of _classify_lanes against classify_parameter: 15-20 undecided points.
+CLASSIFY_MIN_LANES = 20
 
 #: Nominal lanes per block times the length of the fit window.  A block
 #: keeps b over the fit window in 16 bytes an entry, so at most 2 MB (equal
-#: blocks hold up to twice the nominal lane count), unless MIN_LANES lanes
+#: blocks hold up to twice the nominal lane count), unless CANDIDATE_MIN_LANES lanes
 #: of a very long orbit need more.
 BLOCK_ENTRIES = 1 << 16
 
@@ -170,13 +170,13 @@ def candidate_lanes(
     the whole orbit give, when they give it without incident.  Lanes run in
     equal blocks of block to 2 * block - 1 candidates (all of them if there
     are fewer), where block is BLOCK_ENTRIES / (fit window) but at least
-    MIN_LANES.  A rational field runs as lanes too: where it is not
+    CANDIDATE_MIN_LANES.  A rational field runs as lanes too: where it is not
     finite (a pole on the orbit) the lane leaves.
     """
     if not cs:
         return []
     n = orbit_length + 1
-    block = max(MIN_LANES, BLOCK_ENTRIES // (n - _fit_start(n) + 1))
+    block = max(CANDIDATE_MIN_LANES, BLOCK_ENTRIES // (n - _fit_start(n) + 1))
     count = max(1, len(cs) // block)
     bounds = [len(cs) * i // count for i in range(count + 1)]
     out: list[tuple[str, float, str] | None] = []

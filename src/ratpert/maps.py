@@ -40,8 +40,7 @@ class MapSpec:
 
     Use the factories (:meth:`polynomial`, :meth:`unicritical`,
     :meth:`rational`) for validated construction; the bare constructor only
-    runs cheap structural checks and is what perturbation code uses when
-    coprimality is preserved by construction.
+    runs cheap structural checks, the ones `perturbed` runs on each map.
     """
 
     numerator: Polynomial
@@ -102,7 +101,7 @@ class MapSpec:
 
     @property
     def degree(self) -> int:
-        return max(self.numerator.degree, self.denominator.degree)
+        return max(len(self.numerator.coefficients), len(self.denominator.coefficients)) - 1
 
     @cached_property
     def is_polynomial(self) -> bool:
@@ -238,22 +237,25 @@ def is_critical_point(map: MapSpec, z: complex) -> bool:
 
 
 def perturbed(map: MapSpec, field, lam: complex) -> MapSpec:
-    """The map R + lam * v as a MapSpec.
+    """The map R + lam * v as a MapSpec; the continuation builds one a step.
 
-    With v = vn/vd this is (P*vd + lam*vn*Q)/(Q*vd); coprimality is
-    preserved structurally when v is polynomial (the common case), so no
-    root-based validation is re-run here.
+    With v = vn/vd this is (P*vd + lam*vn*Q)/(Q*vd), or P + lam*v*Q over Q
+    when vd is constant (v = vn/vd formed once per field).  Coprimality is
+    preserved structurally when v is polynomial, so no root-based
+    validation is re-run; the map gets every check of MapSpec.__post_init__
+    and its is_polynomial, without the frozen __init__.
     """
     if lam == 0:
         return map
     vn, vd = field.numerator, field.denominator
-    if vd.is_constant:
-        vn = vn.scale(1.0 / vd.coefficients[0])
-        num = map.numerator + vn.scale(lam) * map.denominator
-        return MapSpec(num, map.denominator)
-    num = map.numerator * vd + (vn * map.denominator).scale(lam)
-    den = map.denominator * vd
-    return MapSpec(num, den)
+    if field.is_polynomial:
+        num, den = map.numerator + field._polynomial.scale(lam) * map.denominator, map.denominator
+    else:
+        num, den = map.numerator * vd + (vn * map.denominator).scale(lam), map.denominator * vd
+    out = object.__new__(MapSpec)
+    out.__dict__.update(numerator=num, denominator=den, is_polynomial=den.is_constant)
+    out.__post_init__()
+    return out
 
 
 def default_escape_radius(d: int, c: complex) -> float:

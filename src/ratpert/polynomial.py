@@ -95,7 +95,7 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coefficients) == 1 and self.coefficients[0] == 0
+        return self.coefficients == (0j,)
 
     @property
     def is_constant(self) -> bool:
@@ -104,15 +104,15 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         c = self.coefficients
         if len(c) == 1:
-            return Polynomial((0j,))
-        return Polynomial(tuple(k * c[k] for k in range(1, len(c))))
+            return _from_complex((0j,))
+        return _from_complex(tuple(k * c[k] for k in range(1, len(c))))
 
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, z):
         """p(z) by Horner, on a scalar or elementwise on an ndarray."""
         value = _horner(self.coefficients, z)
-        if not self.degree and isinstance(z, np.ndarray):
+        if isinstance(z, np.ndarray) and not self.degree:
             return np.full_like(z, value, dtype=complex)
         return value
 
@@ -121,10 +121,10 @@ class Polynomial:
         an ndarray; horner_lanes repeats it on float64 lanes, so keep the
         two in step."""
         p, dp = self.coefficients[-1], 0j
-        for a in reversed(self.coefficients[:-1]):
+        for a in self.coefficients[-2::-1]:
             dp = dp * z + p
             p = p * z + a
-        if not self.degree and isinstance(z, np.ndarray):
+        if isinstance(z, np.ndarray) and not self.degree:
             return np.full_like(z, p, dtype=complex), np.zeros_like(z, dtype=complex)
         return p, dp
 
@@ -141,14 +141,14 @@ class Polynomial:
         out = list(a)
         for k, v in enumerate(b):
             out[k] += v
-        return Polynomial(tuple(out))
+        return _from_complex(tuple(out))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1.0)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
-            return Polynomial((0j,))
+            return _from_complex((0j,))
         a, b = self.coefficients, other.coefficients
         out = [0j] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -156,10 +156,19 @@ class Polynomial:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return Polynomial(tuple(out))
+        return _from_complex(tuple(out))
 
     def scale(self, factor: complex) -> "Polynomial":
-        return Polynomial(tuple(factor * a for a in self.coefficients))
+        """Each coefficient times factor, a Python number."""
+        return _from_complex(tuple([factor * a for a in self.coefficients]))
+
+
+def _from_complex(coefficients: tuple) -> Polynomial:
+    """Polynomial(coefficients) for a nonempty tuple of complex values, as the
+    algebra forms them: trimmed, without __post_init__'s complex() pass."""
+    p = object.__new__(Polynomial)
+    p.__dict__["coefficients"] = _trim(coefficients)
+    return p
 
 
 ONE = Polynomial((1 + 0j,))

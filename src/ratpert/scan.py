@@ -6,8 +6,8 @@ obstruction growth exponent for the configured field, and the constant-field
 orbit sum.  The points of a chunk are classified together as numpy lanes,
 and then its candidates run together as lanes too (see lanes.py), both
 bit-identical to the per-point chain, which still serves every lane that
-leaves the batch and every chunk with fewer than MIN_LANES points or
-candidates.  Rows are independent of each other and are always aggregated
+leaves the batch and every chunk with fewer than CLASSIFY_MIN_LANES points
+or CANDIDATE_MIN_LANES candidates.  Rows are independent of each other and are always aggregated
 in index order, so the output is byte-reproducible regardless of the
 worker count.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CriticalRelationError, RatpertError, ShapeError
 from .fields import CONSTANT_ONE, VectorFieldSpec
-from .lanes import MIN_LANES, _classify_lanes, candidate_lanes
+from .lanes import CANDIDATE_MIN_LANES, CLASSIFY_MIN_LANES, _classify_lanes, candidate_lanes
 from .maps import MapSpec, default_escape_radius
 from .mu import mu_functional
 from .obstruction import obstruction_sequence
@@ -187,15 +187,15 @@ def _candidate_row(
 def _scan_chunk(task: tuple) -> list[ScanRow]:
     """Rows of consecutive scan points: classify them and run the candidates
     as lanes, with the per-point chain for lanes that leave.  Fewer than
-    MIN_LANES points are classified one by one, and fewer than MIN_LANES
-    candidates all take the per-point chain, since the lanes are slower
-    there."""
+    CLASSIFY_MIN_LANES points are classified one by one, and fewer than
+    CANDIDATE_MIN_LANES candidates all take the per-point chain, since the
+    lanes are slower there."""
     points, d, orbit_length, field, escape_radius = task
     radii = [
         default_escape_radius(d, c) if escape_radius is None else escape_radius
         for c in points
     ]
-    if len(points) >= MIN_LANES:
+    if len(points) >= CLASSIFY_MIN_LANES:
         classes = _classify_lanes(list(points), radii, d, orbit_length)
     else:
         classes = [
@@ -219,7 +219,7 @@ def _scan_chunk(task: tuple) -> list[ScanRow]:
             orbit_length,
             field,
         )
-        if len(candidates) >= MIN_LANES
+        if len(candidates) >= CANDIDATE_MIN_LANES
         else [None] * len(candidates)
     )
     for (index, c, radius), result in zip(candidates, results):

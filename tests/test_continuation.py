@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 
 import pytest
 
@@ -19,6 +20,7 @@ from ratpert import (
 from ratpert.cli import parse_map
 from ratpert.continuation import DEGENERACY_MARGIN, ContinuationResult
 from ratpert.cycles import Cycle, _newton_polish, _within_tolerance
+from ratpert.serialize import encode, json_dumps
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 ONE_FIELD = VectorFieldSpec.constant(1)
@@ -306,3 +308,15 @@ class TestReferenceLoop:
             result = continue_cycle(m, ONE_FIELD, cyc, 0.5, steps=1)
             assert result.stopped_reason == "multiplier_degenerate"
             assert repr(result) == repr(reference_continue_cycle(m, ONE_FIELD, cyc, 0.5, steps=1))
+
+
+def test_rational_field_continuation_keeps_its_bytes():
+    # the only pinned path through perturbed's non-constant-vd branch,
+    # (vn Q).scale(lambda) and Q vd: v = (1 + z/2)/(2 + z^2), pinned while
+    # each step still built R + lambda v through the public constructors
+    m = parse_map("rational:-1,0,1/1,0,0.05")
+    v = VectorFieldSpec.rational(Polynomial((1, 0.5)), Polynomial((2, 0, 1)))
+    result = continue_cycle(m, v, find_cycles(m, 3)[0], 0.0625 + 0.03125j, steps=64)
+    assert result.stopped_reason == "reached_target" and len(result.lambda_path) == 65
+    assert (hashlib.sha256(json_dumps(encode(result)).encode()).hexdigest()
+            == "297c4eaff005a58a2c3e96ee800291e7f2d1b1ce04c21a3f54efdad462541d42")

@@ -92,6 +92,12 @@ class TestCycleFromPoint:
         cyc = cycle_from_point(squaring_map, OMEGA, 2)
         assert abs(cyc.base - OMEGA) < 1e-12
 
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_period_below_one_rejected(self, squaring_map, period):
+        # the solver fills its Cycle without the constructor's check
+        with pytest.raises(ValueError, match="exactly `period` points"):
+            cycle_from_point(squaring_map, 1.0, period)
+
     def test_reduces_to_minimal_period(self, squaring_map):
         cyc = cycle_from_point(squaring_map, 1.0 + 1e-3j, 2)
         assert cyc.period == 1

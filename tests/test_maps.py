@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratpert import (
     DegenerateMapError,
@@ -120,6 +121,121 @@ class TestPerturbed:
         base, _ = eval_map(m, z)
         moved, _ = eval_map(out, z)
         assert moved == pytest.approx(base + 0.5 * z, rel=1e-12)
+
+
+def _oracle_polynomial(coeffs):
+    return Polynomial(tuple(coeffs))
+
+
+def _oracle_add(p, q):
+    a, b = p.coefficients, q.coefficients
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, v in enumerate(b):
+        out[k] += v
+    return _oracle_polynomial(out)
+
+
+def _oracle_mul(p, q):
+    if p.is_zero or q.is_zero:
+        return _oracle_polynomial((0j,))
+    a, b = p.coefficients, q.coefficients
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _oracle_polynomial(out)
+
+
+def _oracle_scale(p, factor):
+    return _oracle_polynomial(factor * a for a in p.coefficients)
+
+
+def oracle_perturbed(map, field, lam):
+    """perturbed as the Polynomial algebra built it, every intermediate
+    through the public constructors: (P vd + lam vn Q) / (Q vd), with a
+    constant vd folded into vn first."""
+    if lam == 0:
+        return map
+    vn, vd = field.numerator, field.denominator
+    if vd.is_constant:
+        vn = _oracle_scale(vn, 1.0 / vd.coefficients[0])
+        num = _oracle_add(map.numerator, _oracle_mul(_oracle_scale(vn, lam), map.denominator))
+        return MapSpec(num, map.denominator)
+    num = _oracle_add(_oracle_mul(map.numerator, vd), _oracle_scale(_oracle_mul(vn, map.denominator), lam))
+    return MapSpec(num, _oracle_mul(map.denominator, vd))
+
+
+def _outcome(build):
+    """('map', hex coefficients, is_polynomial, whether that matches the
+    denominator) or ('error', type, message)."""
+    try:
+        m = build()
+    except (ValueError, DegenerateMapError) as err:
+        return ("error", type(err), str(err))
+    hexes = tuple(tuple((a.real.hex(), a.imag.hex()) for a in p.coefficients)
+                  for p in (m.numerator, m.denominator))
+    return ("map", hexes, m.is_polynomial, m.is_polynomial == m.denominator.is_constant)
+
+
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+_coefficients = st.builds(complex, _parts, _parts)
+
+
+def _polynomials(min_degree, max_degree):
+    """Coefficient tuples with a nonzero leading coefficient; zeros below it."""
+    return st.builds(
+        lambda body, lead: Polynomial(tuple(body) + (lead,)),
+        st.lists(_coefficients, min_size=min_degree, max_size=max_degree),
+        _coefficients.filter(lambda a: a != 0),
+    )
+
+
+_lambdas = st.one_of(
+    st.sampled_from([0, 0.0, 0j, 1e300, -1e300j, 0.25, 1 + 1j]),
+    st.floats(-10, 10, allow_nan=False),
+    st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)),
+)
+
+
+class TestPerturbedParity:
+    """perturbed gives the Polynomial-algebra formula bit for bit, and the
+    same error where that formula's map is rejected."""
+
+    @given(num=_polynomials(2, 4), den=_polynomials(0, 2), vn=_polynomials(0, 3),
+           vd=_polynomials(0, 2), lam=_lambdas)
+    def test_matches_the_algebra(self, num, den, vn, vd, lam):
+        m = MapSpec(num, den)
+        v = VectorFieldSpec(vn, vd)
+        assert _outcome(lambda: perturbed(m, v, lam)) == _outcome(lambda: oracle_perturbed(m, v, lam))
+
+    @pytest.mark.parametrize("v,lam", [
+        (VectorFieldSpec.monomial(2, 4.0), -0.25),
+        (VectorFieldSpec.monomial(2, 1j), 1j),
+        (VectorFieldSpec.rational(Polynomial((0, 0, 2)), Polynomial((2,))), -1.0),
+        (VectorFieldSpec.rational(Polynomial((0, 0, 0, 1)), Polynomial((0, 1))), -1.0),
+    ])
+    def test_cancelled_leading_coefficient(self, v, lam):
+        m = MapSpec.unicritical(2, 0.3)
+        expected = _outcome(lambda: oracle_perturbed(m, v, lam))
+        assert expected[:2] == ("error", DegenerateMapError)
+        assert _outcome(lambda: perturbed(m, v, lam)) == expected
+
+    @pytest.mark.parametrize("v", [
+        VectorFieldSpec.constant(10.0),
+        VectorFieldSpec.monomial(1, 3j),
+        # twice (1 + z/2)/(2 + z^2): lam times vn Q's constant term 2 overflows
+        VectorFieldSpec.rational(Polynomial((2, 1)), Polynomial((2, 0, 1))),
+    ])
+    def test_overflowed_coefficient(self, v):
+        m = MapSpec.rational(Polynomial((-1, 0, 1)), Polynomial((1, 0, 0.05)))
+        expected = _outcome(lambda: oracle_perturbed(m, v, 1e308 + 1e308j))
+        assert expected[:2] == ("error", ValueError) and "not finite" in expected[2]
+        assert _outcome(lambda: perturbed(m, v, 1e308 + 1e308j)) == expected
 
 
 class TestFieldValidation:

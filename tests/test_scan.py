@@ -17,7 +17,7 @@ from ratpert import (
     scan_parameters,
 )
 import ratpert.lanes as lanes_module
-from ratpert.lanes import MIN_LANES, _classify_lanes, candidate_lanes
+from ratpert.lanes import CANDIDATE_MIN_LANES, _classify_lanes, candidate_lanes
 from ratpert.cli import main
 from ratpert.maps import MapSpec, default_escape_radius
 import ratpert.orbits as orbits_module
@@ -86,7 +86,8 @@ def _csv(config):
 def _lane_csv(config, monkeypatch):
     """The scan with every chunk's candidates run as lanes, however few."""
     with monkeypatch.context() as patch:
-        patch.setattr(scan_module, "MIN_LANES", 1)
+        patch.setattr(scan_module, "CLASSIFY_MIN_LANES", 1)
+        patch.setattr(scan_module, "CANDIDATE_MIN_LANES", 1)
         return _csv(config)
 
 
@@ -290,8 +291,26 @@ class TestLanePath:
         scan_parameters(LANE_CASES["summable-path"])  # 4 points, 4 candidates
         assert calls == [] and classified == []
         scan_parameters(LANE_CASES["boundary"])
-        assert len(calls) == 1 and len(calls[0]) >= MIN_LANES
+        assert len(calls) == 1 and len(calls[0]) >= CANDIDATE_MIN_LANES
         assert len(classified) == 1 and len(classified[0]) == 256
+
+    def test_sixteen_candidates_take_the_lanes(self, monkeypatch):
+        # 16 points: classified one by one (under CLASSIFY_MIN_LANES), but
+        # enough candidates for the candidate loop
+        boundary = LANE_CASES["boundary"]
+        cs = [r.c for r in scan_parameters(boundary) if r.kind == "candidate"][:16]
+        config = dataclasses.replace(boundary, region=None, resolution=None, path=tuple(cs))
+        expected = _per_point_csv(config, monkeypatch)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                scan_module, "candidate_lanes",
+                lambda cs, *args: calls.append(candidate_lanes(cs, *args)) or calls[-1],
+            )
+            assert _csv(config) == expected
+        assert len(calls) == 1 and len(calls[0]) == 16 and None not in calls[0]
+        rows = [_candidate_row(c, 2, 256, boundary.field, default_escape_radius(2, c)) for c in cs]
+        assert scan_rows_to_csv(rows) == expected
 
     def test_equal_blocks_give_the_same_lanes(self, monkeypatch):
         config = LANE_CASES["boundary"]
@@ -305,7 +324,7 @@ class TestLanePath:
             lanes_module, "_run_block", lambda cs, *a: sizes.append(len(cs)) or run_block(cs, *a)
         )
         assert repr(candidate_lanes(cs, *args)) == repr(whole)
-        assert sizes == [22, 23]  # 45 // MIN_LANES equal blocks
+        assert sizes == [15, 15, 15]  # 45 // CANDIDATE_MIN_LANES equal blocks
 
     def test_radius_tie_is_exact(self):
         # a candidate whose farthest orbit point lies exactly on the radius
@@ -371,7 +390,7 @@ class TestLanePath:
         pole = VectorFieldSpec.rational(Polynomial((1,)), Polynomial((0, 1)))
         rows = scan_parameters(dataclasses.replace(LANE_CASES["boundary"], field=pole))
         candidates = [r for r in rows if r.kind == "candidate"]
-        assert len(candidates) > MIN_LANES
+        assert len(candidates) > CANDIDATE_MIN_LANES
         for row in candidates:
             assert row.growth_exponent is None
             assert "obstruction-error:v is not finite at orbit index 0" in row.flags
