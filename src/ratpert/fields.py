@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import PoleProximityError
+from .maps import _check_coprime
 from .polynomial import ONE, Polynomial, horner_lanes, poly_roots
 from .xcomplex import _cdiv_lanes
 
@@ -45,7 +46,10 @@ class VectorFieldSpec:
 
     @staticmethod
     def rational(numerator: Polynomial, denominator: Polynomial) -> "VectorFieldSpec":
-        return VectorFieldSpec(numerator, denominator)
+        """Validated rational field; raises DegenerateMapError on a shared root."""
+        v = VectorFieldSpec(numerator, denominator)
+        _check_coprime(numerator, denominator)
+        return v
 
     @cached_property
     def is_polynomial(self) -> bool:

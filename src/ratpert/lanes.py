@@ -18,7 +18,7 @@ points; then the recurrences run as raw-mantissa runs on lanes
 multiply a step, b about 25 numpy calls a step), normalized once a segment;
 and the reciprocals of the cocycle and the partial sums of their moduli are
 again taken over the whole segment at once.  After the last segment one
-growth fit covers every lane (obstruction._fit_lanes).
+growth fit covers the block: obstruction._fit_lanes, the scalar series' own.
 
 Lane values repeat the scalar arithmetic step for step, so every lane is
 bit-identical to the scalar path: extended-range values and their
@@ -27,9 +27,9 @@ by polynomial.horner_lanes (the orbit step _step_lanes without Horner's
 product by 1 and sums with 0, which change at most the sign of a zero),
 products are formed componentwise as Python forms them, quotients follow
 CPython's complex division, partial sums are added in order
-(np.add.accumulate), and the logarithms of the verdict and the fit are
-taken with ``math``, not numpy.  The verdict and the fit themselves are
-the scalar code's own.  ``np.hypot`` equals ``abs(complex)``, so the
+(np.add.accumulate), and the logarithms of the verdict are taken with
+``math``, not numpy.  The verdict and the fit themselves are the scalar
+code's own.  ``np.hypot`` equals ``abs(complex)``, so the
 relation, escape and coincidence tests compare with their tolerance and
 radius exactly, as the scalar path does.
 

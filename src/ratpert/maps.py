@@ -34,6 +34,15 @@ CRITICAL_RESIDUAL_TOL = 1e-10
 COPRIMALITY_TOL = 1e-10
 
 
+def _check_coprime(numerator: Polynomial, denominator: Polynomial) -> None:
+    """Raise DegenerateMapError where numerator and denominator share a root."""
+    if numerator.degree >= 1 and denominator.degree >= 1:
+        num_roots, den_roots = poly_roots(numerator, tol=1e-10), poly_roots(denominator, tol=1e-10)
+        for a in num_roots:
+            if any(abs(a - b) <= COPRIMALITY_TOL * max(1.0, abs(a), abs(b)) for b in den_roots):
+                raise DegenerateMapError(f"numerator and denominator share a root near {a}")
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """A rational map numerator/denominator in lowest terms.
@@ -86,15 +95,7 @@ class MapSpec:
                 raise DegenerateMapError("denominator is identically zero")
             scaled = numerator.scale(1.0 / denominator.coefficients[0])
             return MapSpec(scaled, ONE)
-        if numerator.degree >= 1:
-            num_roots = poly_roots(numerator, tol=1e-10)
-            den_roots = poly_roots(denominator, tol=1e-10)
-            for a in num_roots:
-                for b in den_roots:
-                    if abs(a - b) <= COPRIMALITY_TOL * max(1.0, abs(a), abs(b)):
-                        raise DegenerateMapError(
-                            f"numerator and denominator share a root near {a}"
-                        )
+        _check_coprime(numerator, denominator)
         return MapSpec(numerator, denominator)
 
     # -- structure ---------------------------------------------------------

@@ -13,6 +13,10 @@ The sequence is generated by the forward recurrence
 never by the displayed product-times-sum expression: multiplying a huge
 cocycle into a tiny, heavily cancelling sum destroys every significant
 digit.  The product form is kept only as a small-n cross-check.
+
+The growth rate of b is one least-squares fit over a block of lanes,
+_fit_lanes: obstruction_sequence fits its b as one lane, the scan's
+candidate_lanes (lanes.py) the b of all its candidates at once.
 """
 
 from __future__ import annotations
@@ -105,10 +109,13 @@ def obstruction_sequence(
 
 
 def _fit_growth(b: list[XComplex]) -> tuple[float, str]:
-    """The growth fit of b[0..n] over its trailing fit window."""
+    """The growth fit of b[0..n] over its trailing fit window: the one-lane
+    case of _fit_lanes."""
     start = _fit_start(len(b) - 1)
     window = b[start:]
-    return _fit_moduli(start, [abs(x.mantissa) for x in window], [x.exponent for x in window])
+    moduli = np.array([abs(x.mantissa) for x in window])
+    exponents = np.array([x.exponent for x in window])
+    return _fit_lanes(start, moduli[:, None], exponents[:, None])[0]
 
 
 def _fit_start(n: int) -> int:
@@ -116,49 +123,40 @@ def _fit_start(n: int) -> int:
     return max(1, n - max(n // 2, min(MIN_FIT_SAMPLES, n - 1)))
 
 
-def _fit_moduli(start: int, moduli: list[float], exponents: list[int]) -> tuple[float, str]:
-    """Least-squares slope of (k, log|b[k]|) over the nonzero entries of
-    the fit window b[start:], given as |mantissa| and exponent (log|b[k]|
-    is then XComplex.log_abs), with its bounded/unbounded verdict."""
-    samples = [
-        (start + j, math.log(a) + e * _LN2) for j, (a, e) in enumerate(zip(moduli, exponents)) if a != 0.0
-    ]
-    if not samples:
-        return -math.inf, "bounded"
-    if len(samples) < 2:
-        return 0.0, "inconclusive"
-    offsets, sxx = _index_offsets([k for k, _ in samples])
-    logs = [l for _, l in samples]
-    mean_l = sum(logs) / len(logs)
-    sxy = sum(x * (l - mean_l) for x, l in zip(offsets, logs))
-    return _slope_verdict(sxy / sxx if sxx > 0 else 0.0)
-
-
 def _fit_lanes(start: int, moduli: np.ndarray, exponents: np.ndarray) -> list[tuple[float, str]]:
-    """_fit_moduli(start, moduli[:, i].tolist(), exponents[:, i].tolist())
-    for each lane i of a fit window (rows are steps), by the same float
-    operations: math.log, not np.log, a row at a time; log + e * _LN2 on
-    float64 lanes; the index offsets and sxx once; and mean_l and sxy by
-    Python's sum over each lane's list (3.12's sum is compensated, so no
-    numpy sum matches it on every version).  A lane with a zero entry in
-    the window takes _fit_moduli itself."""
+    """The growth exponent and its bounded/unbounded verdict of each lane
+    of a fit window b[start:], given as |mantissa| and exponent (rows are
+    steps; log|b[k]| is then XComplex.log_abs): the least-squares slope of
+    (k, log|b[k]|) over the lane's nonzero entries.  A lane with none gives
+    (-inf, "bounded"), one with a single one (0.0, "inconclusive").
+
+    The float operations are fixed, so every fit keeps its bits: math.log,
+    not np.log, in one map over the block; log + e * _LN2 on float64; the
+    index offsets by _index_offsets, once for all lanes without a zero;
+    and mean_l and sxy by Python's sum over each lane's list (3.12's sum
+    is compensated, so no numpy sum matches it on every version)."""
     steps = len(moduli)
     positive = moduli > 0.0
-    full = positive.all(axis=0).tolist()
-    logs = np.where(positive, moduli, 1.0)
-    for row in logs:
-        row[:] = list(map(math.log, row.tolist()))
+    moduli = np.where(positive, moduli, 1.0)  # a zero entry is left out of its lane
+    logs = np.fromiter(map(math.log, moduli.ravel().tolist()), float, moduli.size).reshape(moduli.shape)
     logs += exponents * _LN2
     offsets, sxx = _index_offsets(range(start, start + steps))
-    terms = logs.T  # l = log|b[k]|, a lane a row
-    terms -= np.array([sum(l.tolist()) / steps for l in terms])[:, None]
-    terms *= np.array(offsets)  # (l - mean_l) * (k - mean_k)
-    return [
-        _slope_verdict(sum(t.tolist()) / sxx if sxx > 0 else 0.0)
-        if full[i]
-        else _fit_moduli(start, moduli[:, i].tolist(), exponents[:, i].tolist())
-        for i, t in enumerate(terms)
-    ]
+    window = np.array(offsets), sxx  # a lane without zeros
+    fits = []
+    for count, l, kept in zip(positive.sum(axis=0).tolist(), logs.T.copy(), positive.T):
+        if count < 2:
+            fits.append((0.0, "inconclusive") if count else (-math.inf, "bounded"))
+            continue
+        if count == steps:
+            offsets, sxx = window
+        else:
+            l = l[kept]
+            offsets, sxx = _index_offsets((start + np.flatnonzero(kept)).tolist())
+        mean_l = sum(l.tolist()) / count
+        slope = sum(((l - mean_l) * offsets).tolist()) / sxx if sxx > 0 else 0.0
+        verdict = "unbounded" if slope > GROWTH_MARGIN else "bounded" if slope < -GROWTH_MARGIN else "inconclusive"
+        fits.append((slope, verdict))
+    return fits
 
 
 def _index_offsets(ks) -> tuple[list[float], float]:
@@ -167,15 +165,6 @@ def _index_offsets(ks) -> tuple[list[float], float]:
     mean_k = sum(ks) / len(ks)
     offsets = [k - mean_k for k in ks]
     return offsets, sum(x**2 for x in offsets)
-
-
-def _slope_verdict(slope: float) -> tuple[float, str]:
-    """The growth exponent and its bounded/unbounded verdict."""
-    if slope > GROWTH_MARGIN:
-        return slope, "unbounded"
-    if slope < -GROWTH_MARGIN:
-        return slope, "bounded"
-    return slope, "inconclusive"
 
 
 def obstruction_direct(orbit: OrbitRecord, v: VectorFieldSpec, n: int) -> XComplex:

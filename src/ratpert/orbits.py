@@ -412,11 +412,7 @@ def classify_parameter(
         size = _modulus(z)
         if not size <= radius:  # an overflow to nan escapes too
             return ParameterClass("escaping", None, None, k)
-        if (
-            refinement_attempts < 4
-            and k > anchor_index
-            and _modulus(z - anchor) < CYCLE_DETECT_TOL * max(1.0, size)
-        ):
+        if refinement_attempts < 4 and _modulus(z - anchor) < CYCLE_DETECT_TOL * max(1.0, size):
             refinement_attempts += 1
             cycle = _refine_coincidence(c, d, z, k - anchor_index)
             if cycle is not None and abs(cycle.multiplier) < 1.0:

@@ -514,11 +514,6 @@ def cmul_lanes(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def select_lanes(mask, x, y):
-    """Lane values taken from x where mask holds, else from y."""
-    return tuple(np.where(mask, u, v) for u, v in zip(x, y))
-
-
 def _cdiv_lanes(ar, ai, br, bi):
     """(ar + i ai) / (br + i bi) by CPython's complex division: divide by
     the divisor component of larger modulus.  Each operand is lanes or a
@@ -530,7 +525,8 @@ def _cdiv_lanes(ar, ai, br, bi):
     with np.errstate(all="ignore"):
         if isinstance(br, np.ndarray) or isinstance(bi, np.ndarray):
             real_major = np.abs(br) >= np.abs(bi)  # false for a nan divisor, as in CPython
-            return select_lanes(real_major, _cdiv_by_real(ar, ai, br, bi), _cdiv_by_imag(ar, ai, br, bi))
+            (xr, xi), (yr, yi) = _cdiv_by_real(ar, ai, br, bi), _cdiv_by_imag(ar, ai, br, bi)
+            return np.where(real_major, xr, yr), np.where(real_major, xi, yi)
         br, bi = np.float64(br), np.float64(bi)  # a zero divisor gives nan, as on lanes
         return (_cdiv_by_real if abs(br) >= abs(bi) else _cdiv_by_imag)(ar, ai, br, bi)
 

@@ -217,7 +217,8 @@ class TestPerturbedParity:
         (VectorFieldSpec.monomial(2, 4.0), -0.25),
         (VectorFieldSpec.monomial(2, 1j), 1j),
         (VectorFieldSpec.rational(Polynomial((0, 0, 2)), Polynomial((2,))), -1.0),
-        (VectorFieldSpec.rational(Polynomial((0, 0, 0, 1)), Polynomial((0, 1))), -1.0),
+        # z^3/z is not in lowest terms, so only the bare constructor builds it
+        (VectorFieldSpec(Polynomial((0, 0, 0, 1)), Polynomial((0, 1))), -1.0),
     ])
     def test_cancelled_leading_coefficient(self, v, lam):
         m = MapSpec.unicritical(2, 0.3)
@@ -252,6 +253,14 @@ class TestFieldValidation:
     def test_non_finite_coefficient_rejected(self, build, part):
         with pytest.raises(ValueError, match=f"VectorFieldSpec {part}:.*not finite"):
             build()
+
+    def test_shared_root_rejected(self):
+        # (z + 1/2)/(z + 1/2): R + lam*v would not be in lowest terms, and
+        # its degree would read 3 on z^2 - 0.12 + 0.75i
+        with pytest.raises(DegenerateMapError, match="share a root"):
+            VectorFieldSpec.rational(Polynomial((0.5, 1)), Polynomial((0.5, 1)))
+        with pytest.raises(DegenerateMapError, match="share a root"):
+            MapSpec.rational(Polynomial((0.5, 1)), Polynomial((0.5, 1)))
 
     def test_finite_field_accepted(self):
         v = VectorFieldSpec(Polynomial((1, 2j)), Polynomial((3, 1)))

@@ -4,6 +4,7 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from ratpert import (
     obstruction_sequence,
 )
 from ratpert.cli import main
-from ratpert.obstruction import _fit_growth
+from ratpert.obstruction import GROWTH_MARGIN, _fit_growth, _fit_lanes, _fit_start
 from ratpert.orbits import NearCriticalRelationWarning
 from ratpert.serialize import decode, encode, json_dumps, json_loads
 
@@ -272,6 +273,113 @@ class TestPartsCoreMatchesXComplexLoop:
                 sys.setprofile(None)
             assert calls == []
             assert repr(again) == repr(fresh) == repr(reference_obstruction_sequence(orbit, v, 501))
+
+
+# The list-based fit of one lane that obstruction.py ran before the growth
+# fit became the one lane-block fit, kept verbatim as the reference it must
+# match, with the two helpers it called.
+_LN2 = math.log(2.0)
+
+
+def reference_fit_moduli(start, moduli, exponents):
+    samples = [
+        (start + j, math.log(a) + e * _LN2) for j, (a, e) in enumerate(zip(moduli, exponents)) if a != 0.0
+    ]
+    if not samples:
+        return -math.inf, "bounded"
+    if len(samples) < 2:
+        return 0.0, "inconclusive"
+    offsets, sxx = reference_index_offsets([k for k, _ in samples])
+    logs = [l for _, l in samples]
+    mean_l = sum(logs) / len(logs)
+    sxy = sum(x * (l - mean_l) for x, l in zip(offsets, logs))
+    return reference_slope_verdict(sxy / sxx if sxx > 0 else 0.0)
+
+
+def reference_index_offsets(ks):
+    mean_k = sum(ks) / len(ks)
+    offsets = [k - mean_k for k in ks]
+    return offsets, sum(x**2 for x in offsets)
+
+
+def reference_slope_verdict(slope):
+    if slope > GROWTH_MARGIN:
+        return slope, "unbounded"
+    if slope < -GROWTH_MARGIN:
+        return slope, "bounded"
+    return slope, "inconclusive"
+
+
+ZERO_PATTERNS = ["none", "all", "single", "leading", "trailing", "interior", "scattered"]
+
+
+def fit_window(seed, rows, lanes):
+    """A fit window of |mantissa| and exponent lanes (rows are steps) with
+    growth rates around the verdict margin and base exponents up to
+    +-1e6, each lane with one of ZERO_PATTERNS."""
+    rng = np.random.default_rng(seed)
+    moduli = rng.uniform(1.0, 2.0 * math.sqrt(2.0), (rows, lanes))
+    steps = np.arange(rows)[:, None]
+    rates = rng.choice([0.0, GROWTH_MARGIN, -GROWTH_MARGIN, 0.5, -0.5, 3.0], lanes) + rng.normal(0.0, 0.05, lanes)
+    exponents = rng.integers(-10**6, 10**6, lanes) + np.floor(rates * steps / math.log(2.0)).astype(np.int64)
+    exponents += rng.integers(-2, 3, (rows, lanes))
+    for i in range(lanes):
+        pattern = ZERO_PATTERNS[rng.integers(len(ZERO_PATTERNS))]
+        cut = int(rng.integers(rows + 1))
+        if pattern == "all":
+            moduli[:, i] = 0.0
+        elif pattern == "single":
+            moduli[np.arange(rows) != rng.integers(rows), i] = 0.0
+        elif pattern == "leading":
+            moduli[:cut, i] = 0.0
+        elif pattern == "trailing":
+            moduli[cut:, i] = 0.0
+        elif pattern == "interior":
+            moduli[cut // 2 : cut, i] = 0.0
+        elif pattern == "scattered":
+            moduli[rng.random(rows) < 0.3, i] = 0.0
+    exponents[moduli == 0.0] = 0  # XComplex zero
+    return moduli, exponents
+
+
+def fit_key(fit):
+    exponent, evidence = fit
+    return float.hex(exponent), evidence
+
+
+class TestOneGrowthFit:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 600), st.integers(1, 40), st.integers(1, 10**6))
+    def test_lanes_match_the_list_fit(self, seed, rows, lanes, start):
+        moduli, exponents = fit_window(seed, rows, lanes)
+        fits = _fit_lanes(start, moduli, exponents)
+        assert len(fits) == lanes
+        for i, fit in enumerate(fits):
+            ref = reference_fit_moduli(start, moduli[:, i].tolist(), exponents[:, i].tolist())
+            assert fit_key(fit) == fit_key(ref)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 1200))
+    def test_series_fit_is_the_one_lane_fit(self, seed, n):
+        start = _fit_start(n)
+        moduli, exponents = fit_window(seed, n + 1 - start, 1)
+        angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, len(moduli))
+        window = [
+            XComplex(complex(a * math.cos(t), a * math.sin(t)), e) if a else XComplex.zero()
+            for a, t, e in zip(moduli[:, 0].tolist(), angles.tolist(), exponents[:, 0].tolist())
+        ]
+        b = [XComplex.zero()] * start + window
+        ref = reference_fit_moduli(start, [abs(x.mantissa) for x in window], [x.exponent for x in window])
+        assert fit_key(_fit_growth(b)) == fit_key(ref)
+
+    @pytest.mark.parametrize("pattern,expected", [
+        ([0.0, 0.0, 0.0], (-math.inf, "bounded")),
+        ([0.0, 1.5, 0.0], (0.0, "inconclusive")),
+        ([1.5], (0.0, "inconclusive")),
+    ])
+    def test_empty_and_single_entry_lanes(self, pattern, expected):
+        moduli = np.array(pattern)[:, None]
+        assert _fit_lanes(7, moduli, np.zeros_like(moduli, dtype=np.int64)) == [expected]
 
 
 def test_obstruction_cli_output_pinned(capsysbinary):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -889,3 +890,14 @@ def test_render_leaks_no_overflow_warning(capsys):
                      "--escape-radius", "1e200", "--format", "json"])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_boundary_scan_csv_pinned(capsysbinary):
+    # sha256 of the CSV before the growth fit became one lane-block fit
+    # (CPython 3.11, x86-64 Linux): 256 points near the boundary at orbit
+    # 1024, 52 of them candidate lanes, whose b starts at zero (v = z)
+    args = ["scan", "--region=-1.05:-0.95:0.18:0.28", "--resolution", "16,16",
+            "--orbit-length", "1024", "--field", "z", "--format", "csv"]
+    assert main(args) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == "9240007adbbf0741c08ae78d6140343423fad02b7424d5e440939752755fcdef"
